@@ -191,8 +191,8 @@ class ReconstructionReport:
     total_mse: float
 
 
-def build(config: DcanConfig, seed) -> DcanModel:
-    """Create and initialize a model; reproducible for equal seeds."""
+def _zeros(config: DcanConfig) -> DcanModel:
+    """A validated model of the configured shape with every parameter zero."""
     config.validate()
     flat = config.flat_size
     s1, s2, s3 = config.conv_specs
@@ -204,11 +204,17 @@ def build(config: DcanConfig, seed) -> DcanModel:
         nn.ConvTranspose2dLayer.zeros(s.out_channels, s.in_channels, s.kernel, s.stride)
         for s in (s3, s2, s1)
     ]
-
-    children = np.random.SeedSequence(seed).spawn(11)
-    for layer, child in zip([*convs, *fcs, *deconvs], children):
-        nn.init_params(layer, child)
     return DcanModel(config, *convs, *fcs, *deconvs)
+
+
+def build(config: DcanConfig, seed) -> DcanModel:
+    """Create and initialize a model; reproducible for equal seeds."""
+    model = _zeros(config)
+    layers = [*model.conv_layers, *model.fc_layers, *model.deconv_layers]
+    children = np.random.SeedSequence(seed).spawn(len(layers))
+    for layer, child in zip(layers, children):
+        nn.init_params(layer, child)
+    return model
 
 
 def parameter_count(model: DcanModel) -> int:

@@ -12,8 +12,18 @@ never mutate their arguments except ``adam_step``, which updates parameters
 and optimizer moments in place for its single owning training loop; all other
 operations are pure and safe to call concurrently.
 
-The convolutions are vectorised with strided window views and ``einsum``.
-The test suite pins them against a naive quadruple-loop reference to within
+All four convolution kernels share one stride-blocked im2col and its
+adjoint (Chellapilla, Puri & Simard, 2006). With q = ceil(kw / sw), the
+kernel width is zero-padded to q * sw and the input width to
+(Wo - 1 + q) * sw, so the input reads as blocks of sw samples and every
+window is kh x q whole blocks. The patch matrix (B * Ho * Wo, C * kh * q * sw)
+is one sliding window over the (height, block) axes, copied once; a single
+GEMM with it gives the convolution forward pass, both weight gradients and
+the transposed convolution's input gradient. The adjoint, used for the
+convolution's input gradient and the transposed forward pass, is one GEMM
+into patch layout followed by kh * q block-slice adds. The zero padding
+makes the same code exact for any kernel, stride and input size. The test
+suite pins the kernels against a naive quadruple-loop reference to within
 1e-6 relative error.
 """
 
@@ -194,22 +204,101 @@ def _check_4d(x: np.ndarray, what: str) -> None:
         raise DimensionError(f"{what} must be 4-D (batch, channels, height, width), got {x.ndim}-D")
 
 
-def _windows(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -> np.ndarray:
-    """Strided view (B, C, Ho, Wo, kh, kw) of all kernel-sized patches."""
-    win = sliding_window_view(x, kernel, axis=(2, 3))
-    return win[:, :, :: stride[0], :: stride[1]]
+def _fit_width(a: np.ndarray, width: int) -> np.ndarray:
+    """a with its last axis cut or zero-padded on the right to width."""
+    have = a.shape[-1]
+    if have == width:
+        return a
+    if have > width:
+        return np.ascontiguousarray(a[..., :width])
+    out = np.zeros((*a.shape[:-1], width), dtype=a.dtype)
+    out[..., :have] = a
+    return out
+
+
+def _kernel_blocks(kw: int, sw: int) -> int:
+    """Kernel width in whole stride blocks, q = ceil(kw / sw)."""
+    return -(-kw // sw)
+
+
+def _kernel_matrix(weight: np.ndarray, sw: int) -> np.ndarray:
+    """(rows, C * kh * q * sw) weight matrix, kernel width zero-padded to q * sw."""
+    q = _kernel_blocks(weight.shape[3], sw)
+    return _fit_width(weight, q * sw).reshape(weight.shape[0], -1)
+
+
+def _kernel_grad(grad: np.ndarray, weight_shape: tuple[int, ...]) -> np.ndarray:
+    """Kernel gradient from its padded (rows, C * kh * q * sw) matrix form."""
+    rows, c, kh, kw = weight_shape
+    return _fit_width(grad.reshape(rows, c, kh, -1), kw)
+
+
+def _im2col(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
+            ho: int, wo: int) -> np.ndarray:
+    """Patch matrix (B * Ho * Wo, C * kh * q * sw) of a valid strided convolution.
+
+    The input width is zero-padded (or cut) to (Wo - 1 + q) * sw samples and
+    viewed as blocks of sw, so every width window is q whole blocks and the
+    patches are one sliding window over the (height, block) axes, copied once.
+    """
+    b, c, h, _ = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    q = _kernel_blocks(kw, sw)
+    nb = wo - 1 + q
+    xb = _fit_width(x, nb * sw).reshape(b, c, h, nb, sw)
+    win = sliding_window_view(xb, (kh, q), axis=(2, 3))[:, :, ::sh]
+    # (B, C, Ho, Wo, sw, kh, q) -> (B, Ho, Wo, C, kh, q, sw)
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 5, 6, 4)).reshape(b * ho * wo, -1)
+
+
+def _col2im(y: np.ndarray, weight: np.ndarray, shape: tuple[int, int, int, int],
+            stride: tuple[int, int]) -> np.ndarray:
+    """Adjoint of the patch GEMM: the (B, C, H, W) map sum_r y[:, r] * weight[r].
+
+    y is (B, R, Ho, Wo) and weight (R, C, kh, kw). One batched GEMM writes
+    the patches in layout (B, C, kh, q, Ho, Wo, sw), so each of the kh * q
+    block-slice adds that sum them back reads contiguous memory.
+    """
+    b, r, ho, wo = y.shape
+    _, c, h, w = shape
+    kh, kw = weight.shape[2:]
+    sh, sw = stride
+    q = _kernel_blocks(kw, sw)
+    nb = wo - 1 + q
+    wk = _kernel_matrix(weight, sw).reshape(r, c * kh * q, sw).transpose(1, 0, 2)
+    rows = y.reshape(b, 1, r, ho * wo).transpose(0, 1, 3, 2)
+    cols = np.matmul(rows, wk).reshape(b, c, kh, q, ho, wo, sw)
+    out = np.zeros((b, c, h, nb, sw), dtype=cols.dtype)
+    for i in range(kh):
+        for a in range(q):
+            out[:, :, i : i + (ho - 1) * sh + 1 : sh, a : a + wo] += cols[:, :, i, a]
+    return _fit_width(out.reshape(b, c, h, nb * sw), w)
+
+
+def _channels_last(t: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) map as a (B * H * W, C) matrix."""
+    return t.transpose(0, 2, 3, 1).reshape(-1, t.shape[1])
+
+
+def _channels_first(m: np.ndarray, b: int, h: int, w: int) -> np.ndarray:
+    """Inverse of _channels_last: (B * H * W, C) matrix to a contiguous (B, C, H, W) map."""
+    return np.ascontiguousarray(m.reshape(b, h, w, -1).transpose(0, 3, 1, 2))
 
 
 def conv2d_forward(x: np.ndarray, layer: Conv2dLayer) -> np.ndarray:
-    """Valid cross-correlation with stride; output (B, out_channels, Ho, Wo)."""
+    """Valid cross-correlation with stride; output (B, out_channels, Ho, Wo).
+
+    One GEMM of the stride-blocked patch matrix with the zero-padded kernel.
+    """
     _check_4d(x, "conv2d input")
     if x.shape[1] != layer.in_channels:
         raise DimensionError(
             f"conv2d input has {x.shape[1]} channels, layer expects {layer.in_channels} (axis 1)"
         )
-    conv_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
-    win = _windows(x, layer.kernel, layer.stride)
-    out = np.einsum("bchwij,ocij->bohw", win, layer.weight, optimize=True)
+    ho, wo = conv_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
+    patches = _im2col(x, layer.kernel, layer.stride, ho, wo)
+    out = _channels_first(patches @ _kernel_matrix(layer.weight, layer.stride[1]).T, x.shape[0], ho, wo)
     out += layer.bias[None, :, None, None]
     return out
 
@@ -217,32 +306,30 @@ def conv2d_forward(x: np.ndarray, layer: Conv2dLayer) -> np.ndarray:
 def conv2d_backward(
     x: np.ndarray, layer: Conv2dLayer, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(conv2d_forward(x) * upstream) w.r.t. input, weight, bias."""
+    """Gradients of sum(conv2d_forward(x) * upstream) w.r.t. input, weight, bias.
+
+    The weight gradient is one GEMM against the patch matrix; the input
+    gradient is one GEMM into patch layout followed by its block-slice adds.
+    """
     _check_4d(x, "conv2d input")
     _check_4d(upstream, "conv2d upstream gradient")
     ho, wo = conv_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
     expected = (x.shape[0], layer.out_channels, ho, wo)
     if upstream.shape != expected:
         raise DimensionError(f"upstream gradient shape {upstream.shape} != {expected}")
-    kh, kw = layer.kernel
-    sh, sw = layer.stride
 
     grad_bias = upstream.sum(axis=(0, 2, 3))
-    win = _windows(x, layer.kernel, layer.stride)
-    grad_weight = np.einsum("bohw,bchwij->ocij", upstream, win, optimize=True)
-
-    grad_input = np.zeros_like(x)
-    contrib = np.einsum("bohw,ocij->bchwij", upstream, layer.weight, optimize=True)
-    for i in range(kh):
-        for j in range(kw):
-            grad_input[:, :, i : i + (ho - 1) * sh + 1 : sh, j : j + (wo - 1) * sw + 1 : sw] += contrib[..., i, j]
+    patches = _im2col(x, layer.kernel, layer.stride, ho, wo)
+    grad_weight = _kernel_grad(_channels_last(upstream).T @ patches, layer.weight.shape)
+    grad_input = _col2im(upstream, layer.weight, x.shape, layer.stride)
     return grad_input, grad_weight, grad_bias
 
 
 def conv_transpose2d_forward(x: np.ndarray, layer: ConvTranspose2dLayer) -> np.ndarray:
     """Strided scatter-add upsampling; the adjoint of conv2d_forward.
 
-    Output spatial size is (H - 1) * sh + kh by (W - 1) * sw + kw.
+    Output spatial size is (H - 1) * sh + kh by (W - 1) * sw + kw. One GEMM
+    into patch layout, then the block-slice adds of the patch adjoint.
     """
     _check_4d(x, "transposed-conv input")
     if x.shape[1] != layer.in_channels:
@@ -250,15 +337,8 @@ def conv_transpose2d_forward(x: np.ndarray, layer: ConvTranspose2dLayer) -> np.n
             f"transposed-conv input has {x.shape[1]} channels, layer expects {layer.in_channels} (axis 1)"
         )
     b, _, h, w = x.shape
-    kh, kw = layer.kernel
-    sh, sw = layer.stride
     ho, wo = conv_transpose_output_hw(h, w, layer.kernel, layer.stride)
-
-    out = np.zeros((b, layer.out_channels, ho, wo), dtype=x.dtype)
-    contrib = np.einsum("bihw,ioxy->bohwxy", x, layer.weight, optimize=True)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i : i + (h - 1) * sh + 1 : sh, j : j + (w - 1) * sw + 1 : sw] += contrib[..., i, j]
+    out = _col2im(x, layer.weight, (b, layer.out_channels, ho, wo), layer.stride)
     out += layer.bias[None, :, None, None]
     return out
 
@@ -266,19 +346,23 @@ def conv_transpose2d_forward(x: np.ndarray, layer: ConvTranspose2dLayer) -> np.n
 def conv_transpose2d_backward(
     x: np.ndarray, layer: ConvTranspose2dLayer, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(conv_transpose2d_forward(x) * upstream)."""
+    """Gradients of sum(conv_transpose2d_forward(x) * upstream).
+
+    Patches of the upstream map line up one-to-one with input positions, so
+    both gradients are one GEMM each against that patch matrix.
+    """
     _check_4d(x, "transposed-conv input")
     _check_4d(upstream, "transposed-conv upstream gradient")
-    ho, wo = conv_transpose_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
-    expected = (x.shape[0], layer.out_channels, ho, wo)
+    b, _, h, w = x.shape
+    ho, wo = conv_transpose_output_hw(h, w, layer.kernel, layer.stride)
+    expected = (b, layer.out_channels, ho, wo)
     if upstream.shape != expected:
         raise DimensionError(f"upstream gradient shape {upstream.shape} != {expected}")
 
     grad_bias = upstream.sum(axis=(0, 2, 3))
-    # Windows of the upstream map line up one-to-one with input positions.
-    win = _windows(upstream, layer.kernel, layer.stride)
-    grad_input = np.einsum("bohwxy,ioxy->bihw", win, layer.weight, optimize=True)
-    grad_weight = np.einsum("bihw,bohwxy->ioxy", x, win, optimize=True)
+    patches = _im2col(upstream, layer.kernel, layer.stride, h, w)
+    grad_input = _channels_first(patches @ _kernel_matrix(layer.weight, layer.stride[1]).T, b, h, w)
+    grad_weight = _kernel_grad(_channels_last(x).T @ patches, layer.weight.shape)
     return grad_input, grad_weight, grad_bias
 
 

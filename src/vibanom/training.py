@@ -373,7 +373,7 @@ def load_checkpoint(path):
             raise CheckpointFormatError("trailing bytes after the last tensor")
 
     config = _config_from_metadata(metadata.get("config", {}))
-    model = dcan.build(config, seed=0)
+    model = dcan._zeros(config)
     for name, param in model.named_parameters().items():
         if name not in tensors:
             raise CheckpointFormatError(f"checkpoint is missing tensor '{name}'")

@@ -290,11 +290,12 @@ class TestCalibratePredictor:
 
 
 class TestBatchInvariance:
-    """Identical frames score alike wherever they sit in the stream.
+    """A frame scores alike wherever it sits in the stream.
 
     calibrate() treats MSEs that agree to float32 resolution as equal;
     this pins that reconstruction rounding stays within that bound at
-    every batch position, including across the 64-frame chunk boundary.
+    every batch position, including across the 64-frame chunk boundary,
+    and that distinct frames score as if alone at any batch size.
     """
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 65])
@@ -317,6 +318,23 @@ class TestBatchInvariance:
         eps = float(np.finfo(np.float32).eps)
         for mse in mses:
             assert abs(mse - alone) <= eps * abs(alone)
+
+    @pytest.mark.parametrize("batch_size", [2, 5, 64, 65])
+    def test_distinct_frames_score_as_if_alone(self, checkpoint, batch_size):
+        model, stats = load_checkpoint(checkpoint)
+        frames = standardize(stack_frames(make_frames(seed=9, count=70)), stats)
+
+        def scores(batch):
+            return [r.total_mse for r in dcan.reconstruction_report(batch, dcan.reconstruct(model, batch))]
+
+        alone = np.array([scores(frames[i : i + 1])[0] for i in range(len(frames))])
+        for shift in sorted({0, 1, batch_size // 2, batch_size - 1}):
+            # Rolling the stream moves every frame to another batch position.
+            order = np.roll(np.arange(len(frames)), -shift)
+            batched = []
+            for start in range(0, len(order), batch_size):
+                batched.extend(scores(frames[order[start : start + batch_size]]))
+            assert np.all(np.abs(np.array(batched) - alone[order]) <= 1e-6 * alone[order])
 
 
 def one_predictor_fleet(checkpoint, norm, log_path, alarm=None):

@@ -89,6 +89,9 @@ class TestConv2d:
             (1, 3, 2, 7, 9, (2, 3), (2, 2)),
             (3, 2, 5, 5, 5, (5, 5), (1, 1)),
             (2, 4, 1, 6, 11, (1, 4), (1, 3)),
+            # conv1 and conv2 of the model at their real input sizes.
+            (2, 1, 8, 3, 4096, (3, 64), (1, 16)),
+            (2, 8, 16, 1, 253, (1, 13), (1, 4)),
         ],
     )
     def test_matches_naive_oracle(self, b, in_c, out_c, h, w, kernel, stride):
@@ -116,6 +119,9 @@ class TestConv2d:
             (1, 2, 4, 10, (2, 3), (1, 2)),
             (2, 3, 5, 6, (3, 2), (2, 2)),
             (3, 1, 3, 7, (1, 4), (1, 3)),
+            # Height stride 2, width stride not dividing the kernel, and a
+            # trailing row and two trailing columns that no window reaches.
+            (2, 2, 5, 13, (2, 5), (2, 3)),
         ],
     )
     def test_gradients_match_finite_differences(self, in_c, out_c, h, w, kernel, stride):
@@ -156,6 +162,9 @@ class TestConvTranspose2d:
             (2, 4, 1, 1, 13, (3, 8), (1, 4)),
             (1, 2, 3, 4, 5, (2, 3), (2, 2)),
             (3, 5, 2, 1, 9, (1, 5), (1, 1)),
+            # deconv3 and deconv2 of the model at their real input sizes.
+            (2, 8, 1, 1, 253, (3, 64), (1, 16)),
+            (2, 16, 8, 1, 61, (1, 13), (1, 4)),
         ],
     )
     def test_matches_naive_oracle(self, b, in_c, out_c, h, w, kernel, stride):
@@ -174,6 +183,8 @@ class TestConvTranspose2d:
             (1, 8, 3, 128, (3, 16), (1, 8)),
             (2, 3, 6, 10, (2, 4), (2, 3)),
             (4, 4, 1, 61, (1, 5), (1, 1)),
+            (1, 8, 3, 4096, (3, 64), (1, 16)),
+            (8, 16, 1, 253, (1, 13), (1, 4)),
         ]:
             conv = nn.Conv2dLayer.zeros(in_c, out_c, kernel, stride, dtype=np.float64)
             conv.weight[...] = rng.standard_normal(conv.weight.shape)
@@ -192,6 +203,8 @@ class TestConvTranspose2d:
             (2, 1, 1, 7, (2, 3), (1, 2)),
             (1, 3, 3, 4, (2, 2), (2, 2)),
             (3, 2, 1, 11, (1, 5), (1, 1)),
+            # Height stride 2 and a width stride that does not divide the kernel.
+            (2, 2, 2, 3, (2, 5), (2, 3)),
         ],
     )
     def test_gradients_match_finite_differences(self, in_c, out_c, h, w, kernel, stride):
