@@ -20,35 +20,31 @@ print()
 # One random standardized frame, batch of 1.
 x = np.random.default_rng(0).standard_normal((1, 1, 3, 4096)).astype(np.float32)
 
+# Walk the model's layer table in forward order, as dcan.reconstruct does.
 print("encoder (convolutions)")
 h = x
-for i, layer in enumerate(model.conv_layers, start=1):
-    h = nn.leaky_relu(nn.conv2d_forward(h, layer), config.leaky_slope)
-    print("  conv%d k=%s s=%s -> %s" % (i, layer.kernel, layer.stride, h.shape[1:]))
-
-flat = h.reshape(1, -1)
-print("  flatten -> %d values" % flat.shape[1])
-print()
-
-print("auto-encoding core (dense)")
-for i, layer in enumerate(model.fc_layers, start=1):
-    flat = nn.dense_forward(flat, layer)
-    if i < len(model.fc_layers):
-        flat = nn.leaky_relu(flat, config.leaky_slope)
-    print("  fc%d %d -> %d" % (i, layer.in_features, layer.out_features))
-print()
-
-print("decoder (transposed convolutions)")
-h = flat.reshape(1, *config.latent_shape)
-for i, layer in enumerate(model.deconv_layers, start=1):
-    h = nn.conv_transpose2d_forward(h, layer)
-    if i < len(model.deconv_layers):
+for name, layer in model.layers.items():
+    if name == "fc1":
+        h = h.reshape(1, -1)
+        print("  flatten -> %d values" % h.shape[1])
+        print()
+        print("auto-encoding core (dense)")
+    elif name == "deconv1":
+        h = h.reshape(1, *config.latent_shape)
+        print()
+        print("decoder (transposed convolutions)")
+    h = layer.forward(h)
+    if name not in ("fc5", "deconv3"):  # the two linear layers
         h = nn.leaky_relu(h, config.leaky_slope)
-    print("  deconv%d k=%s s=%s -> %s" % (i, layer.kernel, layer.stride, h.shape[1:]))
+    if isinstance(layer, nn.DenseLayer):
+        print("  %s %d -> %d" % (name, layer.in_features, layer.out_features))
+    else:
+        print("  %s k=%s s=%s -> %s" % (name, layer.kernel, layer.stride, h.shape[1:]))
 print()
 
 recon = dcan.reconstruct(model, x)
 report = dcan.reconstruction_report(x, recon)[0]
 print("round trip: input %s -> reconstruction %s" % (x.shape, recon.shape))
+print("table walk equals dcan.reconstruct: %s" % np.array_equal(h, recon))
 print("untrained reconstruction MSE per axis: %s" % (report.per_axis_mse,))
 print("untrained total MSE: %.4f (training drives this toward zero)" % report.total_mse)

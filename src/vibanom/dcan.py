@@ -12,11 +12,16 @@ layers auto-encode that vector through hidden width 200, and the decoder
 restores the original frame size exactly. Inference never mutates the
 model, so concurrent reconstruct calls on a shared model are safe;
 training updates parameters in place and needs exclusive access.
+
+The model is one table of its eleven layers in forward order. One walker
+runs any slice of it for encode, decode and reconstruct; for training it
+records each layer's input and pre-activation on a tape, and one loop over
+the reversed tape turns the loss gradient into every parameter gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,57 +135,34 @@ class DcanConfig:
         return c * h * w
 
 
+# The two layers with no LeakyReLU after them: the auto-encoder's output
+# code and the reconstruction itself.
+_LINEAR = ("fc5", "deconv3")
+
+
 @dataclass
 class DcanModel:
-    """The assembled network: three convs, five dense layers, three deconvs."""
+    """The assembled network: one table of its eleven layers.
+
+    layers maps conv1 ... conv3, fc1 ... fc5 and deconv1 ... deconv3 to
+    their layers, in forward order. Every layer but fc5 and deconv3 is
+    followed by a LeakyReLU.
+    """
 
     config: DcanConfig
-    conv1: nn.Conv2dLayer
-    conv2: nn.Conv2dLayer
-    conv3: nn.Conv2dLayer
-    fc1: nn.DenseLayer
-    fc2: nn.DenseLayer
-    fc3: nn.DenseLayer
-    fc4: nn.DenseLayer
-    fc5: nn.DenseLayer
-    deconv1: nn.ConvTranspose2dLayer
-    deconv2: nn.ConvTranspose2dLayer
-    deconv3: nn.ConvTranspose2dLayer
-
-    @property
-    def conv_layers(self):
-        return (self.conv1, self.conv2, self.conv3)
-
-    @property
-    def fc_layers(self):
-        return (self.fc1, self.fc2, self.fc3, self.fc4, self.fc5)
-
-    @property
-    def deconv_layers(self):
-        return (self.deconv1, self.deconv2, self.deconv3)
+    layers: dict
 
     def named_parameters(self) -> dict:
         """Live references to every parameter tensor, keyed by layer name."""
         params = {}
-        names = [
-            ("conv1", self.conv1), ("conv2", self.conv2), ("conv3", self.conv3),
-            ("fc1", self.fc1), ("fc2", self.fc2), ("fc3", self.fc3),
-            ("fc4", self.fc4), ("fc5", self.fc5),
-            ("deconv1", self.deconv1), ("deconv2", self.deconv2), ("deconv3", self.deconv3),
-        ]
-        for name, layer in names:
+        for name, layer in self.layers.items():
             params[f"{name}.weight"] = layer.weight
             params[f"{name}.bias"] = layer.bias
         return params
 
     def astype(self, dtype) -> "DcanModel":
         """Copy of the model with every parameter cast to dtype."""
-        return DcanModel(
-            self.config,
-            *(l.astype(dtype) for l in self.conv_layers),
-            *(l.astype(dtype) for l in self.fc_layers),
-            *(l.astype(dtype) for l in self.deconv_layers),
-        )
+        return DcanModel(self.config, {n: l.astype(dtype) for n, l in self.layers.items()})
 
 
 @dataclass(frozen=True)
@@ -194,25 +176,24 @@ class ReconstructionReport:
 def _zeros(config: DcanConfig) -> DcanModel:
     """A validated model of the configured shape with every parameter zero."""
     config.validate()
-    flat = config.flat_size
-    s1, s2, s3 = config.conv_specs
-
-    convs = [nn.Conv2dLayer.zeros(s.in_channels, s.out_channels, s.kernel, s.stride) for s in (s1, s2, s3)]
-    widths = [flat, *config.fc_widths, flat]
-    fcs = [nn.DenseLayer.zeros(widths[i], widths[i + 1]) for i in range(5)]
-    deconvs = [
-        nn.ConvTranspose2dLayer.zeros(s.out_channels, s.in_channels, s.kernel, s.stride)
-        for s in (s3, s2, s1)
-    ]
-    return DcanModel(config, *convs, *fcs, *deconvs)
+    layers = {}
+    for i, s in enumerate(config.conv_specs, start=1):
+        layers[f"conv{i}"] = nn.Conv2dLayer.zeros(s.in_channels, s.out_channels, s.kernel, s.stride)
+    widths = [config.flat_size, *config.fc_widths, config.flat_size]
+    for i in range(1, len(widths)):
+        layers[f"fc{i}"] = nn.DenseLayer.zeros(widths[i - 1], widths[i])
+    for i, s in enumerate(reversed(config.conv_specs), start=1):
+        layers[f"deconv{i}"] = nn.ConvTranspose2dLayer.zeros(
+            s.out_channels, s.in_channels, s.kernel, s.stride
+        )
+    return DcanModel(config, layers)
 
 
 def build(config: DcanConfig, seed) -> DcanModel:
     """Create and initialize a model; reproducible for equal seeds."""
     model = _zeros(config)
-    layers = [*model.conv_layers, *model.fc_layers, *model.deconv_layers]
-    children = np.random.SeedSequence(seed).spawn(len(layers))
-    for layer, child in zip(layers, children):
+    children = np.random.SeedSequence(seed).spawn(len(model.layers))
+    for layer, child in zip(model.layers.values(), children):
         nn.init_params(layer, child)
     return model
 
@@ -229,13 +210,31 @@ def _check_frames(model: DcanModel, frames: np.ndarray) -> None:
         )
 
 
+def _walk(model: DcanModel, h: np.ndarray, start: int = 0, stop: int | None = None,
+          tape: list | None = None) -> np.ndarray:
+    """Run layers[start:stop] of the table over h.
+
+    A dense layer gets its input flattened to (B, features); a transposed
+    convolution fed flat features gets them reshaped to the latent block.
+    With a tape, each layer appends (name, input, pre-activation) to it.
+    """
+    cfg = model.config
+    for name, layer in list(model.layers.items())[start:stop]:
+        if isinstance(layer, nn.DenseLayer):
+            h = h.reshape(h.shape[0], -1)
+        elif h.ndim == 2:
+            h = h.reshape(h.shape[0], *cfg.latent_shape)
+        pre = layer.forward(h)
+        if tape is not None:
+            tape.append((name, h, pre))
+        h = pre if name in _LINEAR else nn.leaky_relu(pre, cfg.leaky_slope)
+    return h
+
+
 def encode(model: DcanModel, frames: np.ndarray) -> np.ndarray:
     """Flattened post-convolution features, shape (B, flat_size)."""
     _check_frames(model, frames)
-    slope = model.config.leaky_slope
-    h = frames
-    for layer in model.conv_layers:
-        h = nn.leaky_relu(nn.conv2d_forward(h, layer), slope)
+    h = _walk(model, frames, stop=len(model.config.conv_specs))
     return h.reshape(h.shape[0], -1)
 
 
@@ -246,20 +245,13 @@ def decode(model: DcanModel, features: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"features must have shape (B, {cfg.flat_size}), got {features.shape}"
         )
-    slope = cfg.leaky_slope
-    h = features
-    for layer in model.fc_layers[:-1]:
-        h = nn.leaky_relu(nn.dense_forward(h, layer), slope)
-    h = nn.dense_forward(h, model.fc_layers[-1])
-    h = h.reshape(h.shape[0], *cfg.latent_shape)
-    for layer in model.deconv_layers[:-1]:
-        h = nn.leaky_relu(nn.conv_transpose2d_forward(h, layer), slope)
-    return nn.conv_transpose2d_forward(h, model.deconv_layers[-1])
+    return _walk(model, features, start=len(cfg.conv_specs))
 
 
 def reconstruct(model: DcanModel, frames: np.ndarray) -> np.ndarray:
     """Full deterministic forward pass; output shape equals input shape."""
-    return decode(model, encode(model, frames))
+    _check_frames(model, frames)
+    return _walk(model, frames)
 
 
 def reconstruction_report(inputs: np.ndarray, reconstructions: np.ndarray) -> list:
@@ -288,66 +280,15 @@ def loss_and_gradients(model: DcanModel, frames: np.ndarray):
     training objective for one mini-batch.
     """
     _check_frames(model, frames)
-    cfg = model.config
-    slope = cfg.leaky_slope
-    batch = frames.shape[0]
-
-    conv_in, conv_pre = [], []
-    h = frames
-    for layer in model.conv_layers:
-        conv_in.append(h)
-        pre = nn.conv2d_forward(h, layer)
-        conv_pre.append(pre)
-        h = nn.leaky_relu(pre, slope)
-    h = h.reshape(batch, -1)
-
-    fc_in, fc_pre = [], []
-    for layer in model.fc_layers[:-1]:
-        fc_in.append(h)
-        pre = nn.dense_forward(h, layer)
-        fc_pre.append(pre)
-        h = nn.leaky_relu(pre, slope)
-    fc_in.append(h)
-    h = nn.dense_forward(h, model.fc_layers[-1])
-    h = h.reshape(batch, *cfg.latent_shape)
-
-    dec_in, dec_pre = [], []
-    for layer in model.deconv_layers[:-1]:
-        dec_in.append(h)
-        pre = nn.conv_transpose2d_forward(h, layer)
-        dec_pre.append(pre)
-        h = nn.leaky_relu(pre, slope)
-    dec_in.append(h)
-    xhat = nn.conv_transpose2d_forward(h, model.deconv_layers[-1])
-
+    tape = []
+    xhat = _walk(model, frames, tape=tape)
     loss = nn.mse(xhat, frames)
+
     grads = {}
-
     g = (2.0 / xhat.size) * (xhat - frames)
-    names = ["deconv3", "deconv2", "deconv1"]
-    for idx in (2, 1, 0):
-        layer = model.deconv_layers[idx]
-        if idx != 2:
-            g = nn.leaky_relu_backward(dec_pre[idx], g, slope)
-        g, gw, gb = nn.conv_transpose2d_backward(dec_in[idx], layer, g)
-        grads[f"{names[2 - idx]}.weight"] = gw
-        grads[f"{names[2 - idx]}.bias"] = gb
-
-    g = g.reshape(batch, cfg.flat_size)
-    for idx in (4, 3, 2, 1, 0):
-        layer = model.fc_layers[idx]
-        if idx != 4:
-            g = nn.leaky_relu_backward(fc_pre[idx], g, slope)
-        g, gw, gb = nn.dense_backward(fc_in[idx], layer, g)
-        grads[f"fc{idx + 1}.weight"] = gw
-        grads[f"fc{idx + 1}.bias"] = gb
-
-    g = g.reshape(batch, *cfg.latent_shape)
-    for idx in (2, 1, 0):
-        layer = model.conv_layers[idx]
-        g = nn.leaky_relu_backward(conv_pre[idx], g, slope)
-        g, gw, gb = nn.conv2d_backward(conv_in[idx], layer, g)
-        grads[f"conv{idx + 1}.weight"] = gw
-        grads[f"conv{idx + 1}.bias"] = gb
-
+    for name, x, pre in reversed(tape):
+        g = g.reshape(pre.shape)
+        if name not in _LINEAR:
+            g = nn.leaky_relu_backward(pre, g, model.config.leaky_slope)
+        g, grads[f"{name}.weight"], grads[f"{name}.bias"] = model.layers[name].backward(x, g)
     return loss, grads

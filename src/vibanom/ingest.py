@@ -1,4 +1,4 @@
-"""Frame ingestion: NASA IMS bearing files, mill CSV, and binary frames.
+"""Frame ingestion: NASA IMS bearing files and binary frames.
 
 Raw recordings become Frame objects: A axes x 4096 points of float32
 acceleration plus a timestamp and a source label. IMS files are
@@ -33,7 +33,6 @@ from .errors import (
     ConfigurationError,
     DataWarning,
     DimensionError,
-    FrameAssemblyError,
     IngestError,
     ParseError,
 )
@@ -42,8 +41,6 @@ from .signals import MODEL_FRAME_LEN as FRAME_LEN
 FRAME_MAGIC = b"FRME"
 FRAME_FORMAT_VERSION = 1
 DEFAULT_TRAIN_SIZE = 30000
-MILL_CSV_HEADER = "timestamp,axis,index,value"
-MILL_AXIS_NAMES = ("x", "y", "z")  # longitudinal, lateral, axial
 
 # capture-time file names, e.g. 2004.02.12.10.32.39
 _TIMESTAMP_NAME = re.compile(r"^\d{4}\.\d{2}\.\d{2}\.\d{2}\.\d{2}\.\d{2}$")
@@ -460,100 +457,5 @@ def read_frames(path, *, source: str = "") -> List[Frame]:
         ).reshape(axes, frame_len).copy()
         frames.append(
             Frame(data=data, timestamp=timestamp, source=source, window_index=k)
-        )
-    return frames
-
-
-def write_mill_csv(frames: Sequence[Frame]) -> str:
-    """Serialize 3-axis frames as timestamp,axis,index,value rows."""
-    lines = [MILL_CSV_HEADER]
-    for frame in frames:
-        if frame.axes != len(MILL_AXIS_NAMES):
-            raise DimensionError(
-                "mill CSV needs %d-axis frames, got %d"
-                % (len(MILL_AXIS_NAMES), frame.axes)
-            )
-        for axis_index, axis_name in enumerate(MILL_AXIS_NAMES):
-            for i in range(FRAME_LEN):
-                lines.append(
-                    "%d,%s,%d,%s"
-                    % (
-                        frame.timestamp,
-                        axis_name,
-                        i,
-                        repr(float(frame.data[axis_index, i])),
-                    )
-                )
-    return "\n".join(lines) + "\n"
-
-
-def parse_mill_frames(csv_text: str, *, source: str = "mill") -> List[Frame]:
-    """Assemble 3-axis frames from timestamp,axis,index,value rows."""
-    pending: Dict[int, Dict[str, np.ndarray]] = {}
-    lines = csv_text.splitlines()
-    start = 1 if lines and lines[0].strip() == MILL_CSV_HEADER else 0
-    for lineno in range(start, len(lines)):
-        line = lines[lineno].strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(
-                "line %d: expected 4 fields, got %d" % (lineno + 1, len(parts))
-            )
-        try:
-            timestamp = int(parts[0])
-            index = int(parts[2])
-            value = float(parts[3])
-        except ValueError:
-            raise ParseError(
-                "line %d: non-numeric field in %r" % (lineno + 1, line)
-            ) from None
-        axis = parts[1].strip().lower()
-        if axis not in MILL_AXIS_NAMES:
-            raise ParseError(
-                "line %d: unknown axis %r (expected x, y, or z)"
-                % (lineno + 1, parts[1])
-            )
-        if not 0 <= index < FRAME_LEN:
-            raise ParseError(
-                "line %d: index %d out of range 0..%d"
-                % (lineno + 1, index, FRAME_LEN - 1)
-            )
-        if not np.isfinite(value):
-            raise ParseError("line %d: non-finite value" % (lineno + 1,))
-        frame_axes = pending.setdefault(timestamp, {})
-        if axis not in frame_axes:
-            frame_axes[axis] = np.full(FRAME_LEN, np.nan, dtype=np.float64)
-        if not np.isnan(frame_axes[axis][index]):
-            raise ParseError(
-                "line %d: duplicate point (timestamp %d, axis %s, index %d)"
-                % (lineno + 1, timestamp, axis, index)
-            )
-        frame_axes[axis][index] = value
-    frames = []
-    for timestamp in sorted(pending):
-        frame_axes = pending[timestamp]
-        rows = []
-        for axis_name in MILL_AXIS_NAMES:
-            if axis_name not in frame_axes:
-                raise FrameAssemblyError(
-                    "frame at timestamp %d is missing axis %s"
-                    % (timestamp, axis_name)
-                )
-            column = frame_axes[axis_name]
-            filled = int(np.count_nonzero(~np.isnan(column)))
-            if filled != FRAME_LEN:
-                raise FrameAssemblyError(
-                    "frame at timestamp %d: axis %s has %d of %d points"
-                    % (timestamp, axis_name, filled, FRAME_LEN)
-                )
-            rows.append(column)
-        frames.append(
-            Frame(
-                data=np.stack(rows).astype(np.float32),
-                timestamp=timestamp,
-                source=source,
-            )
         )
     return frames

@@ -5,8 +5,11 @@ Forward and backward passes for the only layer types the model needs: valid
 layers, LeakyReLU, mean squared error, uniform parameter initialization and
 a bias-corrected Adam update.
 
-Everything is a plain function over numpy arrays in NCHW or (batch, features)
-layout. Operations preserve the dtype of their inputs: float32 is the
+Every operation is a plain function over numpy arrays in NCHW or
+(batch, features) layout. The layer classes hold parameters; their
+``forward``/``backward`` methods call those functions by module-global name
+at call time, so a wrapper bound over one of them sees every layer pass.
+Operations preserve the dtype of their inputs: float32 is the
 production mode, float64 is what the gradient-checking tests use. Functions
 never mutate their arguments except ``adam_step``, which updates parameters
 and optimizer moments in place for its single owning training loop; all other
@@ -30,7 +33,7 @@ suite pins the kernels against a naive quadruple-loop reference to within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,11 +79,19 @@ def conv_transpose_output_hw(h: int, w: int, kernel: tuple[int, int], stride: tu
     return (h - 1) * sh + kh, (w - 1) * sw + kw
 
 
-@dataclass
-class Conv2dLayer:
-    """Valid (zero-padding-free) 2-D convolution parameters.
+class _Layer:
+    """What every layer shares: a copy with its parameters cast to a dtype."""
 
-    weight has shape (out_channels, in_channels, kh, kw); bias (out_channels,).
+    def astype(self, dtype):
+        return replace(self, weight=self.weight.astype(dtype), bias=self.bias.astype(dtype))
+
+
+@dataclass
+class _ConvLayer(_Layer):
+    """Fields, validation and zeros of both convolution layers.
+
+    The two differ only in the order of the channel axes of weight, which
+    each gives in _weight_shape; bias always has shape (out_channels,).
     """
 
     in_channels: int
@@ -91,13 +102,15 @@ class Conv2dLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        expected = (self.out_channels, self.in_channels, *self.kernel)
+        expected = self._weight_shape(self.in_channels, self.out_channels, self.kernel)
         if self.weight.shape != expected:
             raise ConfigurationError(
-                f"conv weight shape {self.weight.shape} does not match {expected}"
+                f"{type(self).__name__} weight shape {self.weight.shape} does not match {expected}"
             )
         if self.bias.shape != (self.out_channels,):
-            raise ConfigurationError(f"conv bias shape {self.bias.shape} != ({self.out_channels},)")
+            raise ConfigurationError(
+                f"{type(self).__name__} bias shape {self.bias.shape} != ({self.out_channels},)"
+            )
         if min(self.kernel) < 1 or min(self.stride) < 1:
             raise ConfigurationError("kernel and stride sizes must be >= 1")
 
@@ -109,19 +122,29 @@ class Conv2dLayer:
             out_channels,
             kernel,
             tuple(stride),
-            np.zeros((out_channels, in_channels, *kernel), dtype),
+            np.zeros(cls._weight_shape(in_channels, out_channels, kernel), dtype),
             np.zeros(out_channels, dtype),
         )
 
-    def astype(self, dtype) -> "Conv2dLayer":
-        return Conv2dLayer(
-            self.in_channels, self.out_channels, self.kernel, self.stride,
-            self.weight.astype(dtype), self.bias.astype(dtype),
-        )
+
+class Conv2dLayer(_ConvLayer):
+    """Valid (zero-padding-free) 2-D convolution parameters.
+
+    weight has shape (out_channels, in_channels, kh, kw); bias (out_channels,).
+    """
+
+    @staticmethod
+    def _weight_shape(in_channels, out_channels, kernel):
+        return (out_channels, in_channels, *kernel)
+
+    def forward(self, x):
+        return conv2d_forward(x, self)
+
+    def backward(self, x, upstream):
+        return conv2d_backward(x, self, upstream)
 
 
-@dataclass
-class ConvTranspose2dLayer:
+class ConvTranspose2dLayer(_ConvLayer):
     """Transposed 2-D convolution, the linear adjoint of the valid convolution.
 
     weight has shape (in_channels, out_channels, kh, kw), so a forward-conv
@@ -129,45 +152,19 @@ class ConvTranspose2dLayer:
     layer that maps o channels back to i channels.
     """
 
-    in_channels: int
-    out_channels: int
-    kernel: tuple[int, int]
-    stride: tuple[int, int]
-    weight: np.ndarray
-    bias: np.ndarray
+    @staticmethod
+    def _weight_shape(in_channels, out_channels, kernel):
+        return (in_channels, out_channels, *kernel)
 
-    def __post_init__(self):
-        expected = (self.in_channels, self.out_channels, *self.kernel)
-        if self.weight.shape != expected:
-            raise ConfigurationError(
-                f"transposed-conv weight shape {self.weight.shape} does not match {expected}"
-            )
-        if self.bias.shape != (self.out_channels,):
-            raise ConfigurationError(f"bias shape {self.bias.shape} != ({self.out_channels},)")
-        if min(self.kernel) < 1 or min(self.stride) < 1:
-            raise ConfigurationError("kernel and stride sizes must be >= 1")
+    def forward(self, x):
+        return conv_transpose2d_forward(x, self)
 
-    @classmethod
-    def zeros(cls, in_channels, out_channels, kernel, stride, dtype=np.float32):
-        kernel = tuple(kernel)
-        return cls(
-            in_channels,
-            out_channels,
-            kernel,
-            tuple(stride),
-            np.zeros((in_channels, out_channels, *kernel), dtype),
-            np.zeros(out_channels, dtype),
-        )
-
-    def astype(self, dtype) -> "ConvTranspose2dLayer":
-        return ConvTranspose2dLayer(
-            self.in_channels, self.out_channels, self.kernel, self.stride,
-            self.weight.astype(dtype), self.bias.astype(dtype),
-        )
+    def backward(self, x, upstream):
+        return conv_transpose2d_backward(x, self, upstream)
 
 
 @dataclass
-class DenseLayer:
+class DenseLayer(_Layer):
     """Affine map y = x @ weight.T + bias with weight shape (out, in)."""
 
     in_features: int
@@ -192,11 +189,11 @@ class DenseLayer:
             np.zeros(out_features, dtype),
         )
 
-    def astype(self, dtype) -> "DenseLayer":
-        return DenseLayer(
-            self.in_features, self.out_features,
-            self.weight.astype(dtype), self.bias.astype(dtype),
-        )
+    def forward(self, x):
+        return dense_forward(x, self)
+
+    def backward(self, x, upstream):
+        return dense_backward(x, self, upstream)
 
 
 def _check_4d(x: np.ndarray, what: str) -> None:
@@ -462,9 +459,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
 
 
 def _fan_in(layer) -> int:
-    if isinstance(layer, Conv2dLayer):
-        return layer.in_channels * layer.kernel[0] * layer.kernel[1]
-    if isinstance(layer, ConvTranspose2dLayer):
+    if isinstance(layer, _ConvLayer):
         return layer.in_channels * layer.kernel[0] * layer.kernel[1]
     if isinstance(layer, DenseLayer):
         return layer.in_features

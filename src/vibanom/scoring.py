@@ -165,10 +165,6 @@ class HysteresisState:
     def anomalous_count(self) -> int:
         return sum(1 for s in self.slots if s.is_anomalous)
 
-    @property
-    def any_fired(self) -> bool:
-        return any(s.alarm_fired for s in self.slots)
-
 
 def hysteresis_step(
     state: HysteresisState, is_anomalous: bool, config: AlarmConfig

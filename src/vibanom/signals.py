@@ -42,10 +42,6 @@ DEFAULT_SAMPLE_RATE = 1024.0
 # its magnitude reaches this fraction of the strongest non-DC line.
 SIGNIFICANT_COMPONENT_FRACTION = 0.01
 
-# "Peak value" of the sawtooth is read as amplitude: the wave spans
-# [-peak, +peak], not [0, peak].
-SAWTOOTH_PEAK_IS_AMPLITUDE = True
-
 
 @dataclass
 class Waveform:

@@ -38,7 +38,6 @@ __all__ = [
     "EpochStats",
     "fit_standardization",
     "standardize",
-    "destandardize",
     "train",
     "should_stop",
     "save_checkpoint",
@@ -142,16 +141,6 @@ def standardize(frames: np.ndarray, stats: StandardizationStats) -> np.ndarray:
     mean = stats.per_axis_mean.astype(frames.dtype)[None, None, :, None]
     std = stats.per_axis_std.astype(frames.dtype)[None, None, :, None]
     return (frames - mean) / std
-
-
-def destandardize(frames: np.ndarray, stats: StandardizationStats) -> np.ndarray:
-    """Inverse of standardize."""
-    _check_frame_stack(frames)
-    if frames.shape[2] != stats.axes:
-        raise DimensionError(f"frames have {frames.shape[2]} axes, stats cover {stats.axes}")
-    mean = stats.per_axis_mean.astype(frames.dtype)[None, None, :, None]
-    std = stats.per_axis_std.astype(frames.dtype)[None, None, :, None]
-    return frames * std + mean
 
 
 def should_stop(val_losses, patience: int) -> bool:
@@ -315,22 +304,27 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _read_header(fh) -> dict:
+    """Check the magic tag and version, then read the JSON metadata block."""
+    magic = _read_exact(fh, 4, "magic tag")
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointFormatError(f"bad magic {magic!r}; not a checkpoint file")
+    version = struct.unpack("<I", _read_exact(fh, 4, "format version"))[0]
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(
+            f"unsupported checkpoint version {version}; this build reads {CHECKPOINT_VERSION}"
+        )
+    meta_len = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))[0]
+    try:
+        return json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointFormatError(f"unreadable metadata block: {exc}") from exc
+
+
 def read_checkpoint_metadata(path) -> dict:
     """Read only the JSON metadata block (architecture and training summary)."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic tag")
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"bad magic {magic!r}; not a checkpoint file")
-        version = struct.unpack("<I", _read_exact(fh, 4, "format version"))[0]
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"unsupported checkpoint version {version}; this build reads {CHECKPOINT_VERSION}"
-            )
-        meta_len = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))[0]
-        try:
-            return json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(f"unreadable metadata block: {exc}") from exc
+        return _read_header(fh)
 
 
 def load_checkpoint(path):
@@ -342,19 +336,7 @@ def load_checkpoint(path):
     ever returned.
     """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic tag")
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"bad magic {magic!r}; not a checkpoint file")
-        version = struct.unpack("<I", _read_exact(fh, 4, "format version"))[0]
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"unsupported checkpoint version {version}; this build reads {CHECKPOINT_VERSION}"
-            )
-        meta_len = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))[0]
-        try:
-            metadata = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(f"unreadable metadata block: {exc}") from exc
+        metadata = _read_header(fh)
 
         tensor_count = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))[0]
         tensors = {}

@@ -78,24 +78,25 @@ def dcan_loss_and_branches(model, x):
     from vibanom import nn
 
     slope = model.config.leaky_slope
+    layers = model.layers
     branches = []
     h = x
-    for layer in model.conv_layers:
+    for layer in (layers["conv1"], layers["conv2"], layers["conv3"]):
         pre = nn.conv2d_forward(h, layer)
         branches.append(pre >= 0)
         h = nn.leaky_relu(pre, slope)
     h = h.reshape(h.shape[0], -1)
-    for layer in model.fc_layers[:-1]:
+    for layer in (layers["fc1"], layers["fc2"], layers["fc3"], layers["fc4"]):
         pre = nn.dense_forward(h, layer)
         branches.append(pre >= 0)
         h = nn.leaky_relu(pre, slope)
-    h = nn.dense_forward(h, model.fc_layers[-1])
+    h = nn.dense_forward(h, layers["fc5"])
     h = h.reshape(h.shape[0], *model.config.latent_shape)
-    for layer in model.deconv_layers[:-1]:
+    for layer in (layers["deconv1"], layers["deconv2"]):
         pre = nn.conv_transpose2d_forward(h, layer)
         branches.append(pre >= 0)
         h = nn.leaky_relu(pre, slope)
-    xhat = nn.conv_transpose2d_forward(h, model.deconv_layers[-1])
+    xhat = nn.conv_transpose2d_forward(h, layers["deconv3"])
     loss = float(np.mean((np.asarray(xhat, np.float64) - np.asarray(x, np.float64)) ** 2))
     return loss, np.concatenate([b.ravel() for b in branches])
 

@@ -81,8 +81,8 @@ class TestA1:
         model = dcan.build(dcan.DcanConfig(), seed=1)
         x = np.random.default_rng(2).standard_normal((2, 1, 3, 4096)).astype(np.float32)
         h = x
-        for layer in model.conv_layers:
-            h = nn.leaky_relu(nn.conv2d_forward(h, layer), model.config.leaky_slope)
+        for name in ("conv1", "conv2", "conv3"):
+            h = nn.leaky_relu(nn.conv2d_forward(h, model.layers[name]), model.config.leaky_slope)
         assert h.shape == (2, 16, 1, 57)
         features = dcan.encode(model, x)
         assert features.shape == (2, 912)

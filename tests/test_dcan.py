@@ -34,11 +34,11 @@ class TestShapeChain:
         model = dcan.build(dcan.DcanConfig(axes=3), seed=0)
         x = np.random.default_rng(1).standard_normal((2, 1, 3, 4096)).astype(np.float32)
 
-        h1 = nn.conv2d_forward(x, model.conv1)
+        h1 = nn.conv2d_forward(x, model.layers["conv1"])
         assert h1.shape == (2, 8, 1, 253)
-        h2 = nn.conv2d_forward(nn.leaky_relu(h1), model.conv2)
+        h2 = nn.conv2d_forward(nn.leaky_relu(h1), model.layers["conv2"])
         assert h2.shape == (2, 16, 1, 61)
-        h3 = nn.conv2d_forward(nn.leaky_relu(h2), model.conv3)
+        h3 = nn.conv2d_forward(nn.leaky_relu(h2), model.layers["conv3"])
         assert h3.shape == (2, 16, 1, 57)
         assert h3.reshape(2, -1).shape == (2, 912)
 
@@ -46,16 +46,17 @@ class TestShapeChain:
         model = dcan.build(dcan.DcanConfig(axes=3), seed=0)
         z = np.random.default_rng(2).standard_normal((2, 16, 1, 57)).astype(np.float32)
 
-        d1 = nn.conv_transpose2d_forward(z, model.deconv1)
+        d1 = nn.conv_transpose2d_forward(z, model.layers["deconv1"])
         assert d1.shape == (2, 16, 1, 61)
-        d2 = nn.conv_transpose2d_forward(nn.leaky_relu(d1), model.deconv2)
+        d2 = nn.conv_transpose2d_forward(nn.leaky_relu(d1), model.layers["deconv2"])
         assert d2.shape == (2, 8, 1, 253)
-        d3 = nn.conv_transpose2d_forward(nn.leaky_relu(d2), model.deconv3)
+        d3 = nn.conv_transpose2d_forward(nn.leaky_relu(d2), model.layers["deconv3"])
         assert d3.shape == (2, 1, 3, 4096)
 
     def test_fc_widths(self):
         model = dcan.build(dcan.DcanConfig(axes=3), seed=0)
-        widths = [(l.in_features, l.out_features) for l in model.fc_layers]
+        fcs = [model.layers[f"fc{i}"] for i in range(1, 6)]
+        widths = [(l.in_features, l.out_features) for l in fcs]
         assert widths == [(912, 200), (200, 200), (200, 200), (200, 200), (200, 912)]
 
     def test_encode_width_and_reconstruction_shape(self):
@@ -85,7 +86,7 @@ class TestParameters:
         params = model.named_parameters()
         assert len(params) == 22
         params["conv1.weight"][...] = 0
-        assert np.all(model.conv1.weight == 0)
+        assert np.all(model.layers["conv1"].weight == 0)
 
     def test_build_is_reproducible(self):
         a = dcan.build(tiny_config(), seed=11)
@@ -116,7 +117,7 @@ class TestForward:
 
     def test_zero_input_zero_bias_gives_zero_features(self):
         model = dcan.build(tiny_config(), seed=9)
-        for conv in model.conv_layers:
+        for conv in (model.layers["conv1"], model.layers["conv2"], model.layers["conv3"]):
             conv.bias[...] = 0
         x = np.zeros((1, 1, 3, 64), dtype=np.float32)
         assert np.all(dcan.encode(model, x) == 0)

@@ -15,7 +15,6 @@ from vibanom.errors import (
     ConfigurationError,
     DataWarning,
     DimensionError,
-    FrameAssemblyError,
     IngestError,
     ParseError,
 )
@@ -26,14 +25,12 @@ from vibanom.ingest import (
     SplitSpec,
     build_nasa_splits,
     parse_ims_file,
-    parse_mill_frames,
     read_frames,
     resolve_set_dir,
     stack_frames,
     timestamp_from_filename,
     windowize,
     write_frames,
-    write_mill_csv,
 )
 
 from helpers import make_mini_ims as build_mini_ims
@@ -279,79 +276,6 @@ class TestFrameFileRoundTrip:
         frame = random_frame(rng, timestamp=-5)
         with pytest.raises(ConfigurationError, match="negative"):
             write_frames(tmp_path / "c.bin", [frame])
-
-
-class TestMillCsv:
-    def test_round_trip(self):
-        rng = np.random.default_rng(20)
-        frames = [random_frame(rng, timestamp=50), random_frame(rng, timestamp=60)]
-        text = write_mill_csv(frames)
-        assert text.startswith("timestamp,axis,index,value\n")
-        parsed = parse_mill_frames(text)
-        assert len(parsed) == 2
-        for original, back in zip(frames, parsed):
-            assert back.timestamp == original.timestamp
-            assert np.array_equal(back.data, original.data)
-
-    def test_axis_order_is_x_y_z(self):
-        # hand-built text, value encodes (axis, index)
-        lines = ["timestamp,axis,index,value"]
-        for a, axis in enumerate(("x", "y", "z")):
-            for i in range(FRAME_LEN):
-                lines.append("7,%s,%d,%d" % (axis, i, a * 10000 + i))
-        frames = parse_mill_frames("\n".join(lines))
-        assert len(frames) == 1
-        frame = frames[0]
-        assert frame.timestamp == 7
-        assert frame.data[0, 5] == np.float32(5.0)
-        assert frame.data[1, 5] == np.float32(10005.0)
-        assert frame.data[2, 4095] == np.float32(24095.0)
-
-    def test_frames_sorted_by_timestamp(self):
-        rng = np.random.default_rng(21)
-        frames = [random_frame(rng, timestamp=90), random_frame(rng, timestamp=30)]
-        parsed = parse_mill_frames(write_mill_csv(frames))
-        assert [f.timestamp for f in parsed] == [30, 90]
-
-    def test_missing_axis_names_timestamp(self):
-        lines = ["timestamp,axis,index,value"]
-        for axis in ("x", "y"):
-            for i in range(FRAME_LEN):
-                lines.append("7,%s,%d,0.0" % (axis, i))
-        with pytest.raises(FrameAssemblyError, match="timestamp 7.*axis z"):
-            parse_mill_frames("\n".join(lines))
-
-    def test_short_axis_rejected(self):
-        lines = ["timestamp,axis,index,value"]
-        for axis in ("x", "y", "z"):
-            for i in range(FRAME_LEN):
-                if axis == "y" and i == 100:
-                    continue
-                lines.append("7,%s,%d,0.0" % (axis, i))
-        with pytest.raises(FrameAssemblyError, match="axis y has 4095 of 4096"):
-            parse_mill_frames("\n".join(lines))
-
-    def test_parse_errors_name_the_line(self):
-        with pytest.raises(ParseError, match="line 1"):
-            parse_mill_frames("7,x,0\n")
-        with pytest.raises(ParseError, match="line 2"):
-            parse_mill_frames("7,x,0,1.0\n7,x,oops,1.0\n")
-        with pytest.raises(ParseError, match="unknown axis"):
-            parse_mill_frames("7,w,0,1.0\n")
-        with pytest.raises(ParseError, match="out of range"):
-            parse_mill_frames("7,x,4096,1.0\n")
-        with pytest.raises(ParseError, match="duplicate"):
-            parse_mill_frames("7,x,0,1.0\n7,x,0,2.0\n")
-        with pytest.raises(ParseError, match="non-finite"):
-            parse_mill_frames("7,x,0,inf\n")
-
-    def test_empty_text_gives_no_frames(self):
-        assert parse_mill_frames("") == []
-
-    def test_writer_requires_three_axes(self):
-        rng = np.random.default_rng(22)
-        with pytest.raises(DimensionError):
-            write_mill_csv([random_frame(rng, axes=1)])
 
 
 @pytest.fixture(scope="module")

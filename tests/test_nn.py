@@ -5,12 +5,14 @@ Gradients are checked against float64 central finite differences
 checked against naive quadruple-loop references to 1e-6 relative error.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import naive_conv2d, naive_conv_transpose2d, numeric_grad, rel_err
 
-from vibanom.errors import DimensionError, TrainingError
+from vibanom.errors import ConfigurationError, DimensionError, TrainingError
 from vibanom import nn
 
 GRAD_TOL = 1e-4
@@ -370,6 +372,33 @@ class TestAdam:
         state = nn.AdamState.for_params(params)
         with pytest.raises(TrainingError, match="enc.w"):
             nn.adam_step(params, {"enc.w": np.array([1.0, np.nan])}, state)
+
+
+VALID_LAYERS = {
+    "conv": lambda: nn.Conv2dLayer.zeros(2, 3, (1, 4), (1, 2)),
+    "deconv": lambda: nn.ConvTranspose2dLayer.zeros(2, 3, (1, 4), (1, 2)),
+    "dense": lambda: nn.DenseLayer.zeros(4, 5),
+}
+# Each defect maps a valid layer to the constructor fields that break it,
+# plus the text the ConfigurationError must contain.
+LAYER_DEFECTS = {
+    "weight-axes-swapped": (lambda l: {"weight": l.weight.swapaxes(0, 1)}, "weight shape"),
+    "bias-too-long": (lambda l: {"bias": np.zeros(l.bias.size + 1, l.bias.dtype)}, "bias shape"),
+    "kernel-width-0": (lambda l: {"kernel": (1, 0), "weight": l.weight[..., :0]}, ">= 1"),
+    "stride-height-0": (lambda l: {"stride": (0, 2)}, ">= 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, defect",
+    [(k, d) for k in ("conv", "deconv") for d in LAYER_DEFECTS]
+    + [("dense", "weight-axes-swapped"), ("dense", "bias-too-long")],
+)
+def test_layer_constructor_rejects(kind, defect):
+    layer = VALID_LAYERS[kind]()
+    fields, match = LAYER_DEFECTS[defect]
+    with pytest.raises(ConfigurationError, match=match):
+        replace(layer, **fields(layer))
 
 
 class TestInit:
