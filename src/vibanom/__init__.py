@@ -14,7 +14,6 @@ from vibanom.errors import (
     ConfigurationError,
     DataWarning,
     DimensionError,
-    FrameAssemblyError,
     IngestError,
     ParseError,
     RoutingError,
@@ -80,7 +79,6 @@ __all__ = [
     "DimensionError",
     "FleetConfig",
     "Frame",
-    "FrameAssemblyError",
     "HysteresisState",
     "IngestError",
     "NormalSignalSpec",

@@ -26,6 +26,7 @@ from .errors import ConfigurationError, RoutingError, VibanomError
 from .fleet import (
     PredictorSpec,
     calibrate_predictor,
+    evaluate_self_calibrated,
     evaluate_stream,
     format_report,
     load_fleet_config,
@@ -91,32 +92,29 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _score_spec(args, frames) -> PredictorSpec:
-    if args.config:
-        fleet = load_fleet_config(args.config)
-        matches = [
-            p for p in fleet.predictors if p.checkpoint == str(args.checkpoint)
-        ]
-        if len(matches) != 1:
-            raise RoutingError(
-                "%d predictors in %s use checkpoint %s; need exactly 1"
-                % (len(matches), args.config, args.checkpoint)
-            )
-        return matches[0]
-    # no fleet context: self-calibrate on the scored frames
-    return PredictorSpec(
-        id="adhoc",
-        location="adhoc",
-        checkpoint=str(args.checkpoint),
-        normalization=calibrate_predictor(args.checkpoint, frames),
-    )
+def _config_spec(args) -> PredictorSpec:
+    fleet = load_fleet_config(args.config)
+    matches = [
+        p for p in fleet.predictors if p.checkpoint == str(args.checkpoint)
+    ]
+    if len(matches) != 1:
+        raise RoutingError(
+            "%d predictors in %s use checkpoint %s; need exactly 1"
+            % (len(matches), args.config, args.checkpoint)
+        )
+    return matches[0]
 
 
 def cmd_score(args) -> int:
     frames = read_frames(args.frames)
-    spec = _score_spec(args, frames)
+    spec = _config_spec(args) if args.config else None
     model, stats = load_checkpoint(args.checkpoint)
-    reports = evaluate_stream(spec, model, stats, frames)
+    if spec is not None:
+        reports = evaluate_stream(spec, model, stats, frames)
+    else:
+        # no fleet context: self-calibrate on the scored frames
+        spec = PredictorSpec(id="adhoc", location="adhoc", checkpoint=str(args.checkpoint))
+        reports = evaluate_self_calibrated(spec, model, stats, frames)
     for report in reports:
         print(format_report(report))
     if args.out:

@@ -286,9 +286,12 @@ def loss_and_gradients(model: DcanModel, frames: np.ndarray):
 
     grads = {}
     g = (2.0 / xhat.size) * (xhat - frames)
+    first = tape[0][0]
     for name, x, pre in reversed(tape):
         g = g.reshape(pre.shape)
         if name not in _LINEAR:
             g = nn.leaky_relu_backward(pre, g, model.config.leaky_slope)
-        g, grads[f"{name}.weight"], grads[f"{name}.bias"] = model.layers[name].backward(x, g)
+        # No caller reads the gradient with respect to the frames.
+        skip = {"input_grad": False} if name == first else {}
+        g, grads[f"{name}.weight"], grads[f"{name}.bias"] = model.layers[name].backward(x, g, **skip)
     return loss, grads

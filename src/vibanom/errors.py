@@ -51,10 +51,6 @@ class ParseError(VibanomError):
     """A text input (recording file, CSV, report log) failed to parse."""
 
 
-class FrameAssemblyError(ParseError):
-    """Rows parsed but do not assemble into complete frames."""
-
-
 class IngestError(VibanomError):
     """A dataset directory is missing or malformed."""
 

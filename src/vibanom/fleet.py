@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dcan
 from .errors import ConfigurationError, ParseError, RoutingError
@@ -332,6 +330,14 @@ def _ordered_stream(spec: PredictorSpec, frames: Sequence[Frame]) -> List[Frame]
     return ordered
 
 
+def _check_axes(model, frames: Sequence[Frame]) -> None:
+    if len(frames) > 0 and frames[0].axes != model.config.axes:
+        raise ConfigurationError(
+            "checkpoint expects %d axes but frames have %d"
+            % (model.config.axes, frames[0].axes)
+        )
+
+
 def evaluate_stream(
     spec: PredictorSpec, model, stats, frames: Sequence[Frame]
 ) -> List[StatusReport]:
@@ -347,7 +353,26 @@ def evaluate_stream(
             "predictor %s: checkpoint expects %d axes but frames have %d"
             % (spec.id, model.config.axes, axes)
         )
+    return _status_reports(spec, ordered, _reconstruction_reports(model, stats, ordered))
+
+
+def evaluate_self_calibrated(
+    spec: PredictorSpec, model, stats, frames: Sequence[Frame]
+) -> List[StatusReport]:
+    """Run one predictor over frames, calibrated on those same frames.
+
+    Each frame is reconstructed once: the total_mse values that fit the
+    normalization are the ones scored. spec.normalization is ignored.
+    """
+    _check_axes(model, frames)
+    ordered = _ordered_stream(spec, frames)
     recon = _reconstruction_reports(model, stats, ordered)
+    norm = calibrate([r.total_mse for r in recon])
+    return _status_reports(replace(spec, normalization=norm), ordered, recon)
+
+
+def _status_reports(spec: PredictorSpec, ordered: Sequence[Frame], recon) -> List[StatusReport]:
+    """Score reconstructed frames through the predictor's hysteresis window."""
     state = HysteresisState()
     reports = []
     for frame, rr in zip(ordered, recon):
@@ -405,10 +430,7 @@ def calibrate_predictor(
 ) -> ScoreNormalization:
     """Fit score normalization from normal frames via a checkpoint."""
     model, stats = load_checkpoint(checkpoint_path)
-    if len(frames) > 0 and frames[0].axes != model.config.axes:
-        raise ConfigurationError(
-            "checkpoint expects %d axes but frames have %d"
-            % (model.config.axes, frames[0].axes)
-        )
+    _check_axes(model, frames)
     reports = _reconstruction_reports(model, stats, frames)
     return calibrate([r.total_mse for r in reports])
+

@@ -15,19 +15,29 @@ never mutate their arguments except ``adam_step``, which updates parameters
 and optimizer moments in place for its single owning training loop; all other
 operations are pure and safe to call concurrently.
 
-All four convolution kernels share one stride-blocked im2col and its
-adjoint (Chellapilla, Puri & Simard, 2006). With q = ceil(kw / sw), the
-kernel width is zero-padded to q * sw and the input width to
-(Wo - 1 + q) * sw, so the input reads as blocks of sw samples and every
-window is kh x q whole blocks. The patch matrix (B * Ho * Wo, C * kh * q * sw)
-is one sliding window over the (height, block) axes, copied once; a single
-GEMM with it gives the convolution forward pass, both weight gradients and
-the transposed convolution's input gradient. The adjoint, used for the
-convolution's input gradient and the transposed forward pass, is one GEMM
-into patch layout followed by kh * q block-slice adds. The zero padding
-makes the same code exact for any kernel, stride and input size. The test
-suite pins the kernels against a naive quadruple-loop reference to within
-1e-6 relative error.
+All four convolution kernels share one stride-block scheme. With
+q = ceil(kw / sw), the kernel width is zero-padded to q * sw, so a window
+that starts at block j covers the whole blocks j ... j + q - 1 of sw
+samples each. The fine-resolution map (a convolution's input, or a
+transposed convolution's output and its gradient) is read as stride blocks
+once: _blocks gives a (B * Ho * nb, C * kh * sw) matrix whose row
+(b, i, n) is block n of the kh input rows under output row i, so nothing is
+repeated along the width. Only the small coarse map is shifted: _shift
+writes q copies of it, copy a moved a blocks to the right, as one
+(q * R, B * Ho * nb) matrix. With K the (q * R, C * kh * sw) kernel matrix,
+
+- convolution forward is _unshift(K @ _blocks(x)^T), q shifted adds;
+- its weight gradient is _shift(g) @ _blocks(x);
+- its input gradient is _fold(_shift(g)^T @ K), where _fold, the adjoint of
+  _blocks, writes the kh height slices back into place;
+- the transposed convolution uses the same pieces mirrored: forward is
+  _fold(_shift(x)^T @ K), the input gradient _unshift(K @ _blocks(g)^T)
+  and the weight gradient _shift(x) @ _blocks(g).
+
+The zero padding makes the same code exact for every kernel, stride and
+input size. conv2d_backward can skip the input gradient, which the first
+layer of a network never needs. The test suite pins the kernels against a
+naive quadruple-loop reference to within 1e-6 relative error.
 """
 
 from __future__ import annotations
@@ -140,8 +150,8 @@ class Conv2dLayer(_ConvLayer):
     def forward(self, x):
         return conv2d_forward(x, self)
 
-    def backward(self, x, upstream):
-        return conv2d_backward(x, self, upstream)
+    def backward(self, x, upstream, *, input_grad=True):
+        return conv2d_backward(x, self, upstream, input_grad=input_grad)
 
 
 class ConvTranspose2dLayer(_ConvLayer):
@@ -201,112 +211,122 @@ def _check_4d(x: np.ndarray, what: str) -> None:
         raise DimensionError(f"{what} must be 4-D (batch, channels, height, width), got {x.ndim}-D")
 
 
-def _fit_width(a: np.ndarray, width: int) -> np.ndarray:
-    """a with its last axis cut or zero-padded on the right to width."""
-    have = a.shape[-1]
-    if have == width:
-        return a
-    if have > width:
-        return np.ascontiguousarray(a[..., :width])
-    out = np.zeros((*a.shape[:-1], width), dtype=a.dtype)
-    out[..., :have] = a
-    return out
-
-
 def _kernel_blocks(kw: int, sw: int) -> int:
     """Kernel width in whole stride blocks, q = ceil(kw / sw)."""
     return -(-kw // sw)
 
 
-def _kernel_matrix(weight: np.ndarray, sw: int) -> np.ndarray:
-    """(rows, C * kh * q * sw) weight matrix, kernel width zero-padded to q * sw."""
-    q = _kernel_blocks(weight.shape[3], sw)
-    return _fit_width(weight, q * sw).reshape(weight.shape[0], -1)
+def _kernel_rows(weight: np.ndarray, sw: int) -> np.ndarray:
+    """(q * R, C * kh * sw) matrix K[(a, r), (c, u, s)] = weight[r, c, u, a * sw + s].
 
-
-def _kernel_grad(grad: np.ndarray, weight_shape: tuple[int, ...]) -> np.ndarray:
-    """Kernel gradient from its padded (rows, C * kh * q * sw) matrix form."""
-    rows, c, kh, kw = weight_shape
-    return _fit_width(grad.reshape(rows, c, kh, -1), kw)
-
-
-def _im2col(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
-            ho: int, wo: int) -> np.ndarray:
-    """Patch matrix (B * Ho * Wo, C * kh * q * sw) of a valid strided convolution.
-
-    The input width is zero-padded (or cut) to (Wo - 1 + q) * sw samples and
-    viewed as blocks of sw, so every width window is q whole blocks and the
-    patches are one sliding window over the (height, block) axes, copied once.
+    weight is (R, C, kh, kw); columns a * sw + s at or past kw are zero.
     """
-    b, c, h, _ = x.shape
-    kh, kw = kernel
-    sh, sw = stride
+    r, c, kh, kw = weight.shape
     q = _kernel_blocks(kw, sw)
-    nb = wo - 1 + q
-    xb = _fit_width(x, nb * sw).reshape(b, c, h, nb, sw)
-    win = sliding_window_view(xb, (kh, q), axis=(2, 3))[:, :, ::sh]
-    # (B, C, Ho, Wo, sw, kh, q) -> (B, Ho, Wo, C, kh, q, sw)
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 5, 6, 4)).reshape(b * ho * wo, -1)
+    padded = np.zeros((r, c, kh, q * sw), dtype=weight.dtype)
+    padded[..., :kw] = weight
+    return padded.reshape(r, c, kh, q, sw).transpose(3, 0, 1, 2, 4).reshape(q * r, -1)
 
 
-def _col2im(y: np.ndarray, weight: np.ndarray, shape: tuple[int, int, int, int],
-            stride: tuple[int, int]) -> np.ndarray:
-    """Adjoint of the patch GEMM: the (B, C, H, W) map sum_r y[:, r] * weight[r].
+def _kernel_grad(grad: np.ndarray, weight_shape: tuple[int, ...], sw: int) -> np.ndarray:
+    """Kernel gradient of shape weight_shape from its _kernel_rows form."""
+    r, c, kh, kw = weight_shape
+    g = grad.reshape(-1, r, c, kh, sw).transpose(1, 2, 3, 0, 4).reshape(r, c, kh, -1)
+    return np.ascontiguousarray(g[..., :kw])
 
-    y is (B, R, Ho, Wo) and weight (R, C, kh, kw). One batched GEMM writes
-    the patches in layout (B, C, kh, q, Ho, Wo, sw), so each of the kh * q
-    block-slice adds that sum them back reads contiguous memory.
+
+def _blocks(x: np.ndarray, kh: int, stride: tuple[int, int], nb: int) -> np.ndarray:
+    """(B * Ho * nb, C * kh * sw) matrix of the input read as stride blocks.
+
+    Row (b, i, n) holds block n (samples n * sw ... n * sw + sw - 1) of the
+    kh input rows under output row i. The width is zero-padded (or cut) to
+    nb * sw samples; nothing is duplicated along it.
+    """
+    b, c, h, w = x.shape
+    sh, sw = stride
+    if w != nb * sw:
+        fitted = np.zeros((b, c, h, nb * sw), dtype=x.dtype)
+        fitted[..., : min(w, nb * sw)] = x[..., : nb * sw]
+        x = fitted
+    win = sliding_window_view(x.reshape(b, c, h, nb, sw), kh, axis=2)[:, :, ::sh]
+    # (B, C, Ho, nb, sw, kh) -> (B, Ho, nb, C, kh, sw)
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 5, 4)).reshape(-1, c * kh * sw)
+
+
+def _shift(y: np.ndarray, q: int) -> np.ndarray:
+    """(q * R, B * Ho * nb) matrix S[(a, r), (b, i, n)] = y[b, r, i, n - a].
+
+    y is a (B, R, Ho, Wo) map and nb = Wo - 1 + q; entries with n - a
+    outside [0, Wo) are zero. Slot a is y moved a blocks to the right.
     """
     b, r, ho, wo = y.shape
-    _, c, h, w = shape
-    kh, kw = weight.shape[2:]
+    s = np.zeros((q, r, b, ho, wo - 1 + q), dtype=y.dtype)
+    for a in range(q):
+        s[a, ..., a : a + wo] = y.transpose(1, 0, 2, 3)
+    return s.reshape(q * r, -1)
+
+
+def _unshift(z: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
+    """Adjoint of _shift: the (B, R, Ho, Wo) map sum_a z[(a, r), (b, i, j + a)]."""
+    b, r, ho, wo = shape
+    z = z.reshape(-1, r, b, ho, z.shape[1] // (b * ho))
+    acc = z[0, ..., :wo].copy()
+    for a in range(1, z.shape[0]):
+        acc += z[a, ..., a : a + wo]
+    return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+
+
+def _fold(m: np.ndarray, shape: tuple[int, int, int, int], kh: int,
+          stride: tuple[int, int]) -> np.ndarray:
+    """Adjoint of _blocks: sum a (B * Ho * nb, C * kh * sw) block matrix into a (B, C, H, W) map.
+
+    Each of the kh height slices is written to its output rows in one
+    strided pass; a slice adds only where an earlier window wrote the rows.
+    """
+    b, c, h, w = shape
     sh, sw = stride
-    q = _kernel_blocks(kw, sw)
-    nb = wo - 1 + q
-    wk = _kernel_matrix(weight, sw).reshape(r, c * kh * q, sw).transpose(1, 0, 2)
-    rows = y.reshape(b, 1, r, ho * wo).transpose(0, 1, 3, 2)
-    cols = np.matmul(rows, wk).reshape(b, c, kh, q, ho, wo, sw)
-    out = np.zeros((b, c, h, nb, sw), dtype=cols.dtype)
-    for i in range(kh):
-        for a in range(q):
-            out[:, :, i : i + (ho - 1) * sh + 1 : sh, a : a + wo] += cols[:, :, i, a]
-    return _fit_width(out.reshape(b, c, h, nb * sw), w)
-
-
-def _channels_last(t: np.ndarray) -> np.ndarray:
-    """(B, C, H, W) map as a (B * H * W, C) matrix."""
-    return t.transpose(0, 2, 3, 1).reshape(-1, t.shape[1])
-
-
-def _channels_first(m: np.ndarray, b: int, h: int, w: int) -> np.ndarray:
-    """Inverse of _channels_last: (B * H * W, C) matrix to a contiguous (B, C, H, W) map."""
-    return np.ascontiguousarray(m.reshape(b, h, w, -1).transpose(0, 3, 1, 2))
+    ho = (h - kh) // sh + 1
+    nb = m.shape[0] // (b * ho)
+    m = m.reshape(b, ho, nb, c, kh, sw)
+    out = np.zeros((b, c, h, max(w, nb * sw)), dtype=m.dtype)
+    out_blocks = out[..., : nb * sw].reshape(b, c, h, nb, sw)
+    for u in range(kh):
+        rows = out_blocks[:, :, u : u + (ho - 1) * sh + 1 : sh]
+        part = m[:, :, :, :, u].transpose(0, 3, 1, 2, 4)
+        if ho > 1 and u >= sh:  # window u - sh already wrote these rows
+            rows += part
+        else:
+            rows[...] = part
+    return np.ascontiguousarray(out[..., :w])
 
 
 def conv2d_forward(x: np.ndarray, layer: Conv2dLayer) -> np.ndarray:
     """Valid cross-correlation with stride; output (B, out_channels, Ho, Wo).
 
-    One GEMM of the stride-blocked patch matrix with the zero-padded kernel.
+    One GEMM of the kernel with the input's stride blocks, then q shifted adds.
     """
     _check_4d(x, "conv2d input")
     if x.shape[1] != layer.in_channels:
         raise DimensionError(
             f"conv2d input has {x.shape[1]} channels, layer expects {layer.in_channels} (axis 1)"
         )
+    (kh, kw), (_, sw) = layer.kernel, layer.stride
     ho, wo = conv_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
-    patches = _im2col(x, layer.kernel, layer.stride, ho, wo)
-    out = _channels_first(patches @ _kernel_matrix(layer.weight, layer.stride[1]).T, x.shape[0], ho, wo)
+    blocks = _blocks(x, kh, layer.stride, wo - 1 + _kernel_blocks(kw, sw))
+    out = _unshift(_kernel_rows(layer.weight, sw) @ blocks.T, (x.shape[0], layer.out_channels, ho, wo))
     out += layer.bias[None, :, None, None]
     return out
 
 
 def conv2d_backward(
-    x: np.ndarray, layer: Conv2dLayer, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, layer: Conv2dLayer, upstream: np.ndarray, *, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of sum(conv2d_forward(x) * upstream) w.r.t. input, weight, bias.
 
-    The weight gradient is one GEMM against the patch matrix; the input
-    gradient is one GEMM into patch layout followed by its block-slice adds.
+    The weight gradient is one GEMM of the shifted upstream map with the
+    input's stride blocks; the input gradient is their adjoint, _fold. With
+    input_grad=False the input gradient is not computed and None is
+    returned in its place.
     """
     _check_4d(x, "conv2d input")
     _check_4d(upstream, "conv2d upstream gradient")
@@ -315,18 +335,23 @@ def conv2d_backward(
     if upstream.shape != expected:
         raise DimensionError(f"upstream gradient shape {upstream.shape} != {expected}")
 
+    (kh, kw), (_, sw) = layer.kernel, layer.stride
+    q = _kernel_blocks(kw, sw)
     grad_bias = upstream.sum(axis=(0, 2, 3))
-    patches = _im2col(x, layer.kernel, layer.stride, ho, wo)
-    grad_weight = _kernel_grad(_channels_last(upstream).T @ patches, layer.weight.shape)
-    grad_input = _col2im(upstream, layer.weight, x.shape, layer.stride)
+    shifted = _shift(upstream, q)
+    blocks = _blocks(x, kh, layer.stride, wo - 1 + q)
+    grad_weight = _kernel_grad(shifted @ blocks, layer.weight.shape, sw)
+    grad_input = None
+    if input_grad:
+        grad_input = _fold(shifted.T @ _kernel_rows(layer.weight, sw), x.shape, kh, layer.stride)
     return grad_input, grad_weight, grad_bias
 
 
 def conv_transpose2d_forward(x: np.ndarray, layer: ConvTranspose2dLayer) -> np.ndarray:
     """Strided scatter-add upsampling; the adjoint of conv2d_forward.
 
-    Output spatial size is (H - 1) * sh + kh by (W - 1) * sw + kw. One GEMM
-    into patch layout, then the block-slice adds of the patch adjoint.
+    Output spatial size is (H - 1) * sh + kh by (W - 1) * sw + kw: the
+    input shifted into q slots, folded back through the kernel.
     """
     _check_4d(x, "transposed-conv input")
     if x.shape[1] != layer.in_channels:
@@ -335,7 +360,9 @@ def conv_transpose2d_forward(x: np.ndarray, layer: ConvTranspose2dLayer) -> np.n
         )
     b, _, h, w = x.shape
     ho, wo = conv_transpose_output_hw(h, w, layer.kernel, layer.stride)
-    out = _col2im(x, layer.weight, (b, layer.out_channels, ho, wo), layer.stride)
+    (kh, kw), (_, sw) = layer.kernel, layer.stride
+    m = _shift(x, _kernel_blocks(kw, sw)).T @ _kernel_rows(layer.weight, sw)
+    out = _fold(m, (b, layer.out_channels, ho, wo), kh, layer.stride)
     out += layer.bias[None, :, None, None]
     return out
 
@@ -345,8 +372,9 @@ def conv_transpose2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of sum(conv_transpose2d_forward(x) * upstream).
 
-    Patches of the upstream map line up one-to-one with input positions, so
-    both gradients are one GEMM each against that patch matrix.
+    The upstream map is read as stride blocks once; one GEMM with the kernel
+    and q shifted adds give the input gradient, one GEMM with the shifted
+    input the weight gradient.
     """
     _check_4d(x, "transposed-conv input")
     _check_4d(upstream, "transposed-conv upstream gradient")
@@ -356,10 +384,12 @@ def conv_transpose2d_backward(
     if upstream.shape != expected:
         raise DimensionError(f"upstream gradient shape {upstream.shape} != {expected}")
 
+    (kh, kw), (_, sw) = layer.kernel, layer.stride
+    q = _kernel_blocks(kw, sw)
     grad_bias = upstream.sum(axis=(0, 2, 3))
-    patches = _im2col(upstream, layer.kernel, layer.stride, h, w)
-    grad_input = _channels_first(patches @ _kernel_matrix(layer.weight, layer.stride[1]).T, b, h, w)
-    grad_weight = _kernel_grad(_channels_last(x).T @ patches, layer.weight.shape)
+    blocks = _blocks(upstream, kh, layer.stride, w - 1 + q)
+    grad_input = _unshift(_kernel_rows(layer.weight, sw) @ blocks.T, x.shape)
+    grad_weight = _kernel_grad(_shift(x, q) @ blocks, layer.weight.shape, sw)
     return grad_input, grad_weight, grad_bias
 
 
@@ -403,8 +433,9 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean over all elements of the squared difference."""
     if a.shape != b.shape:
         raise DimensionError(f"mse operands have different shapes: {a.shape} vs {b.shape}")
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return float(np.mean(d * d))
+    d = np.subtract(a, b, dtype=np.float64)
+    np.square(d, out=d)
+    return float(d.mean())
 
 
 @dataclass

@@ -115,6 +115,25 @@ class TestScore:
         assert all(r.predictor_id == "adhoc" for r in reports)
         assert log.read_text().strip().splitlines() == lines
 
+    def test_adhoc_reconstructs_each_frame_once(
+        self, checkpoint, tmp_path, capsys, monkeypatch
+    ):
+        # 70 frames span two reconstruction chunks
+        frames = frames_file(tmp_path / "once.frames", seed=8, count=70)
+        reconstructed = []
+        real = dcan.reconstruct
+
+        def counting(model, batch):
+            reconstructed.append(batch.shape[0])
+            return real(model, batch)
+
+        monkeypatch.setattr(dcan, "reconstruct", counting)
+        rc = main(["score", "--checkpoint", checkpoint, "--frames", frames])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 70
+        assert sum(reconstructed) == len(lines)
+
     def test_config_supplies_identity_and_calibration(
         self, checkpoint, tmp_path, capsys
     ):

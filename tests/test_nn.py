@@ -94,6 +94,8 @@ class TestConv2d:
             # conv1 and conv2 of the model at their real input sizes.
             (2, 1, 8, 3, 4096, (3, 64), (1, 16)),
             (2, 8, 16, 1, 253, (1, 13), (1, 4)),
+            # Overlapping height windows: kh > sh with several output rows.
+            (2, 2, 3, 6, 21, (3, 5), (1, 2)),
         ],
     )
     def test_matches_naive_oracle(self, b, in_c, out_c, h, w, kernel, stride):
@@ -156,6 +158,20 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             nn.conv2d_backward(x, layer, np.zeros((1, 2, 3, 3)))
 
+    @pytest.mark.parametrize(
+        "in_c,out_c,h,w,kernel,stride",
+        [(1, 8, 3, 4096, (3, 64), (1, 16)), (2, 2, 5, 13, (2, 5), (2, 3))],
+    )
+    def test_backward_can_skip_input_gradient(self, in_c, out_c, h, w, kernel, stride):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, in_c, h, w))
+        layer = random_conv(rng, in_c, out_c, kernel, stride)
+        upstream = rng.standard_normal(nn.conv2d_forward(x, layer).shape)
+        gx, gw, gb = nn.conv2d_backward(x, layer, upstream)
+        skipped, gw_skip, gb_skip = nn.conv2d_backward(x, layer, upstream, input_grad=False)
+        assert gx is not None and skipped is None
+        assert np.array_equal(gw_skip, gw) and np.array_equal(gb_skip, gb)
+
 
 class TestConvTranspose2d:
     @pytest.mark.parametrize(
@@ -167,6 +183,8 @@ class TestConvTranspose2d:
             # deconv3 and deconv2 of the model at their real input sizes.
             (2, 8, 1, 1, 253, (3, 64), (1, 16)),
             (2, 16, 8, 1, 61, (1, 13), (1, 4)),
+            # Overlapping height windows: kh > sh with several input rows.
+            (2, 3, 2, 4, 9, (3, 5), (1, 2)),
         ],
     )
     def test_matches_naive_oracle(self, b, in_c, out_c, h, w, kernel, stride):
@@ -322,6 +340,15 @@ class TestMse:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             nn.mse(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(64, 1, 3, 4096), (7, 1, 1, 4096), (3, 5), (1000,)])
+    def test_bit_identical_to_float64_formula(self, dtype, shape):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(shape).astype(dtype)
+        b = rng.standard_normal(shape).astype(dtype)
+        d = a.astype(np.float64) - b.astype(np.float64)
+        assert nn.mse(a, b) == float(np.mean(d * d))
 
 
 class TestAdam:
