@@ -262,14 +262,11 @@ def reconstruction_report(inputs: np.ndarray, reconstructions: np.ndarray) -> li
         )
     if inputs.ndim != 4 or inputs.shape[1] != 1:
         raise DimensionError(f"expected (B, 1, A, L) tensors, got {inputs.shape}")
-    sq = np.square(
-        np.asarray(inputs, dtype=np.float64) - np.asarray(reconstructions, dtype=np.float64)
-    )
-    reports = []
-    for f in range(inputs.shape[0]):
-        per_axis = tuple(float(v) for v in sq[f, 0].mean(axis=1))
-        reports.append(ReconstructionReport(per_axis, float(sq[f].mean())))
-    return reports
+    sq = np.subtract(inputs, reconstructions, dtype=np.float64)
+    np.square(sq, out=sq)
+    per_axis = sq[:, 0].mean(axis=2).tolist()
+    totals = sq.reshape(sq.shape[0], -1).mean(axis=1).tolist()
+    return [ReconstructionReport(tuple(a), t) for a, t in zip(per_axis, totals)]
 
 
 def loss_and_gradients(model: DcanModel, frames: np.ndarray):

@@ -7,19 +7,22 @@ to a newline-delimited report log whose records round-trip losslessly
 (floats are serialized with repr, which preserves the exact value).
 
 Reconstruction error is computed in standardized space, matching how
-the score normalization was calibrated.
+the score normalization was calibrated. A stream is walked in _CHUNK-frame
+slices: each slice is stacked, standardized, reconstructed and reported
+before the next is touched, so the working memory is one chunk's, however
+long the stream.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dcan
-from .errors import ConfigurationError, ParseError, RoutingError
+from .errors import ConfigurationError, DimensionError, ParseError, RoutingError
 from .ingest import Frame, stack_frames
 from .scoring import (
     AlarmConfig,
@@ -39,6 +42,9 @@ DEFAULT_LOCATIONS = (
     "cylinder-left",
     "cylinder-right",
 )
+
+# frames per stack/standardize/reconstruct/report step
+_CHUNK = 64
 
 # report lines are space-separated key:value pairs, so these tokens must
 # stay free of spaces and colons
@@ -204,10 +210,9 @@ def parse_report(line: str) -> StatusReport:
         raise ParseError("bad report line %r: %s" % (line, exc)) from None
 
 
-def write_report_log(reports: Sequence[StatusReport], path, append: bool = True):
+def write_report_log(reports: Sequence[StatusReport], path):
     """Append reports to the log, one line each."""
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as fh:
+    with open(path, "a", encoding="utf-8") as fh:
         for report in reports:
             fh.write(format_report(report) + "\n")
 
@@ -218,37 +223,6 @@ def read_report_log(path) -> List[StatusReport]:
         if line.strip():
             reports.append(parse_report(line))
     return reports
-
-
-def _normalization_to_dict(norm: Optional[ScoreNormalization]):
-    if norm is None:
-        return None
-    return {"mu": norm.mu, "sigma": norm.sigma}
-
-
-def _alarm_to_dict(alarm: AlarmConfig) -> dict:
-    return {
-        "level_thresholds": list(alarm.level_thresholds),
-        "window_len": alarm.window_len,
-        "trigger_fresh": alarm.trigger_fresh,
-        "trigger_sensitized": alarm.trigger_sensitized,
-    }
-
-
-def fleet_config_to_dict(config: FleetConfig) -> dict:
-    return {
-        "report_log": config.report_log,
-        "predictors": [
-            {
-                "id": spec.id,
-                "location": spec.location,
-                "checkpoint": spec.checkpoint,
-                "normalization": _normalization_to_dict(spec.normalization),
-                "alarm": _alarm_to_dict(spec.alarm),
-            }
-            for spec in config.predictors
-        ],
-    }
 
 
 def fleet_config_from_dict(data: dict) -> FleetConfig:
@@ -291,7 +265,7 @@ def fleet_config_from_dict(data: dict) -> FleetConfig:
 
 
 def save_fleet_config(config: FleetConfig, path):
-    text = json.dumps(fleet_config_to_dict(config), indent=2, sort_keys=True)
+    text = json.dumps(asdict(config), indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -309,18 +283,17 @@ def load_fleet_config(path) -> FleetConfig:
     return fleet_config_from_dict(data)
 
 
-def _reconstruction_reports(model, stats, frames: Sequence[Frame], chunk: int = 64):
-    """Standardize, reconstruct, and report, chunked to bound memory."""
-    batch = standardize(stack_frames(frames), stats)
+def _reconstruction_reports(model, stats, frames: Sequence[Frame]):
+    """Stack, standardize, reconstruct and report _CHUNK frames at a time."""
     reports = []
-    for start in range(0, batch.shape[0], chunk):
-        part = batch[start:start + chunk]
-        reports.extend(dcan.reconstruction_report(part, dcan.reconstruct(model, part)))
+    for start in range(0, len(frames), _CHUNK):
+        batch = standardize(stack_frames(frames[start:start + _CHUNK]), stats)
+        reports.extend(dcan.reconstruction_report(batch, dcan.reconstruct(model, batch)))
     return reports
 
 
 def _ordered_stream(spec: PredictorSpec, frames: Sequence[Frame]) -> List[Frame]:
-    ordered = sorted(frames, key=lambda f: (f.timestamp, f.window_index))
+    ordered = sorted(frames, key=lambda f: f.timestamp)
     for earlier, later in zip(ordered, ordered[1:]):
         if later.timestamp == earlier.timestamp:
             raise RoutingError(
@@ -330,11 +303,17 @@ def _ordered_stream(spec: PredictorSpec, frames: Sequence[Frame]) -> List[Frame]
     return ordered
 
 
-def _check_axes(model, frames: Sequence[Frame]) -> None:
-    if len(frames) > 0 and frames[0].axes != model.config.axes:
+def _check_axes(model, frames: Sequence[Frame], who: str) -> None:
+    """Reject an empty stream, or one the checkpoint has the wrong axes for.
+
+    who prefixes the message, e.g. "predictor p: ", or is empty.
+    """
+    if len(frames) == 0:
+        raise DimensionError("%sthe stream has no frames" % who)
+    if frames[0].axes != model.config.axes:
         raise ConfigurationError(
-            "checkpoint expects %d axes but frames have %d"
-            % (model.config.axes, frames[0].axes)
+            "%scheckpoint expects %d axes but frames have %d"
+            % (who, model.config.axes, frames[0].axes)
         )
 
 
@@ -347,12 +326,7 @@ def evaluate_stream(
             "predictor %s has no calibration; run calibrate first" % spec.id
         )
     ordered = _ordered_stream(spec, frames)
-    axes = ordered[0].axes
-    if model.config.axes != axes:
-        raise ConfigurationError(
-            "predictor %s: checkpoint expects %d axes but frames have %d"
-            % (spec.id, model.config.axes, axes)
-        )
+    _check_axes(model, ordered, "predictor %s: " % spec.id)
     return _status_reports(spec, ordered, _reconstruction_reports(model, stats, ordered))
 
 
@@ -364,7 +338,7 @@ def evaluate_self_calibrated(
     Each frame is reconstructed once: the total_mse values that fit the
     normalization are the ones scored. spec.normalization is ignored.
     """
-    _check_axes(model, frames)
+    _check_axes(model, frames, "")
     ordered = _ordered_stream(spec, frames)
     recon = _reconstruction_reports(model, stats, ordered)
     norm = calibrate([r.total_mse for r in recon])
@@ -421,7 +395,7 @@ def run_fleet(
         all_reports.extend(evaluate_stream(spec, model, stats, frames))
     destination = fleet.report_log if log_path is None else log_path
     if destination:
-        write_report_log(all_reports, destination, append=True)
+        write_report_log(all_reports, destination)
     return all_reports
 
 
@@ -430,7 +404,7 @@ def calibrate_predictor(
 ) -> ScoreNormalization:
     """Fit score normalization from normal frames via a checkpoint."""
     model, stats = load_checkpoint(checkpoint_path)
-    _check_axes(model, frames)
+    _check_axes(model, frames, "")
     reports = _reconstruction_reports(model, stats, frames)
     return calibrate([r.total_mse for r in reports])
 

@@ -9,10 +9,10 @@ file gets timestamp file_ts + k: a synthetic one-second tiebreaker that
 keeps per-channel sequences strictly chronological (files are 600 s
 apart, so order is never disturbed).
 
-The binary frame format "FRME" is the bit-exact interchange format:
-  magic "FRME" | u32 version (1) | u8 axes | u32 frame_len |
-  then per frame: u64 timestamp | axes*frame_len float32, axis-major.
-All integers and floats are little-endian.
+The binary frame format "FRME" is the bit-exact interchange format: one
+packed 13-byte _HEADER record, then one _record_dtype(axes) record per
+frame (a u64 timestamp and the axis-major float32 samples). Those two
+numpy dtypes are the whole layout; every field is little-endian.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import io
 import os
 import re
-import struct
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -40,6 +39,9 @@ from .signals import MODEL_FRAME_LEN as FRAME_LEN
 
 FRAME_MAGIC = b"FRME"
 FRAME_FORMAT_VERSION = 1
+_HEADER = np.dtype(
+    [("magic", "S4"), ("version", "<u4"), ("axes", "u1"), ("frame_len", "<u4")]
+)
 DEFAULT_TRAIN_SIZE = 30000
 
 # capture-time file names, e.g. 2004.02.12.10.32.39
@@ -90,7 +92,7 @@ def stack_frames(frames: Sequence[Frame]) -> np.ndarray:
             raise DimensionError(
                 "frame %d has %d axes, expected %d" % (k, frame.axes, axes)
             )
-    return np.stack([f.data for f in frames]).astype(np.float32)[:, None, :, :]
+    return np.stack([f.data for f in frames], dtype=np.float32)[:, None, :, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,6 +396,10 @@ def build_nasa_splits(
     return reservoir.items, test_sequences
 
 
+def _record_dtype(axes: int) -> np.dtype:
+    return np.dtype([("ts", "<u8"), ("data", "<f4", (axes, FRAME_LEN))])
+
+
 def write_frames(path, frames: Sequence[Frame]):
     """Write frames to the FRME binary format (bit-exact)."""
     frames = list(frames)
@@ -409,53 +415,46 @@ def write_frames(path, frames: Sequence[Frame]):
             raise ConfigurationError(
                 "frame %d has negative timestamp %d" % (k, frame.timestamp)
             )
+    header = np.array(
+        [(FRAME_MAGIC, FRAME_FORMAT_VERSION, axes, FRAME_LEN)], dtype=_HEADER
+    )
+    # one reused record, so memory does not grow with the frame count
+    record = np.empty(1, dtype=_record_dtype(axes))
     with open(path, "wb") as fh:
-        fh.write(FRAME_MAGIC)
-        fh.write(struct.pack("<I", FRAME_FORMAT_VERSION))
-        fh.write(struct.pack("<B", axes))
-        fh.write(struct.pack("<I", FRAME_LEN))
+        fh.write(header)
         for frame in frames:
-            fh.write(struct.pack("<Q", frame.timestamp))
-            fh.write(np.ascontiguousarray(frame.data, dtype="<f4").tobytes())
+            record[0] = (frame.timestamp, frame.data)
+            fh.write(record)
 
 
 def read_frames(path, *, source: str = "") -> List[Frame]:
     """Read a FRME binary file; values round-trip bit-identically."""
-    blob = Path(path).read_bytes()
-    header_len = 4 + 4 + 1 + 4
-    if len(blob) < header_len:
-        raise ParseError("%s: truncated header" % path)
-    if blob[:4] != FRAME_MAGIC:
-        raise ParseError("%s: not a FRME frame file" % path)
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != FRAME_FORMAT_VERSION:
-        raise ParseError(
-            "%s: unsupported frame format version %d" % (path, version)
-        )
-    (axes,) = struct.unpack_from("<B", blob, 8)
-    (frame_len,) = struct.unpack_from("<I", blob, 9)
-    if axes < 1:
-        raise ParseError("%s: axis count must be >= 1" % path)
-    if frame_len != FRAME_LEN:
-        raise ParseError(
-            "%s: frame length %d unsupported, expected %d"
-            % (path, frame_len, FRAME_LEN)
-        )
-    record_len = 8 + axes * frame_len * 4
-    body = blob[header_len:]
-    if len(body) % record_len != 0:
-        raise ParseError(
-            "%s: truncated frame record (%d stray bytes)"
-            % (path, len(body) % record_len)
-        )
-    frames = []
-    for k in range(len(body) // record_len):
-        offset = k * record_len
-        (timestamp,) = struct.unpack_from("<Q", body, offset)
-        data = np.frombuffer(
-            body, dtype="<f4", count=axes * frame_len, offset=offset + 8
-        ).reshape(axes, frame_len).copy()
-        frames.append(
-            Frame(data=data, timestamp=timestamp, source=source, window_index=k)
-        )
-    return frames
+    with open(path, "rb") as fh:
+        header = np.fromfile(fh, dtype=_HEADER, count=1)
+        if header.size < 1:
+            raise ParseError("%s: truncated header" % path)
+        magic, version, axes, frame_len = header[0].item()
+        if magic != FRAME_MAGIC:
+            raise ParseError("%s: not a FRME frame file" % path)
+        if version != FRAME_FORMAT_VERSION:
+            raise ParseError(
+                "%s: unsupported frame format version %d" % (path, version)
+            )
+        if axes < 1:
+            raise ParseError("%s: axis count must be >= 1" % path)
+        if frame_len != FRAME_LEN:
+            raise ParseError(
+                "%s: frame length %d unsupported, expected %d"
+                % (path, frame_len, FRAME_LEN)
+            )
+        record = _record_dtype(axes)
+        stray = (os.fstat(fh.fileno()).st_size - _HEADER.itemsize) % record.itemsize
+        if stray:
+            raise ParseError(
+                "%s: truncated frame record (%d stray bytes)" % (path, stray)
+            )
+        records = np.fromfile(fh, dtype=record)
+    return [
+        Frame(data=data, timestamp=ts, source=source, window_index=k)
+        for k, (ts, data) in enumerate(zip(records["ts"].tolist(), records["data"]))
+    ]

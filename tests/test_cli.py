@@ -5,6 +5,7 @@ checkpoint, small FRME files of noise frames, and a miniature IMS tree.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -158,6 +159,30 @@ class TestScore:
             for line in capsys.readouterr().out.strip().splitlines()
         ]
         assert all(r.predictor_id == "gear-left" for r in reports)
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_header_only_frame_file_fails_cleanly(
+        self, checkpoint, tmp_path, capsys, with_config
+    ):
+        # what a writer killed after the header leaves behind
+        frames = tmp_path / "empty.frames"
+        frames.write_bytes(b"FRME" + struct.pack("<IBI", 1, 3, FRAME_LEN))
+        argv = ["score", "--checkpoint", checkpoint, "--frames", str(frames)]
+        if with_config:
+            spec = PredictorSpec(
+                id="a", location="a", checkpoint=checkpoint,
+                normalization=ScoreNormalization(mu=1.0, sigma=0.5),
+            )
+            config_path = tmp_path / "fleet.json"
+            save_fleet_config(
+                FleetConfig(predictors=(spec,), report_log="r.log"), config_path
+            )
+            argv += ["--config", str(config_path)]
+        rc = main(argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: DimensionError:" in captured.err
 
     def test_config_without_matching_checkpoint(self, checkpoint, tmp_path, capsys):
         frames = frames_file(tmp_path / "score3.frames", seed=6, count=3)

@@ -174,6 +174,19 @@ class TestReport:
         with pytest.raises(DimensionError):
             dcan.reconstruction_report(np.zeros((1, 1, 3, 8)), np.zeros((1, 1, 3, 9)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 4096), (64, 1, 3, 4096), (5, 1, 2, 33)])
+    def test_bit_identical_to_per_frame_float64_formula(self, shape, dtype):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal(shape).astype(dtype)
+        y = rng.standard_normal(shape).astype(dtype)
+        reports = dcan.reconstruction_report(x, y)
+        assert len(reports) == shape[0]
+        for f, r in enumerate(reports):
+            sq = np.square(x[f].astype(np.float64) - y[f].astype(np.float64))
+            assert r.per_axis_mse == tuple(float(v) for v in sq[0].mean(axis=1))
+            assert r.total_mse == float(sq.mean())
+
 
 class TestGradients:
     def test_loss_matches_mse_of_reconstruction(self):

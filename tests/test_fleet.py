@@ -9,6 +9,8 @@ Alarm sequences are checked against the brute-force hysteresis replay
 from helpers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from vibanom import dcan
 from vibanom.errors import (
     CalibrationError,
     ConfigurationError,
+    DimensionError,
     ParseError,
     RoutingError,
 )
@@ -335,6 +338,38 @@ class TestBatchInvariance:
             for start in range(0, len(order), batch_size):
                 batched.extend(scores(frames[order[start : start + batch_size]]))
             assert np.all(np.abs(np.array(batched) - alone[order]) <= 1e-6 * alone[order])
+
+
+class TestChunkWalk:
+    """evaluate_stream holds one 64-frame chunk at a time, never the stream."""
+
+    def spec(self, checkpoint):
+        return PredictorSpec(
+            id="p",
+            location="p",
+            checkpoint=checkpoint,
+            normalization=ScoreNormalization(mu=1.0, sigma=0.5),
+        )
+
+    def test_peak_memory_bounded_by_chunk_not_stream(self, checkpoint):
+        model, stats = load_checkpoint(checkpoint)
+        spec = self.spec(checkpoint)
+
+        def peak(count):
+            frames = make_frames(seed=15, count=count)
+            tracemalloc.start()
+            try:
+                evaluate_stream(spec, model, stats, frames)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) <= 1.2 * peak(64)
+
+    def test_empty_stream_names_predictor(self, checkpoint):
+        model, stats = load_checkpoint(checkpoint)
+        with pytest.raises(DimensionError, match="predictor p: .*no frames"):
+            evaluate_stream(self.spec(checkpoint), model, stats, [])
 
 
 def one_predictor_fleet(checkpoint, norm, log_path, alarm=None):

@@ -6,6 +6,7 @@ can be traced back to its origin by value.
 """
 
 import struct
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -262,6 +263,49 @@ class TestFrameFileRoundTrip:
         path.write_bytes(b"FRME\x01")
         with pytest.raises(ParseError, match="truncated header"):
             read_frames(path)
+
+    @pytest.mark.parametrize("axes", [1, 3])
+    def test_golden_bytes(self, tmp_path, axes):
+        # reference built field by field with struct, independent of the
+        # reader and writer, so the two cannot drift together
+        rng = np.random.default_rng(13)
+        stamps = [7, 2**33 + 1, 9]
+        frames = [random_frame(rng, axes=axes, timestamp=t) for t in stamps]
+        golden = b"FRME" + struct.pack("<IBI", 1, axes, FRAME_LEN)
+        for frame in frames:
+            golden += struct.pack("<Q", frame.timestamp)
+            golden += struct.pack("<%df" % (axes * FRAME_LEN), *frame.data.ravel())
+        written = tmp_path / "written.bin"
+        write_frames(written, frames)
+        assert written.read_bytes() == golden
+        reference = tmp_path / "golden.bin"
+        reference.write_bytes(golden)
+        loaded = read_frames(reference)
+        assert [f.timestamp for f in loaded] == stamps
+        assert all(type(f.timestamp) is int for f in loaded)
+        assert [f.window_index for f in loaded] == [0, 1, 2]
+        for original, parsed in zip(frames, loaded):
+            assert parsed.data.dtype == np.float32
+            assert np.array_equal(original.data, parsed.data)
+
+    def test_write_memory_does_not_grow_with_frame_count(self, tmp_path):
+        rng = np.random.default_rng(14)
+        frames = [random_frame(rng, timestamp=i) for i in range(256)]
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                write_frames(tmp_path / "frames.bin", frames[:count])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) <= 1.2 * peak(64)
+
+    def test_header_only_file_reads_as_no_frames(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        path.write_bytes(b"FRME" + struct.pack("<IBI", 1, 3, FRAME_LEN))
+        assert read_frames(path) == []
 
     def test_write_rejects_empty_and_mixed(self, tmp_path):
         rng = np.random.default_rng(11)
