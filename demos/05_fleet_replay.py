@@ -35,7 +35,6 @@ def noise_frames(seed, count, start_ts=1000):
             data=rng.standard_normal((3, 4096)).astype(np.float32),
             timestamp=start_ts + k,
             source="demo",
-            window_index=k,
         )
         for k in range(count)
     ]

@@ -58,7 +58,7 @@ print()
 # Frames travel between tools as a compact binary file.
 out = Path(tempfile.mkdtemp(prefix="vibanom-frames-demo-")) / "train.frames"
 write_frames(out, train_frames)
-restored = read_frames(out, source="demo")
+restored = read_frames(out)
 print("wrote %s (%d bytes), read back %d frames"
       % (out, out.stat().st_size, len(restored)))
 same = all(

@@ -139,7 +139,7 @@ def cmd_monitor(args) -> int:
     for spec in fleet.predictors:
         path = stream_dir / (spec.id + ".frames")
         if path.exists():
-            streams[spec.id] = read_frames(path, source=spec.id)
+            streams[spec.id] = read_frames(path)
     reports = run_fleet(fleet, streams, log_path=args.out)
     log_path = args.out if args.out else fleet.report_log
     for spec in fleet.predictors:

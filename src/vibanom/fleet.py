@@ -75,14 +75,15 @@ class PredictorSpec:
 
     def __post_init__(self):
         for label, value in (("id", self.id), ("location", self.location)):
-            if not _TOKEN.match(value or ""):
+            if not (isinstance(value, str) and _TOKEN.match(value)):
                 raise ConfigurationError(
-                    "predictor %s %r may not contain spaces or colons"
-                    % (label, value)
+                    "predictor %s %r must be a non-empty string without "
+                    "spaces or colons" % (label, value)
                 )
-        if not self.checkpoint:
+        if not (isinstance(self.checkpoint, str) and self.checkpoint):
             raise ConfigurationError(
-                "predictor %s needs a checkpoint path" % self.id
+                "predictor %s needs a checkpoint path, got %r"
+                % (self.id, self.checkpoint)
             )
 
 
@@ -97,6 +98,10 @@ class FleetConfig:
         predictors = tuple(self.predictors)
         if not predictors:
             raise ConfigurationError("a fleet needs at least one predictor")
+        if not isinstance(self.report_log, str):
+            raise ConfigurationError(
+                "report_log must be a path string, got %r" % (self.report_log,)
+            )
         ids = [p.id for p in predictors]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -225,43 +230,29 @@ def read_report_log(path) -> List[StatusReport]:
     return reports
 
 
+def _predictor_from_dict(entry: dict) -> PredictorSpec:
+    if not isinstance(entry, dict):
+        raise ConfigurationError("predictor entry must be an object, got %r" % (entry,))
+    norm, alarm = entry.get("normalization"), entry.get("alarm")
+    return PredictorSpec(**{
+        **entry,
+        "normalization": None if norm is None else ScoreNormalization(**norm),
+        "alarm": AlarmConfig() if alarm is None else AlarmConfig(**alarm),
+    })
+
+
 def fleet_config_from_dict(data: dict) -> FleetConfig:
+    """The inverse of save_fleet_config: the same fields, no others.
+
+    An absent or null alarm gives the default AlarmConfig; a null
+    normalization stays None. Unknown, missing or mistyped fields raise
+    ConfigurationError.
+    """
     try:
-        entries = data["predictors"]
-        report_log = data.get("report_log", "reports.log")
-        predictors = []
-        for entry in entries:
-            norm_data = entry.get("normalization")
-            normalization = (
-                None
-                if norm_data is None
-                else ScoreNormalization(
-                    mu=float(norm_data["mu"]), sigma=float(norm_data["sigma"])
-                )
-            )
-            alarm_data = entry.get("alarm")
-            alarm = (
-                AlarmConfig()
-                if alarm_data is None
-                else AlarmConfig(
-                    level_thresholds=tuple(alarm_data["level_thresholds"]),
-                    window_len=int(alarm_data["window_len"]),
-                    trigger_fresh=int(alarm_data["trigger_fresh"]),
-                    trigger_sensitized=int(alarm_data["trigger_sensitized"]),
-                )
-            )
-            predictors.append(
-                PredictorSpec(
-                    id=entry["id"],
-                    location=entry["location"],
-                    checkpoint=entry["checkpoint"],
-                    normalization=normalization,
-                    alarm=alarm,
-                )
-            )
-    except (KeyError, TypeError) as exc:
+        predictors = tuple(_predictor_from_dict(e) for e in data["predictors"])
+        return FleetConfig(**{**data, "predictors": predictors})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError("malformed fleet config: %s" % exc) from exc
-    return FleetConfig(predictors=tuple(predictors), report_log=report_log)
 
 
 def save_fleet_config(config: FleetConfig, path):
@@ -304,17 +295,25 @@ def _ordered_stream(spec: PredictorSpec, frames: Sequence[Frame]) -> List[Frame]
 
 
 def _check_axes(model, frames: Sequence[Frame], who: str) -> None:
-    """Reject an empty stream, or one the checkpoint has the wrong axes for.
+    """Reject an empty stream, or any frame the checkpoint has the wrong axes for.
 
-    who prefixes the message, e.g. "predictor p: ", or is empty.
+    who prefixes the message, e.g. "predictor p: ", or is empty. A later
+    frame is named by its index in frames and its timestamp.
     """
     if len(frames) == 0:
         raise DimensionError("%sthe stream has no frames" % who)
-    if frames[0].axes != model.config.axes:
+    axes = model.config.axes
+    if frames[0].axes != axes:
         raise ConfigurationError(
             "%scheckpoint expects %d axes but frames have %d"
-            % (who, model.config.axes, frames[0].axes)
+            % (who, axes, frames[0].axes)
         )
+    for k, frame in enumerate(frames):
+        if frame.axes != axes:
+            raise DimensionError(
+                "%sframe %d (timestamp %d) has %d axes, expected %d"
+                % (who, k, frame.timestamp, frame.axes, axes)
+            )
 
 
 def evaluate_stream(
@@ -325,8 +324,8 @@ def evaluate_stream(
         raise ConfigurationError(
             "predictor %s has no calibration; run calibrate first" % spec.id
         )
+    _check_axes(model, frames, "predictor %s: " % spec.id)
     ordered = _ordered_stream(spec, frames)
-    _check_axes(model, ordered, "predictor %s: " % spec.id)
     return _status_reports(spec, ordered, _reconstruction_reports(model, stats, ordered))
 
 

@@ -1,10 +1,11 @@
 """Frame ingestion: NASA IMS bearing files and binary frames.
 
 Raw recordings become Frame objects: A axes x 4096 points of float32
-acceleration plus a timestamp and a source label. IMS files are
+acceleration, a timestamp and a source label (the IMS channel a frame was
+cut from; frames read back from a FRME file carry none). IMS files are
 whitespace-separated channel columns named by their capture time
 (YYYY.MM.DD.HH.MM.SS, interpreted as UTC for determinism); each channel
-column is cut into non-overlapping 4096-point windows. Window k of a
+column is cut into non-overlapping FRAME_LEN-point windows. Window k of a
 file gets timestamp file_ts + k: a synthetic one-second tiebreaker that
 keeps per-channel sequences strictly chronological (files are 600 s
 apart, so order is never disturbed).
@@ -55,7 +56,6 @@ class Frame:
     data: np.ndarray
     timestamp: int
     source: str = ""
-    window_index: int = 0
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float32)
@@ -74,8 +74,6 @@ class Frame:
             raise IngestError("frame contains non-finite values")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "timestamp", int(self.timestamp))
-        if self.window_index < 0:
-            raise ConfigurationError("window_index must be >= 0")
 
     @property
     def axes(self) -> int:
@@ -212,46 +210,33 @@ def parse_ims_file(text: str, filename: str) -> ImsRecording:
     return ImsRecording(timestamp=timestamp, matrix=matrix)
 
 
-def windowize(
-    channel_series,
-    frame_len: int = FRAME_LEN,
-    hop: int = FRAME_LEN,
-    *,
-    source: str = "",
-    timestamp: int = 0,
-) -> List[Frame]:
-    """Cut a 1-D series into consecutive windows of frame_len points.
+def windowize(channel_series, *, source: str = "", timestamp: int = 0) -> List[Frame]:
+    """Cut a 1-D series into non-overlapping windows of FRAME_LEN points.
 
-    Window k starts at sample k*hop and is stamped timestamp + k; the
-    trailing remainder shorter than frame_len is discarded. A series
-    shorter than one frame yields an empty list with a DataWarning.
+    Window k holds samples k*FRAME_LEN onwards and is stamped
+    timestamp + k; the trailing remainder shorter than a frame is
+    discarded. A series shorter than one frame yields an empty list with
+    a DataWarning.
     """
     series = np.asarray(channel_series, dtype=np.float32)
     if series.ndim != 1:
         raise DimensionError("channel series must be 1-D")
-    if frame_len < 1 or hop < 1:
-        raise ConfigurationError("frame_len and hop must be >= 1")
-    if series.size < frame_len:
+    if series.size < FRAME_LEN:
         warnings.warn(
             "series of %d points is shorter than one %d-point frame; "
-            "no frames produced" % (series.size, frame_len),
+            "no frames produced" % (series.size, FRAME_LEN),
             DataWarning,
         )
         return []
-    count = 1 + (series.size - frame_len) // hop
-    frames = []
-    for k in range(count):
-        start = k * hop
-        chunk = series[start:start + frame_len].reshape(1, frame_len).copy()
-        frames.append(
-            Frame(
-                data=chunk,
-                timestamp=int(timestamp) + k,
-                source=source,
-                window_index=k,
-            )
+    # each window is copied so a kept frame does not pin the whole series
+    return [
+        Frame(
+            data=series[k * FRAME_LEN:(k + 1) * FRAME_LEN].reshape(1, FRAME_LEN).copy(),
+            timestamp=int(timestamp) + k,
+            source=source,
         )
-    return frames
+        for k in range(series.size // FRAME_LEN)
+    ]
 
 
 _SET_ORDINALS = {1: "1st", 2: "2nd", 3: "3rd", 4: "4th"}
@@ -427,7 +412,7 @@ def write_frames(path, frames: Sequence[Frame]):
             fh.write(record)
 
 
-def read_frames(path, *, source: str = "") -> List[Frame]:
+def read_frames(path) -> List[Frame]:
     """Read a FRME binary file; values round-trip bit-identically."""
     with open(path, "rb") as fh:
         header = np.fromfile(fh, dtype=_HEADER, count=1)
@@ -455,6 +440,6 @@ def read_frames(path, *, source: str = "") -> List[Frame]:
             )
         records = np.fromfile(fh, dtype=record)
     return [
-        Frame(data=data, timestamp=ts, source=source, window_index=k)
-        for k, (ts, data) in enumerate(zip(records["ts"].tolist(), records["data"]))
+        Frame(data=data, timestamp=ts)
+        for ts, data in zip(records["ts"].tolist(), records["data"])
     ]

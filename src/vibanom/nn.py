@@ -3,7 +3,8 @@
 Forward and backward passes for the only layer types the model needs: valid
 (unpadded) 2-D convolution, 2-D transposed convolution, fully connected
 layers, LeakyReLU, mean squared error, uniform parameter initialization and
-a bias-corrected Adam update.
+a bias-corrected Adam update with the standard moment decays (0.9, 0.999)
+and denominator guard 1e-8; only its learning rate is settable.
 
 Every operation is a plain function over numpy arrays in NCHW or
 (batch, features) layout. The layer classes hold parameters; their
@@ -438,26 +439,28 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(d.mean())
 
 
+# standard Adam moment decays and denominator guard (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Optimizer state: one first/second moment pair per named parameter."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if min(self.lr, self.beta1, self.beta2, self.epsilon) <= 0:
-            raise ConfigurationError("Adam hyperparameters must be positive")
+        if self.lr <= 0:
+            raise ConfigurationError("Adam learning rate must be positive")
 
     @classmethod
-    def for_params(cls, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                   beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    def for_params(cls, params: dict, lr: float = 1e-3) -> "AdamState":
+        state = cls(lr=lr)
         for name, p in params.items():
             state.first_moment[name] = np.zeros_like(p)
             state.second_moment[name] = np.zeros_like(p)
@@ -472,8 +475,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -482,11 +485,11 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
             raise TrainingError(f"non-finite gradient for parameter '{name}'")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 def _fan_in(layer) -> int:

@@ -115,6 +115,11 @@ class AlarmConfig:
                 % (thresholds,)
             )
         object.__setattr__(self, "level_thresholds", thresholds)
+        for name in ("window_len", "trigger_fresh", "trigger_sensitized"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigurationError(
+                    "%s must be an integer, got %r" % (name, getattr(self, name))
+                )
         # must allow a fresh trigger to fit in the window, and the
         # sensitized trigger must genuinely lower the bar
         if self.trigger_sensitized < 1:

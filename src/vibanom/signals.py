@@ -4,6 +4,8 @@ Provides a power-of-two FFT with one-sided magnitude spectra, dominant
 frequency extraction, and generators for the validation experiments: a
 multi-component normal bearing signal, time-scale modification (frequency
 shifting) and sawtooth injection. All operations are pure functions.
+The generators and the waveform CSV reader work at the paper's one frame
+geometry: MODEL_FRAME_LEN (4096) samples at DEFAULT_SAMPLE_RATE (1024 Hz).
 
 The FFT is an iterative radix-2 decimation-in-time transform; its
 correctness contract is agreement with a direct DFT within 1e-6 relative
@@ -60,10 +62,6 @@ class Waveform:
     @property
     def nyquist(self) -> float:
         return self.sample_rate / 2.0
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass
@@ -155,13 +153,8 @@ def dominant_frequency(spectrum: Spectrum) -> float:
     return float(spectrum.bin_freqs[k])
 
 
-def synth_normal(
-    spec: NormalSignalSpec,
-    seed,
-    n_samples: int = MODEL_FRAME_LEN,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-) -> Waveform:
-    """One synthetic healthy waveform draw.
+def synth_normal(spec: NormalSignalSpec, seed) -> Waveform:
+    """One healthy waveform draw: MODEL_FRAME_LEN samples at DEFAULT_SAMPLE_RATE.
 
     The deterministic component stack is phase-locked (every draw starts
     at t = 0, as if sampling were synchronized to the machine cycle);
@@ -170,39 +163,31 @@ def synth_normal(
     budget, and anomaly generators perturb them the same way they would
     free-running frames. Reproducible per seed.
     """
-    nyquist = sample_rate / 2.0
-    spec.validate(nyquist)
+    spec.validate(DEFAULT_SAMPLE_RATE / 2.0)
     rng = np.random.default_rng(seed)
-    t = np.arange(n_samples) / sample_rate
-    x = np.zeros(n_samples, dtype=np.float64)
+    t = np.arange(MODEL_FRAME_LEN) / DEFAULT_SAMPLE_RATE
+    x = np.zeros(MODEL_FRAME_LEN, dtype=np.float64)
     for freq, amp in spec.components():
         if amp > 0:
             x += amp * np.sin(2.0 * np.pi * freq * t)
     if spec.noise_std > 0:
-        x += rng.normal(0.0, spec.noise_std, n_samples)
-    return Waveform(x, sample_rate)
+        x += rng.normal(0.0, spec.noise_std, MODEL_FRAME_LEN)
+    return Waveform(x)
 
 
-def synth_normal_frames(
-    spec: NormalSignalSpec,
-    count: int,
-    axes: int,
-    seed,
-    n_samples: int = MODEL_FRAME_LEN,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-) -> np.ndarray:
-    """Batch of healthy frames, shape (count, 1, axes, n_samples).
+def synth_normal_frames(spec: NormalSignalSpec, count: int, axes: int, seed) -> np.ndarray:
+    """Batch of healthy frames, shape (count, 1, axes, MODEL_FRAME_LEN).
 
     Every axis of every frame shares the phase-locked component stack
     and gets an independent noise draw, all seeded from one root seed
     for reproducibility.
     """
     children = np.random.SeedSequence(seed).spawn(count * axes)
-    frames = np.empty((count, 1, axes, n_samples), dtype=np.float32)
+    frames = np.empty((count, 1, axes, MODEL_FRAME_LEN), dtype=np.float32)
     k = 0
     for f in range(count):
         for a in range(axes):
-            frames[f, 0, a] = synth_normal(spec, children[k], n_samples, sample_rate).samples
+            frames[f, 0, a] = synth_normal(spec, children[k]).samples
             k += 1
     return frames
 
@@ -273,8 +258,8 @@ def write_waveform_csv(waveform: Waveform, path) -> None:
             writer.writerow([i, repr(float(v))])
 
 
-def read_waveform_csv(path, sample_rate: float = DEFAULT_SAMPLE_RATE) -> Waveform:
-    """Read a waveform written by write_waveform_csv."""
+def read_waveform_csv(path) -> Waveform:
+    """Read a waveform written by write_waveform_csv, at DEFAULT_SAMPLE_RATE."""
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -292,4 +277,4 @@ def read_waveform_csv(path, sample_rate: float = DEFAULT_SAMPLE_RATE) -> Wavefor
             if idx != lineno - 2:
                 raise ParseError(f"{path}:{lineno}: index {idx} out of order")
             values.append(val)
-    return Waveform(np.array(values, dtype=np.float64), sample_rate)
+    return Waveform(np.array(values, dtype=np.float64))

@@ -49,6 +49,8 @@ __all__ = [
 CHECKPOINT_MAGIC = b"DCAN"
 CHECKPOINT_VERSION = 1
 STD_FLOOR = 1e-8
+# validation frames reconstructed per step, so memory stays bounded
+_MSE_CHUNK = 256
 
 
 @dataclass
@@ -155,11 +157,11 @@ def should_stop(val_losses, patience: int) -> bool:
     return (len(val_losses) - 1) - best_index >= patience
 
 
-def batched_mse(model: dcan.DcanModel, frames: np.ndarray, chunk: int = 256) -> float:
-    """Mean reconstruction MSE over a frame stack, bounded memory."""
+def batched_mse(model: dcan.DcanModel, frames: np.ndarray) -> float:
+    """Mean reconstruction MSE over a frame stack, _MSE_CHUNK frames at a time."""
     total = 0.0
-    for start in range(0, frames.shape[0], chunk):
-        part = frames[start : start + chunk]
+    for start in range(0, frames.shape[0], _MSE_CHUNK):
+        part = frames[start : start + _MSE_CHUNK]
         total += nn.mse(dcan.reconstruct(model, part), part) * part.shape[0]
     return total / frames.shape[0]
 

@@ -426,7 +426,6 @@ def noise_frames(seed, count, start_ts=1000):
             data=rng.standard_normal((3, FRAME_LEN)).astype(np.float32),
             timestamp=start_ts + k,
             source="acceptance",
-            window_index=k,
         )
         for k in range(count)
     ]

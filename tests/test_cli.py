@@ -241,6 +241,37 @@ class TestMonitor:
         assert rc == 1
         assert "error: RoutingError: no predictor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"predictors": [1]}, "predictor entry must be an object"),
+            ({"predictors": [{"id": "a", "location": "a", "checkpoint": "m.ckpt"}],
+              "report_log": 1}, "report_log"),
+            ({"predictors": [{"id": "a", "location": "a", "checkpoint": 3}]},
+             "checkpoint path, got 3"),
+            ({"predictors": [{"id": "a", "location": "a", "checkpoint": "m.ckpt",
+                              "alarm": {"window_len": 30.0}}]},
+             "window_len must be an integer"),
+        ],
+    )
+    def test_malformed_config_fails_cleanly(self, tmp_path, capsys, config, message):
+        config_path = tmp_path / "fleet.json"
+        config_path.write_text(json.dumps(config))
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        # --out keeps a config that wrongly loads away from its report_log
+        rc = main(
+            ["monitor", "--config", str(config_path), "--frames", str(streams),
+             "--out", str(tmp_path / "out.log")]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ConfigurationError:")
+        assert message in lines[0]
+
     def test_missing_stream_dir(self, checkpoint, tmp_path, capsys):
         config_path = self.make_fleet(checkpoint, tmp_path)
         rc = main(

@@ -269,6 +269,36 @@ class TestFleetConfigFile:
         assert fleet.predictors[0].alarm == AlarmConfig()
         assert fleet.predictors[0].normalization is None
 
+    def test_null_alarm_and_normalization(self):
+        fleet = fleet_config_from_dict(
+            {
+                "predictors": [
+                    {"id": "a", "location": "l", "checkpoint": "c.ckpt",
+                     "normalization": None, "alarm": None}
+                ]
+            }
+        )
+        assert fleet.predictors[0].alarm == AlarmConfig()
+        assert fleet.predictors[0].normalization is None
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"predictors": [{"id": "a", "location": "l", "checkpoint": "c",
+                              "chekpoint": "x"}]}, "chekpoint"),
+            ({"predictors": [{"id": "a", "location": "l", "checkpoint": "c"}],
+              "reportlog": "r.log"}, "reportlog"),
+            ({"predictors": [{"id": "a", "location": "l", "checkpoint": "c",
+                              "normalization": {"mu": 1.0, "sigma": 0.5,
+                                                "n": 3}}]}, "'n'"),
+            ({"predictors": [{"id": "a", "location": "l", "checkpoint": "c",
+                              "alarm": {"window": 30}}]}, "window"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, data, message):
+        with pytest.raises(ConfigurationError, match="malformed.*" + message):
+            fleet_config_from_dict(data)
+
 
 class TestCalibratePredictor:
     def test_mu_inside_observed_range(self, checkpoint):
@@ -370,6 +400,22 @@ class TestChunkWalk:
         model, stats = load_checkpoint(checkpoint)
         with pytest.raises(DimensionError, match="predictor p: .*no frames"):
             evaluate_stream(self.spec(checkpoint), model, stats, [])
+
+    @pytest.mark.parametrize("head, tail", [(70, 3), (64, 64)])
+    def test_mixed_axes_name_the_stream_index(self, checkpoint, head, tail):
+        # the odd frames sit past the first chunk; the message must give
+        # their index in the whole stream and, for a predictor, its id
+        frames = make_frames(seed=16, count=head) + make_frames(
+            seed=17, count=tail, axes=1, start_ts=1000 + head
+        )
+        message = r"frame %d \(timestamp %d\) has 1 axes, expected 3" % (
+            head, 1000 + head,
+        )
+        model, stats = load_checkpoint(checkpoint)
+        with pytest.raises(DimensionError, match="^predictor p: " + message):
+            evaluate_stream(self.spec(checkpoint), model, stats, frames)
+        with pytest.raises(DimensionError, match="^" + message):
+            calibrate_predictor(checkpoint, frames)
 
 
 def one_predictor_fleet(checkpoint, norm, log_path, alarm=None):

@@ -65,10 +65,6 @@ class TestFrame:
         with pytest.raises(IngestError, match="non-finite"):
             Frame(data=data, timestamp=0)
 
-    def test_negative_window_index_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Frame(data=np.zeros((1, FRAME_LEN)), timestamp=0, window_index=-1)
-
 
 class TestStackFrames:
     def test_layout(self):
@@ -163,8 +159,6 @@ class TestWindowize:
         assert len(frames) == 2
         assert frames[0].timestamp == 1000
         assert frames[1].timestamp == 1001
-        assert frames[0].window_index == 0
-        assert frames[1].window_index == 1
         assert frames[0].source == "Set1/Ch2"
         assert np.array_equal(frames[1].data[0], series[FRAME_LEN:].astype(np.float32))
 
@@ -183,17 +177,9 @@ class TestWindowize:
             frames = windowize(np.zeros(FRAME_LEN - 1))
         assert frames == []
 
-    def test_custom_hop(self):
-        series = np.arange(20480, dtype=np.float64)
-        frames = windowize(series, hop=8192)
-        assert len(frames) == 3
-        assert frames[2].data[0, 0] == np.float32(16384.0)
-
     def test_bad_inputs(self):
         with pytest.raises(DimensionError):
             windowize(np.zeros((2, FRAME_LEN)))
-        with pytest.raises(ConfigurationError):
-            windowize(np.zeros(FRAME_LEN), hop=0)
 
 
 class TestFrameFileRoundTrip:
@@ -202,13 +188,11 @@ class TestFrameFileRoundTrip:
         frames = [random_frame(rng, timestamp=10 + i) for i in range(3)]
         path = tmp_path / "frames.bin"
         write_frames(path, frames)
-        loaded = read_frames(path, source="t")
+        loaded = read_frames(path)
         assert len(loaded) == 3
         for original, parsed in zip(frames, loaded):
             assert np.array_equal(original.data, parsed.data)
             assert parsed.timestamp == original.timestamp
-            assert parsed.source == "t"
-        assert [f.window_index for f in loaded] == [0, 1, 2]
 
     def test_single_axis_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -283,7 +267,6 @@ class TestFrameFileRoundTrip:
         loaded = read_frames(reference)
         assert [f.timestamp for f in loaded] == stamps
         assert all(type(f.timestamp) is int for f in loaded)
-        assert [f.window_index for f in loaded] == [0, 1, 2]
         for original, parsed in zip(frames, loaded):
             assert parsed.data.dtype == np.float32
             assert np.array_equal(original.data, parsed.data)
@@ -380,9 +363,9 @@ class TestBuildNasaSplits:
         assert all(np.all(f.data == 201.0) for f in tests["Set2/Ch1"])
         test_labels = set(tests)
         assert all(f.source not in test_labels for f in train)
-        train_ids = {(f.source, f.timestamp, f.window_index) for f in train}
+        train_ids = {(f.source, f.timestamp) for f in train}
         test_ids = {
-            (f.source, f.timestamp, f.window_index)
+            (f.source, f.timestamp)
             for seq in tests.values()
             for f in seq
         }
@@ -393,9 +376,9 @@ class TestBuildNasaSplits:
         train_a, _ = build_nasa_splits(mini_ims, spec, seed=3)
         train_b, _ = build_nasa_splits(mini_ims, spec, seed=3)
         train_c, _ = build_nasa_splits(mini_ims, spec, seed=4)
-        ids_a = [(f.source, f.timestamp, f.window_index) for f in train_a]
-        ids_b = [(f.source, f.timestamp, f.window_index) for f in train_b]
-        ids_c = [(f.source, f.timestamp, f.window_index) for f in train_c]
+        ids_a = [(f.source, f.timestamp) for f in train_a]
+        ids_b = [(f.source, f.timestamp) for f in train_b]
+        ids_c = [(f.source, f.timestamp) for f in train_c]
         assert len(ids_a) == 10
         assert ids_a == ids_b
         assert ids_a != ids_c

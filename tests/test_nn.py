@@ -393,6 +393,11 @@ class TestAdam:
         assert id(params["p"]) == ident
         assert params["p"].dtype == np.float32
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3])
+    def test_learning_rate_must_be_positive(self, lr):
+        with pytest.raises(ConfigurationError, match="learning rate"):
+            nn.AdamState.for_params({"p": np.zeros(2)}, lr=lr)
+
     def test_non_finite_gradient_raises_with_name(self):
         p = np.zeros(2, dtype=np.float64)
         params = {"enc.w": p}

@@ -158,6 +158,8 @@ class TestAlarmConfig:
             {"trigger_sensitized": 0},
             {"trigger_fresh": 12, "trigger_sensitized": 12},
             {"window_len": 15},  # smaller than trigger_fresh
+            {"window_len": 30.0},  # counts must be integers
+            {"trigger_fresh": "16"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -5,6 +5,7 @@ held-out frame ever reaches a gradient step; checkpoint round trips are
 asserted bit-for-bit.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -315,6 +316,32 @@ class TestCheckpoint:
             fh.write(meta)
             fh.write(struct.pack("<I", 0))
         with pytest.raises(CheckpointFormatError, match="missing"):
+            training.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.dcan"
+        stats = training.fit_standardization(easy_frames(4))
+        training.save_checkpoint(dcan.build(tiny_config(), seed=0), stats, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointFormatError, match="trailing bytes"):
+            training.load_checkpoint(path)
+
+    def test_tensor_shape_must_match_metadata(self, tmp_path):
+        # tensors of a (20, 20, 20, 20) model under metadata declaring a
+        # narrower fourth hidden layer
+        path = tmp_path / "model.dcan"
+        stats = training.fit_standardization(easy_frames(4))
+        training.save_checkpoint(dcan.build(tiny_config(), seed=0), stats, path)
+        data = path.read_bytes()
+        meta_end = 12 + struct.unpack_from("<I", data, 8)[0]
+        meta = training.read_checkpoint_metadata(path)
+        meta["config"]["fc_widths"] = [20, 20, 20, 19]
+        blob = json.dumps(meta).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[meta_end:])
+        with pytest.raises(
+            CheckpointFormatError,
+            match=r"tensor 'fc4\.weight' has shape \(\d+, \d+\), expected",
+        ):
             training.load_checkpoint(path)
 
     def test_float64_model_rejected(self, tmp_path):
