@@ -31,7 +31,7 @@ from vibanom.fleet import (
     run_fleet,
     save_fleet_config,
 )
-from vibanom.ingest import Frame, build_nasa_splits, read_frames, write_frames
+from vibanom.ingest import Frame, FrameBlock, build_nasa_splits, read_frames, write_frames
 from vibanom.scoring import (
     AlarmConfig,
     AlarmDecision,
@@ -79,6 +79,7 @@ __all__ = [
     "DimensionError",
     "FleetConfig",
     "Frame",
+    "FrameBlock",
     "HysteresisState",
     "IngestError",
     "NormalSignalSpec",

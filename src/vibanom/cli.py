@@ -61,7 +61,7 @@ def cmd_train(args) -> int:
     frames = read_frames(args.frames)
     batch = stack_frames(frames)
     stats = fit_standardization(batch)
-    model = dcan.build(dcan.DcanConfig(axes=frames[0].axes), seed=args.seed)
+    model = dcan.build(dcan.DcanConfig(axes=frames.axes), seed=args.seed)
     model, history = train(model, batch, stats, TrainConfig(seed=args.seed))
     meta = {
         "seed": args.seed,
@@ -135,11 +135,12 @@ def cmd_monitor(args) -> int:
         raise RoutingError(
             "no predictor for stream file(s): %s" % ", ".join(stray)
         )
+    # paths, not frames: run_fleet reads each stream when its turn comes
     streams = {}
     for spec in fleet.predictors:
         path = stream_dir / (spec.id + ".frames")
         if path.exists():
-            streams[spec.id] = read_frames(path)
+            streams[spec.id] = path
     reports = run_fleet(fleet, streams, log_path=args.out)
     log_path = args.out if args.out else fleet.report_log
     for spec in fleet.predictors:

@@ -90,6 +90,9 @@ class DcanConfig:
             raise ConfigurationError(f"unsupported axis count {self.axes}; expected 1 or 3")
         if self.frame_len < 1:
             raise ConfigurationError(f"frame_len must be positive, got {self.frame_len}")
+        if not (isinstance(self.leaky_slope, (int, float)) and 0.0 <= self.leaky_slope <= 1.0):
+            # nn.leaky_relu is max(x, slope * x), which needs this range
+            raise ConfigurationError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
         if len(self.conv_specs) != 3:
             raise ConfigurationError(f"expected 3 convolution specs, got {len(self.conv_specs)}")
         if len(self.fc_widths) != 4:

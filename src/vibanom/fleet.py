@@ -7,23 +7,35 @@ to a newline-delimited report log whose records round-trip losslessly
 (floats are serialized with repr, which preserves the exact value).
 
 Reconstruction error is computed in standardized space, matching how
-the score normalization was calibrated. A stream is walked in _CHUNK-frame
-slices: each slice is stacked, standardized, reconstructed and reported
-before the next is touched, so the working memory is one chunk's, however
-long the stream.
+the score normalization was calibrated. A stream is a FrameBlock or a
+Sequence[Frame] (run_fleet also takes the path of a FRME file). It is
+ordered by one stable argsort of its timestamps and walked in _CHUNK-frame
+slices of that order: each slice is gathered, stacked, standardized,
+reconstructed and reported before the next is touched, so the working
+memory beyond the stream itself is one chunk's, however long the stream.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from . import dcan
-from .errors import ConfigurationError, DimensionError, ParseError, RoutingError
-from .ingest import Frame, stack_frames
+from .errors import (
+    ConfigurationError,
+    DataWarning,
+    DimensionError,
+    ParseError,
+    RoutingError,
+)
+from .ingest import FrameStream, Frames, frame_stream, read_frames, stack_frames
 from .scoring import (
     AlarmConfig,
     AlarmLevel,
@@ -215,19 +227,62 @@ def parse_report(line: str) -> StatusReport:
         raise ParseError("bad report line %r: %s" % (line, exc)) from None
 
 
+def _torn_line_start(fh) -> Optional[int]:
+    """Byte offset of the last line of a binary log file if it lacks its
+    trailing newline (a write cut short), else None."""
+    end = fh.seek(0, os.SEEK_END)
+    pos = end
+    while pos > 0:
+        step = min(pos, 4096)
+        fh.seek(pos - step)
+        block = fh.read(step)
+        if pos == end and block.endswith(b"\n"):
+            return None
+        cut = block.rfind(b"\n")
+        if cut >= 0:
+            return pos - step + cut + 1
+        pos -= step
+    return 0 if end else None
+
+
+def _warn_torn(path, offset: int, action: str):
+    warnings.warn(
+        "report log %s: %s the torn last line at byte %d (no trailing newline)"
+        % (path, action, offset),
+        DataWarning,
+        stacklevel=3,
+    )
+
+
 def write_report_log(reports: Sequence[StatusReport], path):
-    """Append reports to the log, one line each."""
-    with open(path, "a", encoding="utf-8") as fh:
+    """Append reports to the log, one line each.
+
+    A torn last line already in the log is cut off first, with a
+    DataWarning, so the first new record starts a line of its own.
+    """
+    with open(path, "a+b") as fh:
+        torn = _torn_line_start(fh)
+        if torn is not None:
+            fh.truncate(torn)
+            _warn_torn(path, torn, "cut")
         for report in reports:
-            fh.write(format_report(report) + "\n")
+            fh.write((format_report(report) + "\n").encode("utf-8"))
 
 
 def read_report_log(path) -> List[StatusReport]:
-    reports = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            reports.append(parse_report(line))
-    return reports
+    """Parse every line of a report log.
+
+    A last line without its trailing newline (a write cut short) is
+    dropped with a DataWarning naming its byte offset; a malformed
+    complete line raises ParseError.
+    """
+    with open(path, "rb") as fh:
+        torn = _torn_line_start(fh)
+        fh.seek(0)
+        data = fh.read() if torn is None else fh.read(torn)
+    if torn is not None:
+        _warn_torn(path, torn, "dropped")
+    return [parse_report(line) for line in data.decode("utf-8").splitlines() if line.strip()]
 
 
 def _predictor_from_dict(entry: dict) -> PredictorSpec:
@@ -274,87 +329,94 @@ def load_fleet_config(path) -> FleetConfig:
     return fleet_config_from_dict(data)
 
 
-def _reconstruction_reports(model, stats, frames: Sequence[Frame]):
-    """Stack, standardize, reconstruct and report _CHUNK frames at a time."""
+def _reconstruction_reports(model, stats, stream: FrameStream, order: np.ndarray):
+    """Stack, standardize, reconstruct and report _CHUNK frames at a time,
+    taking the frames in order (an index array)."""
     reports = []
-    for start in range(0, len(frames), _CHUNK):
-        batch = standardize(stack_frames(frames[start:start + _CHUNK]), stats)
+    for start in range(0, len(stream), _CHUNK):
+        batch = standardize(stack_frames(stream[order[start:start + _CHUNK]]), stats)
         reports.extend(dcan.reconstruction_report(batch, dcan.reconstruct(model, batch)))
     return reports
 
 
-def _ordered_stream(spec: PredictorSpec, frames: Sequence[Frame]) -> List[Frame]:
-    ordered = sorted(frames, key=lambda f: f.timestamp)
-    for earlier, later in zip(ordered, ordered[1:]):
-        if later.timestamp == earlier.timestamp:
-            raise RoutingError(
-                "predictor %s got two frames for timestamp %d; one report "
-                "per sampling time" % (spec.id, earlier.timestamp)
-            )
-    return ordered
+def _timestamp_order(spec: PredictorSpec, stream: FrameStream) -> np.ndarray:
+    """The stable timestamp order of stream.
+
+    Two frames with one timestamp are refused: one report per sampling time.
+    """
+    order = np.argsort(stream.timestamps, kind="stable")
+    stamps = stream.timestamps[order]
+    repeats = np.flatnonzero(stamps[1:] == stamps[:-1])
+    if repeats.size:
+        raise RoutingError(
+            "predictor %s got two frames for timestamp %d; one report "
+            "per sampling time" % (spec.id, stamps[repeats[0]])
+        )
+    return order
 
 
-def _check_axes(model, frames: Sequence[Frame], who: str) -> None:
-    """Reject an empty stream, or any frame the checkpoint has the wrong axes for.
+def _scorable(model, frames: Frames, who: str) -> FrameStream:
+    """frames as a stream (ingest.frame_stream) the checkpoint can score.
 
-    who prefixes the message, e.g. "predictor p: ", or is empty. A later
-    frame is named by its index in frames and its timestamp.
+    An empty stream, mixed axis counts or the wrong axis count for the
+    checkpoint is refused; who prefixes the message, e.g. "predictor p: ",
+    or is empty. A mixed stream names the odd frame by its index in frames
+    and its timestamp.
     """
     if len(frames) == 0:
         raise DimensionError("%sthe stream has no frames" % who)
-    axes = model.config.axes
-    if frames[0].axes != axes:
+    try:
+        stream = frame_stream(frames)
+    except DimensionError as exc:
+        raise DimensionError(who + str(exc)) from None
+    if stream.axes != model.config.axes:
         raise ConfigurationError(
             "%scheckpoint expects %d axes but frames have %d"
-            % (who, axes, frames[0].axes)
+            % (who, model.config.axes, stream.axes)
         )
-    for k, frame in enumerate(frames):
-        if frame.axes != axes:
-            raise DimensionError(
-                "%sframe %d (timestamp %d) has %d axes, expected %d"
-                % (who, k, frame.timestamp, frame.axes, axes)
-            )
+    return stream
 
 
-def evaluate_stream(
-    spec: PredictorSpec, model, stats, frames: Sequence[Frame]
-) -> List[StatusReport]:
+def evaluate_stream(spec: PredictorSpec, model, stats, frames: Frames) -> List[StatusReport]:
     """Run one predictor over its frames in timestamp order."""
     if spec.normalization is None:
         raise ConfigurationError(
             "predictor %s has no calibration; run calibrate first" % spec.id
         )
-    _check_axes(model, frames, "predictor %s: " % spec.id)
-    ordered = _ordered_stream(spec, frames)
-    return _status_reports(spec, ordered, _reconstruction_reports(model, stats, ordered))
+    stream = _scorable(model, frames, "predictor %s: " % spec.id)
+    order = _timestamp_order(spec, stream)
+    recon = _reconstruction_reports(model, stats, stream, order)
+    return _status_reports(spec, stream.timestamps[order].tolist(), recon)
 
 
 def evaluate_self_calibrated(
-    spec: PredictorSpec, model, stats, frames: Sequence[Frame]
+    spec: PredictorSpec, model, stats, frames: Frames
 ) -> List[StatusReport]:
     """Run one predictor over frames, calibrated on those same frames.
 
     Each frame is reconstructed once: the total_mse values that fit the
     normalization are the ones scored. spec.normalization is ignored.
     """
-    _check_axes(model, frames, "")
-    ordered = _ordered_stream(spec, frames)
-    recon = _reconstruction_reports(model, stats, ordered)
+    stream = _scorable(model, frames, "")
+    order = _timestamp_order(spec, stream)
+    recon = _reconstruction_reports(model, stats, stream, order)
     norm = calibrate([r.total_mse for r in recon])
-    return _status_reports(replace(spec, normalization=norm), ordered, recon)
+    return _status_reports(
+        replace(spec, normalization=norm), stream.timestamps[order].tolist(), recon
+    )
 
 
-def _status_reports(spec: PredictorSpec, ordered: Sequence[Frame], recon) -> List[StatusReport]:
+def _status_reports(spec: PredictorSpec, stamps: List[int], recon) -> List[StatusReport]:
     """Score reconstructed frames through the predictor's hysteresis window."""
     state = HysteresisState()
     reports = []
-    for frame, rr in zip(ordered, recon):
+    for timestamp, rr in zip(stamps, recon):
         decision, state = evaluate(
             rr.total_mse, spec.normalization, spec.alarm, state
         )
         reports.append(
             StatusReport(
-                timestamp=frame.timestamp,
+                timestamp=timestamp,
                 predictor_id=spec.id,
                 location=spec.location,
                 per_axis_mse=rr.per_axis_mse,
@@ -368,17 +430,32 @@ def _status_reports(spec: PredictorSpec, ordered: Sequence[Frame], recon) -> Lis
     return reports
 
 
+def _run_predictor(spec: PredictorSpec, frames) -> List[StatusReport]:
+    """One predictor's reports; a path is read here, so the stream is
+    dropped when this returns, before the next predictor's is read."""
+    if isinstance(frames, (str, os.PathLike)):
+        frames = read_frames(frames)
+    if len(frames) == 0:
+        return []
+    model, stats = load_checkpoint(spec.checkpoint)
+    return evaluate_stream(spec, model, stats, frames)
+
+
 def run_fleet(
     fleet: FleetConfig,
-    frame_streams: Dict[str, Sequence[Frame]],
+    frame_streams: Dict[str, Union[Frames, str, os.PathLike]],
     log_path=None,
 ) -> List[StatusReport]:
     """Route frame streams to their predictors and append the report log.
 
-    Streams are keyed by predictor id; each predictor processes its
-    frames in timestamp order, independently of the others. Reports are
-    appended to log_path (default: the fleet's report_log) and returned
-    in processing order: fleet order, then frame order.
+    Streams are keyed by predictor id. A stream is a FrameBlock, a
+    Sequence[Frame] or the path of a FRME file; a path is read only when
+    its predictor's turn comes and dropped before the next one's, so the
+    fleet holds one stream at a time. Each predictor processes its frames
+    in timestamp order, independently of the others; an empty stream is
+    skipped. Reports are appended to log_path (default: the fleet's
+    report_log) and returned in processing order: fleet order, then frame
+    order.
     """
     unknown = sorted(set(frame_streams) - {p.id for p in fleet.predictors})
     if unknown:
@@ -387,23 +464,21 @@ def run_fleet(
         )
     all_reports: List[StatusReport] = []
     for spec in fleet.predictors:
-        frames = frame_streams.get(spec.id, ())
-        if not frames:
-            continue
-        model, stats = load_checkpoint(spec.checkpoint)
-        all_reports.extend(evaluate_stream(spec, model, stats, frames))
+        if spec.id in frame_streams:
+            all_reports.extend(_run_predictor(spec, frame_streams[spec.id]))
     destination = fleet.report_log if log_path is None else log_path
     if destination:
         write_report_log(all_reports, destination)
     return all_reports
 
 
-def calibrate_predictor(
-    checkpoint_path, frames: Sequence[Frame]
-) -> ScoreNormalization:
-    """Fit score normalization from normal frames via a checkpoint."""
+def calibrate_predictor(checkpoint_path, frames: Frames) -> ScoreNormalization:
+    """Fit score normalization from normal frames via a checkpoint.
+
+    The frames are reconstructed in the order given.
+    """
     model, stats = load_checkpoint(checkpoint_path)
-    _check_axes(model, frames, "")
-    reports = _reconstruction_reports(model, stats, frames)
+    stream = _scorable(model, frames, "")
+    reports = _reconstruction_reports(model, stats, stream, np.arange(len(stream)))
     return calibrate([r.total_mse for r in reports])
 

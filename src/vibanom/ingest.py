@@ -2,18 +2,22 @@
 
 Raw recordings become Frame objects: A axes x 4096 points of float32
 acceleration, a timestamp and a source label (the IMS channel a frame was
-cut from; frames read back from a FRME file carry none). IMS files are
-whitespace-separated channel columns named by their capture time
-(YYYY.MM.DD.HH.MM.SS, interpreted as UTC for determinism); each channel
-column is cut into non-overlapping FRAME_LEN-point windows. Window k of a
-file gets timestamp file_ts + k: a synthetic one-second tiebreaker that
-keeps per-channel sequences strictly chronological (files are 600 s
-apart, so order is never disturbed).
+cut from). A stream of frames is a FrameBlock: one (N,) column of
+timestamps and one (N, A, 4096) float32 column of samples, checked once
+with vectorised checks; FrameBlock.of stacks a Sequence[Frame] into one.
+IMS files are whitespace-separated channel columns named by their capture
+time (YYYY.MM.DD.HH.MM.SS, interpreted as UTC for determinism); each
+channel column is cut into non-overlapping FRAME_LEN-point windows.
+Window k of a file gets timestamp file_ts + k: a synthetic one-second
+tiebreaker that keeps per-channel sequences strictly chronological (files
+are 600 s apart, so order is never disturbed).
 
 The binary frame format "FRME" is the bit-exact interchange format: one
 packed 13-byte _HEADER record, then one _record_dtype(axes) record per
 frame (a u64 timestamp and the axis-major float32 samples). Those two
 numpy dtypes are the whole layout; every field is little-endian.
+read_frames returns the file as a FrameBlock whose columns are views of
+the one record array it reads.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,17 +84,154 @@ class Frame:
         return int(self.data.shape[0])
 
 
-def stack_frames(frames: Sequence[Frame]) -> np.ndarray:
-    """Stack frames into the model input layout (B, 1, A, 4096)."""
-    if len(frames) == 0:
-        raise DimensionError("cannot stack an empty frame list")
-    axes = frames[0].axes
-    for k, frame in enumerate(frames):
-        if frame.axes != axes:
-            raise DimensionError(
-                "frame %d has %d axes, expected %d" % (k, frame.axes, axes)
+def _timestamp_column(stamps) -> np.ndarray:
+    """Frame timestamps as a u8 column; the first negative one is named."""
+    stamps = np.asarray(stamps)
+    if stamps.ndim != 1 or stamps.dtype.kind not in "iu":
+        raise DimensionError(
+            "timestamps must be a 1-D integer column, got %s of shape %r"
+            % (stamps.dtype, stamps.shape)
+        )
+    if stamps.dtype.kind == "i":
+        negative = np.flatnonzero(stamps < 0)
+        if negative.size:
+            k = int(negative[0])
+            raise ConfigurationError(
+                "frame %d has negative timestamp %d" % (k, stamps[k])
             )
-    return np.stack([f.data for f in frames], dtype=np.float32)[:, None, :, :]
+    return stamps.astype("<u8", copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class FrameBlock:
+    """A stream of N frames held column-wise.
+
+    timestamps is (N,) u8 and data (N, A, 4096) float32; both are checked
+    once, with vectorised checks, and an error names the first bad frame
+    by index (and timestamp). len(block) is N, block.axes is A, block[k]
+    is frame k as a Frame viewing the block's samples, and block[rows]
+    for a slice or an index array is the sub-block of those rows (a view
+    for a slice).
+    """
+
+    timestamps: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        data = np.asarray(self.data, dtype=np.float32)
+        if data.ndim != 3:
+            raise DimensionError(
+                "frame block data must be 3-D (frames, axes, points), got ndim %d"
+                % data.ndim
+            )
+        if data.shape[1] < 1:
+            raise DimensionError("frame needs at least one axis")
+        if data.shape[2] != FRAME_LEN:
+            raise DimensionError(
+                "frame must have exactly %d points per axis, got %d"
+                % (FRAME_LEN, data.shape[2])
+            )
+        stamps = _timestamp_column(self.timestamps)
+        if stamps.shape[0] != data.shape[0]:
+            raise DimensionError(
+                "%d timestamps for %d frames" % (stamps.shape[0], data.shape[0])
+            )
+        finite = np.isfinite(data).all(axis=(1, 2))
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise IngestError(
+                "frame %d (timestamp %d) contains non-finite values" % (k, stamps[k])
+            )
+        object.__setattr__(self, "timestamps", stamps)
+        object.__setattr__(self, "data", data)
+
+    @classmethod
+    def of(cls, frames: Frames) -> "FrameBlock":
+        """frames as one block: a FrameBlock unchanged, a Sequence[Frame] stacked once."""
+        if isinstance(frames, FrameBlock):
+            return frames
+        return _FrameSequence(frames)[:]
+
+    @property
+    def axes(self) -> int:
+        return int(self.data.shape[1])
+
+    def __len__(self) -> int:
+        return int(self.data.shape[0])
+
+    @classmethod
+    def _checked(cls, timestamps: np.ndarray, data: np.ndarray) -> "FrameBlock":
+        """A block of columns that already pass every check, built without
+        checking them again (rows of a block, stacks of Frames)."""
+        block = object.__new__(cls)
+        object.__setattr__(block, "timestamps", timestamps)
+        object.__setattr__(block, "data", data)
+        return block
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return Frame(data=self.data[key], timestamp=int(self.timestamps[key]))
+        return FrameBlock._checked(self.timestamps[key], self.data[key])
+
+    def __iter__(self) -> Iterator[Frame]:
+        return (self[k] for k in range(len(self)))
+
+
+Frames = Union[FrameBlock, Sequence[Frame]]
+
+
+class _FrameSequence:
+    """A Sequence[Frame] behind FrameBlock's stream interface.
+
+    Its timestamps and axis count are taken up front; stream[rows] stacks
+    only those rows into a FrameBlock, so a walk over it in slices holds
+    one slice's copy of the samples at a time, never the whole stream's.
+    """
+
+    def __init__(self, frames: Sequence[Frame]):
+        if len(frames) == 0:
+            raise DimensionError("cannot stack an empty frame list")
+        axes = frames[0].axes
+        for k, frame in enumerate(frames):
+            if frame.axes != axes:
+                raise DimensionError(
+                    "frame %d (timestamp %d) has %d axes, expected %d"
+                    % (k, frame.timestamp, frame.axes, axes)
+                )
+        self.frames = frames
+        self.axes = axes
+        self.timestamps = _timestamp_column([f.timestamp for f in frames])
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, rows) -> FrameBlock:
+        # each Frame checked its samples and __init__ checked the rest
+        picked = np.arange(len(self.frames))[rows]
+        return FrameBlock._checked(
+            self.timestamps[rows], np.stack([self.frames[k].data for k in picked])
+        )
+
+
+FrameStream = Union[FrameBlock, _FrameSequence]
+
+
+def frame_stream(frames: Frames) -> FrameStream:
+    """frames as a stream that slices into FrameBlocks.
+
+    A FrameBlock is returned unchanged; a non-empty Sequence[Frame] is
+    wrapped so that each slice is stacked only when it is taken. Either
+    has timestamps, axes, len() and [rows] -> FrameBlock.
+    """
+    return frames if isinstance(frames, FrameBlock) else _FrameSequence(frames)
+
+
+def stack_frames(frames: Frames) -> np.ndarray:
+    """Stack frames into the model input layout (B, 1, A, 4096), C-contiguous."""
+    block = FrameBlock.of(frames)
+    if len(block) == 0:
+        raise DimensionError("cannot stack an empty frame list")
+    return np.ascontiguousarray(block.data)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,8 +526,9 @@ def _record_dtype(axes: int) -> np.dtype:
     return np.dtype([("ts", "<u8"), ("data", "<f4", (axes, FRAME_LEN))])
 
 
-def write_frames(path, frames: Sequence[Frame]):
-    """Write frames to the FRME binary format (bit-exact)."""
+def write_frames(path, frames: Frames):
+    """Write frames (a FrameBlock or a Sequence[Frame]) to the FRME binary
+    format (bit-exact)."""
     frames = list(frames)
     if not frames:
         raise DimensionError("refusing to write an empty frame file")
@@ -412,8 +554,12 @@ def write_frames(path, frames: Sequence[Frame]):
             fh.write(record)
 
 
-def read_frames(path) -> List[Frame]:
-    """Read a FRME binary file; values round-trip bit-identically."""
+def read_frames(path) -> FrameBlock:
+    """Read a FRME binary file; values round-trip bit-identically.
+
+    The block's timestamps and samples are views of the one record array
+    read from the file: no per-frame objects, no copy.
+    """
     with open(path, "rb") as fh:
         header = np.fromfile(fh, dtype=_HEADER, count=1)
         if header.size < 1:
@@ -439,7 +585,7 @@ def read_frames(path) -> List[Frame]:
                 "%s: truncated frame record (%d stray bytes)" % (path, stray)
             )
         records = np.fromfile(fh, dtype=record)
-    return [
-        Frame(data=data, timestamp=ts)
-        for ts, data in zip(records["ts"].tolist(), records["data"])
-    ]
+    try:
+        return FrameBlock(timestamps=records["ts"], data=records["data"])
+    except IngestError as exc:
+        raise IngestError("%s: %s" % (path, exc)) from None

@@ -420,8 +420,12 @@ def dense_backward(
 
 
 def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    """Elementwise x if x >= 0 else slope * x."""
-    return np.where(x >= 0, x, x * slope)
+    """Elementwise x if x >= 0 else slope * x, for 0 <= slope <= 1.
+
+    In that range max(x, slope * x) picks the same value bit for bit,
+    signed zeros included, without a per-element branch.
+    """
+    return np.maximum(x, x * slope)
 
 
 def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.01) -> np.ndarray:

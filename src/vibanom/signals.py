@@ -153,6 +153,25 @@ def dominant_frequency(spectrum: Spectrum) -> float:
     return float(spectrum.bin_freqs[k])
 
 
+def _component_stack(spec: NormalSignalSpec) -> np.ndarray:
+    """The phase-locked deterministic part of every healthy draw."""
+    spec.validate(DEFAULT_SAMPLE_RATE / 2.0)
+    t = np.arange(MODEL_FRAME_LEN) / DEFAULT_SAMPLE_RATE
+    x = np.zeros(MODEL_FRAME_LEN, dtype=np.float64)
+    for freq, amp in spec.components():
+        if amp > 0:
+            x += amp * np.sin(2.0 * np.pi * freq * t)
+    return x
+
+
+def _draw(spec: NormalSignalSpec, stack: np.ndarray, seed) -> np.ndarray:
+    """stack plus one seeded noise draw, as a new float64 array."""
+    x = stack.copy()
+    if spec.noise_std > 0:
+        x += np.random.default_rng(seed).normal(0.0, spec.noise_std, MODEL_FRAME_LEN)
+    return x
+
+
 def synth_normal(spec: NormalSignalSpec, seed) -> Waveform:
     """One healthy waveform draw: MODEL_FRAME_LEN samples at DEFAULT_SAMPLE_RATE.
 
@@ -163,16 +182,7 @@ def synth_normal(spec: NormalSignalSpec, seed) -> Waveform:
     budget, and anomaly generators perturb them the same way they would
     free-running frames. Reproducible per seed.
     """
-    spec.validate(DEFAULT_SAMPLE_RATE / 2.0)
-    rng = np.random.default_rng(seed)
-    t = np.arange(MODEL_FRAME_LEN) / DEFAULT_SAMPLE_RATE
-    x = np.zeros(MODEL_FRAME_LEN, dtype=np.float64)
-    for freq, amp in spec.components():
-        if amp > 0:
-            x += amp * np.sin(2.0 * np.pi * freq * t)
-    if spec.noise_std > 0:
-        x += rng.normal(0.0, spec.noise_std, MODEL_FRAME_LEN)
-    return Waveform(x)
+    return Waveform(_draw(spec, _component_stack(spec), seed))
 
 
 def synth_normal_frames(spec: NormalSignalSpec, count: int, axes: int, seed) -> np.ndarray:
@@ -180,15 +190,14 @@ def synth_normal_frames(spec: NormalSignalSpec, count: int, axes: int, seed) -> 
 
     Every axis of every frame shares the phase-locked component stack
     and gets an independent noise draw, all seeded from one root seed
-    for reproducibility.
+    for reproducibility. Each waveform equals synth_normal's draw for its
+    child seed; the stack is computed once per call.
     """
+    stack = _component_stack(spec)
     children = np.random.SeedSequence(seed).spawn(count * axes)
     frames = np.empty((count, 1, axes, MODEL_FRAME_LEN), dtype=np.float32)
-    k = 0
-    for f in range(count):
-        for a in range(axes):
-            frames[f, 0, a] = synth_normal(spec, children[k]).samples
-            k += 1
+    for k, child in enumerate(children):
+        frames[k // axes, 0, k % axes] = _draw(spec, stack, child)
     return frames
 
 

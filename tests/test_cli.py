@@ -6,13 +6,14 @@ checkpoint, small FRME files of noise frames, and a miniature IMS tree.
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vibanom import dcan
 from vibanom.cli import main
-from vibanom.errors import AliasingWarning
+from vibanom.errors import AliasingWarning, DataWarning
 from vibanom.fleet import (
     FleetConfig,
     PredictorSpec,
@@ -229,6 +230,84 @@ class TestMonitor:
         assert "motor-left: 6 frames" in out
         log_lines = (tmp_path / "fleet.log").read_text().strip().splitlines()
         assert len(log_lines) == 6
+
+    def test_monitor_holds_one_stream_at_a_time(self, checkpoint, tmp_path, capsys):
+        names = ("s1", "s2", "s3", "s4", "s5", "s6")
+        specs = tuple(
+            PredictorSpec(
+                id=name, location=name, checkpoint=checkpoint,
+                normalization=ScoreNormalization(mu=1.0, sigma=0.5),
+            )
+            for name in names
+        )
+        save_fleet_config(FleetConfig(predictors=specs), tmp_path / "fleet.json")
+        for count in (1, 6):
+            streams = tmp_path / ("streams%d" % count)
+            streams.mkdir()
+            for k, name in enumerate(names[:count]):
+                frames_file(streams / (name + ".frames"), seed=40 + k, count=100)
+
+        def peak(count):
+            argv = ["monitor", "--config", str(tmp_path / "fleet.json"),
+                    "--frames", str(tmp_path / ("streams%d" % count)),
+                    "--out", str(tmp_path / ("r%d.log" % count))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(6) <= 1.3 * peak(1)
+        assert "report log: %s (600 reports appended)" % (tmp_path / "r6.log") in capsys.readouterr().out
+
+    def test_monitor_appends_after_a_torn_line(self, checkpoint, tmp_path, capsys):
+        config_path = self.make_fleet(checkpoint, tmp_path)
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        frames_file(streams / "motor-left.frames", seed=9, count=12)
+        argv = ["monitor", "--config", str(config_path), "--frames", str(streams)]
+        assert main(argv) == 0
+        log = tmp_path / "fleet.log"
+        whole = log.read_bytes()
+        log.write_bytes(whole[:2000])  # a write cut short mid-line
+        kept = whole[:2000].rfind(b"\n") + 1
+        with pytest.warns(DataWarning, match="byte %d" % kept):
+            assert main(argv) == 0
+        assert log.read_bytes() == whole[:kept] + whole
+        out_csv = tmp_path / "timeline.csv"
+        assert main(["export-plot", str(log), "--out", str(out_csv)]) == 0
+        assert len(out_csv.read_text().splitlines()) == 1 + whole[:kept].count(b"\n") + 12
+
+    def test_truncated_later_stream_fails_before_any_log_write(
+        self, checkpoint, tmp_path, capsys
+    ):
+        specs = tuple(
+            PredictorSpec(
+                id=name, location=name, checkpoint=checkpoint,
+                normalization=ScoreNormalization(mu=1.0, sigma=0.5),
+            )
+            for name in ("first", "second")
+        )
+        config_path = tmp_path / "fleet.json"
+        save_fleet_config(FleetConfig(predictors=specs), config_path)
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        frames_file(streams / "first.frames", seed=21, count=4)
+        second = streams / "second.frames"
+        frames_file(second, seed=22, count=4)
+        second.write_bytes(second.read_bytes()[:-5])
+        log = tmp_path / "out.log"
+        rc = main(
+            ["monitor", "--config", str(config_path), "--frames", str(streams),
+             "--out", str(log)]
+        )
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ParseError:")
+        assert "truncated frame record" in lines[0]
+        assert not log.exists()
 
     def test_stray_stream_file(self, checkpoint, tmp_path, capsys):
         config_path = self.make_fleet(checkpoint, tmp_path)

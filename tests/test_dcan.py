@@ -6,6 +6,8 @@ spot-checked against finite differences (the full parameter sweep runs in
 the acceptance suite).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,11 @@ class TestParameters:
     def test_unsupported_axis_count(self):
         with pytest.raises(ConfigurationError):
             dcan.build(dcan.DcanConfig(axes=2), seed=0)
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan"), "0.01"])
+    def test_leaky_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ConfigurationError, match="leaky_slope"):
+            dcan.build(replace(tiny_config(), leaky_slope=slope), seed=0)
 
 
 class TestForward:

@@ -10,6 +10,7 @@ from helpers.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from vibanom import dcan
 from vibanom.errors import (
     CalibrationError,
     ConfigurationError,
+    DataWarning,
     DimensionError,
     ParseError,
     RoutingError,
@@ -28,6 +30,7 @@ from vibanom.fleet import (
     StatusReport,
     calibrate_predictor,
     default_fleet_config,
+    evaluate_self_calibrated,
     evaluate_stream,
     fleet_config_from_dict,
     format_report,
@@ -38,7 +41,7 @@ from vibanom.fleet import (
     save_fleet_config,
     write_report_log,
 )
-from vibanom.ingest import FRAME_LEN, Frame, stack_frames
+from vibanom.ingest import FRAME_LEN, Frame, FrameBlock, read_frames, stack_frames, write_frames
 from vibanom.scoring import AlarmConfig, AlarmLevel, ScoreNormalization
 from vibanom.training import (
     StandardizationStats,
@@ -539,3 +542,100 @@ class TestRunFleet:
         run_fleet(fleet, {"motor-left": make_frames(seed=14, count=2)}, log_path=str(override))
         assert override.exists()
         assert not (tmp_path / "default.log").exists()
+
+
+class TestStreamForms:
+    """A list of Frames, a FrameBlock and a FRME file score alike.
+
+    The counts sit at and across the 64-frame chunk boundary; the file is
+    written in shuffled order, so scoring it walks gathered chunks.
+    """
+
+    def outcome(self, fn, *args):
+        try:
+            return fn(*args)
+        except CalibrationError as exc:
+            return ("CalibrationError", str(exc))
+
+    @pytest.mark.parametrize("count", [1, 64, 65, 203])
+    def test_list_block_and_shuffled_file_agree(self, checkpoint, tmp_path, count):
+        model, stats = load_checkpoint(checkpoint)
+        frames = make_frames(seed=20, count=count)
+        block = FrameBlock.of(frames)
+        shuffled = [frames[k] for k in np.random.default_rng(21).permutation(count)]
+        write_frames(tmp_path / "in_order.frames", frames)
+        write_frames(tmp_path / "shuffled.frames", shuffled)
+        from_file = read_frames(tmp_path / "shuffled.frames")
+        spec = PredictorSpec(
+            id="motor-left", location="motor-left", checkpoint=checkpoint,
+            normalization=ScoreNormalization(mu=1.0, sigma=0.5),
+        )
+        for score in (evaluate_stream, evaluate_self_calibrated):
+            want = self.outcome(score, spec, model, stats, frames)
+            for form in (block, shuffled, from_file):
+                assert self.outcome(score, spec, model, stats, form) == want
+        # calibration takes the frames in the order given
+        want = self.outcome(calibrate_predictor, checkpoint, frames)
+        for form in (block, read_frames(tmp_path / "in_order.frames")):
+            assert self.outcome(calibrate_predictor, checkpoint, form) == want
+        fleet = one_predictor_fleet(checkpoint, spec.normalization, tmp_path / "r.log")
+        want = run_fleet(fleet, {"motor-left": frames}, log_path="")
+        assert want == evaluate_stream(spec, model, stats, frames)
+        for form in (block, from_file, tmp_path / "shuffled.frames", str(tmp_path / "shuffled.frames")):
+            assert run_fleet(fleet, {"motor-left": form}, log_path="") == want
+
+    def test_header_only_file_is_an_empty_stream(self, checkpoint, tmp_path):
+        path = tmp_path / "empty.frames"
+        path.write_bytes(b"FRME\x01\x00\x00\x00\x03\x00\x10\x00\x00")
+        fleet = one_predictor_fleet(checkpoint, ScoreNormalization(mu=1.0, sigma=0.5), tmp_path / "r.log")
+        assert run_fleet(fleet, {"motor-left": path}) == []
+
+
+class TestTornLog:
+    """A report log whose last write was cut short mid-line."""
+
+    def torn_log(self, checkpoint, tmp_path):
+        log = tmp_path / "r.log"
+        fleet = one_predictor_fleet(checkpoint, ScoreNormalization(mu=1.0, sigma=0.5), log)
+        reports = run_fleet(fleet, {"motor-left": make_frames(seed=30, count=12)})
+        whole = log.read_bytes()
+        lines = whole.splitlines(keepends=True)
+        cut = sum(len(line) for line in lines[:9]) + len(lines[9]) // 2
+        log.write_bytes(whole[:cut])
+        return log, reports, cut - len(lines[9]) // 2
+
+    def test_reader_drops_the_torn_line(self, checkpoint, tmp_path):
+        log, reports, offset = self.torn_log(checkpoint, tmp_path)
+        with pytest.warns(DataWarning, match="torn last line at byte %d" % offset):
+            assert read_report_log(log) == reports[:9]
+
+    def test_reader_still_rejects_a_malformed_complete_line(self, checkpoint, tmp_path):
+        log, _, _ = self.torn_log(checkpoint, tmp_path)
+        log.write_bytes(log.read_bytes() + b"\n")
+        with pytest.raises(ParseError):
+            read_report_log(log)
+
+    def test_whole_log_reads_without_warning(self, checkpoint, tmp_path):
+        log = tmp_path / "r.log"
+        fleet = one_predictor_fleet(checkpoint, ScoreNormalization(mu=1.0, sigma=0.5), log)
+        reports = run_fleet(fleet, {"motor-left": make_frames(seed=31, count=3)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_report_log(log) == reports
+
+    def test_writer_cuts_the_torn_line_before_appending(self, checkpoint, tmp_path):
+        log, reports, offset = self.torn_log(checkpoint, tmp_path)
+        with pytest.warns(DataWarning, match="byte %d" % offset):
+            write_report_log(reports[9:], log)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_report_log(log) == reports
+
+    def test_log_of_one_torn_line(self, tmp_path):
+        log = tmp_path / "r.log"
+        log.write_bytes(b"ts:1 predictor")
+        with pytest.warns(DataWarning, match="byte 0"):
+            assert read_report_log(log) == []
+        with pytest.warns(DataWarning, match="byte 0"):
+            write_report_log([], log)
+        assert log.read_bytes() == b""

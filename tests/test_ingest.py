@@ -22,6 +22,7 @@ from vibanom.errors import (
 from vibanom.ingest import (
     FRAME_LEN,
     Frame,
+    FrameBlock,
     ImsRecording,
     SplitSpec,
     build_nasa_splits,
@@ -84,6 +85,73 @@ class TestStackFrames:
         frames = [random_frame(rng, axes=3), random_frame(rng, axes=1)]
         with pytest.raises(DimensionError, match="frame 1"):
             stack_frames(frames)
+
+
+class TestFrameBlock:
+    def test_of_stacks_a_sequence_and_passes_a_block(self):
+        rng = np.random.default_rng(1)
+        frames = [random_frame(rng, timestamp=5 + i) for i in range(4)]
+        block = FrameBlock.of(frames)
+        assert len(block) == 4 and block.axes == 3
+        assert block.data.shape == (4, 3, FRAME_LEN)
+        assert block.timestamps.tolist() == [5, 6, 7, 8]
+        assert FrameBlock.of(block) is block
+        frame = block[2]
+        assert isinstance(frame, Frame) and type(frame.timestamp) is int
+        assert frame.timestamp == 7
+        assert np.shares_memory(frame.data, block.data)
+        assert [f.timestamp for f in block] == [5, 6, 7, 8]
+        part = block[1:3]
+        assert part.timestamps.tolist() == [6, 7]
+        assert np.shares_memory(part.data, block.data)
+
+    def test_of_names_the_frame_with_other_axes(self):
+        rng = np.random.default_rng(2)
+        frames = [random_frame(rng, timestamp=10 + i) for i in range(3)]
+        frames.append(random_frame(rng, axes=1, timestamp=13))
+        with pytest.raises(
+            DimensionError, match=r"^frame 3 \(timestamp 13\) has 1 axes, expected 3$"
+        ):
+            FrameBlock.of(frames)
+
+    def test_checks(self):
+        data = np.zeros((2, 3, FRAME_LEN), dtype=np.float32)
+        with pytest.raises(DimensionError, match="3-D"):
+            FrameBlock(np.arange(2), data[0])
+        with pytest.raises(DimensionError, match="4096"):
+            FrameBlock(np.arange(2), data[:, :, :-1])
+        with pytest.raises(DimensionError, match="at least one axis"):
+            FrameBlock(np.arange(2), data[:, :0])
+        with pytest.raises(DimensionError, match="3 timestamps for 2 frames"):
+            FrameBlock(np.arange(3), data)
+        with pytest.raises(ConfigurationError, match="frame 1 has negative timestamp -4"):
+            FrameBlock(np.array([3, -4]), data)
+        data[1, 2, 77] = np.inf
+        with pytest.raises(IngestError, match=r"frame 1 \(timestamp 9\) contains non-finite"):
+            FrameBlock(np.array([8, 9]), data)
+
+    def test_read_frames_names_a_nan_frame(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "frames.bin"
+        write_frames(path, [random_frame(rng, timestamp=40 + i) for i in range(5)])
+        blob = bytearray(path.read_bytes())
+        record = 8 + 3 * FRAME_LEN * 4
+        struct.pack_into("<f", blob, 13 + 3 * record + 8 + 4 * 5000, np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IngestError, match=r"frame 3 \(timestamp 43\) contains non-finite"):
+            read_frames(path)
+
+    def test_read_frames_views_one_record_array(self, tmp_path):
+        rng = np.random.default_rng(4)
+        frames = [random_frame(rng, timestamp=i) for i in range(3)]
+        path = tmp_path / "frames.bin"
+        write_frames(path, frames)
+        block = read_frames(path)
+        assert isinstance(block, FrameBlock)
+        assert block.timestamps.base is block.data.base
+        assert np.array_equal(block.data, np.stack([f.data for f in frames]))
+        write_frames(tmp_path / "again.bin", block)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 class TestTimestampFromFilename:
@@ -288,7 +356,7 @@ class TestFrameFileRoundTrip:
     def test_header_only_file_reads_as_no_frames(self, tmp_path):
         path = tmp_path / "frames.bin"
         path.write_bytes(b"FRME" + struct.pack("<IBI", 1, 3, FRAME_LEN))
-        assert read_frames(path) == []
+        assert len(read_frames(path)) == 0
 
     def test_write_rejects_empty_and_mixed(self, tmp_path):
         rng = np.random.default_rng(11)

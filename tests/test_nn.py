@@ -317,6 +317,18 @@ class TestLeakyRelu:
         assert nn.leaky_relu(x).dtype == np.float32
         assert nn.leaky_relu_backward(x, x).dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+    def test_bit_equal_to_the_branch_form(self, dtype, slope):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(4096).astype(dtype)
+        x[:4] = [0.0, -0.0, 1e-40, -1e-40]
+        want = np.where(x >= 0, x, x * slope)
+        got = nn.leaky_relu(x, slope)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_gradcheck_away_from_kink(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(20)

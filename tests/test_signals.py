@@ -138,6 +138,27 @@ class TestSynthNormal:
         assert not np.array_equal(frames[0, 0, 0], frames[0, 0, 1])
         assert not np.array_equal(frames[0, 0, 0], frames[1, 0, 0])
 
+    @pytest.mark.parametrize("axes", [1, 3])
+    def test_frames_equal_single_draws(self, axes):
+        # the reference rebuilds each draw from its definition: the
+        # phase-locked sines summed in float64, then the seeded noise
+        spec = NormalSignalSpec()
+        t = np.arange(4096) / 1024.0
+
+        def draw(seed):
+            x = np.zeros(4096)
+            for freq, amp in spec.components():
+                x += amp * np.sin(2.0 * np.pi * freq * t)
+            return x + np.random.default_rng(seed).normal(0.0, spec.noise_std, 4096)
+
+        children = np.random.SeedSequence([4, 2]).spawn(3 * axes)
+        draws = np.stack([draw(c) for c in children])
+        singles = np.stack([signals.synth_normal(spec, c).samples for c in children])
+        assert singles.tobytes() == draws.tobytes()
+        frames = signals.synth_normal_frames(spec, count=3, axes=axes, seed=[4, 2])
+        want = draws.astype(np.float32).reshape(3, 1, axes, 4096)
+        assert frames.tobytes() == want.tobytes()
+
 
 class TestTimeScale:
     def test_compression_doubles_frequency(self):
