@@ -84,8 +84,26 @@ class DcanConfig:
         self.conv_specs = tuple(self.conv_specs)
         self.fc_widths = tuple(self.fc_widths)
 
+    def _check_types(self) -> None:
+        """Every size is an int (not a bool), so a checkpoint's metadata
+        of the wrong type fails here rather than deep in a comparison."""
+        fields = [("axes", self.axes), ("frame_len", self.frame_len)]
+        for i, spec in enumerate(self.conv_specs, start=1):
+            fields += [(f"conv{i}.in_channels", spec.in_channels),
+                       (f"conv{i}.out_channels", spec.out_channels)]
+            for name in ("kernel", "stride"):
+                pair = getattr(spec, name)
+                if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                    raise ConfigurationError(f"conv{i}.{name} must be a pair of ints, got {pair!r}")
+                fields += [(f"conv{i}.{name}", v) for v in pair]
+        fields += [(f"fc_widths[{i}]", w) for i, w in enumerate(self.fc_widths)]
+        for name, value in fields:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
+
     def validate(self) -> None:
         """Raise ConfigurationError unless the layer table chains exactly."""
+        self._check_types()
         if self.axes not in (1, 3):
             raise ConfigurationError(f"unsupported axis count {self.axes}; expected 1 or 3")
         if self.frame_len < 1:
@@ -137,6 +155,9 @@ class DcanConfig:
         c, h, w = self.latent_shape
         return c * h * w
 
+
+# frames whose squared errors reconstruction_report holds in float64 at once
+_REPORT_GROUP = 8
 
 # The two layers with no LeakyReLU after them: the auto-encoder's output
 # code and the reconstruction itself.
@@ -257,18 +278,38 @@ def reconstruct(model: DcanModel, frames: np.ndarray) -> np.ndarray:
     return _walk(model, frames)
 
 
-def reconstruction_report(inputs: np.ndarray, reconstructions: np.ndarray) -> list:
-    """One ReconstructionReport per frame of a (B, 1, A, L) batch."""
+def _report_scratch(inputs: np.ndarray) -> np.ndarray:
+    """reconstruction_report's float64 buffer for inputs: up to
+    _REPORT_GROUP frames shaped like inputs' frames."""
+    return np.empty((min(len(inputs), _REPORT_GROUP),) + inputs.shape[1:], np.float64)
+
+
+def reconstruction_report(inputs: np.ndarray, reconstructions: np.ndarray, *,
+                          _scratch: np.ndarray | None = None) -> list:
+    """One ReconstructionReport per frame of a (B, 1, A, L) batch.
+
+    The squared errors are formed in float64, _REPORT_GROUP frames at a
+    time, in one reused buffer. Each frame's means are its own, so the
+    grouping does not change them. _scratch is that buffer, allocated by
+    _report_scratch(inputs); only fleet's scoring walk passes it, so that
+    it holds the buffer before its first-round rendezvous.
+    """
     if inputs.shape != reconstructions.shape:
         raise DimensionError(
             f"input shape {inputs.shape} != reconstruction shape {reconstructions.shape}"
         )
     if inputs.ndim != 4 or inputs.shape[1] != 1:
         raise DimensionError(f"expected (B, 1, A, L) tensors, got {inputs.shape}")
-    sq = np.subtract(inputs, reconstructions, dtype=np.float64)
-    np.square(sq, out=sq)
-    per_axis = sq[:, 0].mean(axis=2).tolist()
-    totals = sq.reshape(sq.shape[0], -1).mean(axis=1).tolist()
+    buf = _report_scratch(inputs) if _scratch is None else _scratch
+    per_axis, totals = [], []
+    for start in range(0, len(inputs), _REPORT_GROUP):
+        part = inputs[start:start + _REPORT_GROUP]
+        sq = buf[:len(part)]
+        np.copyto(sq, part)
+        sq -= reconstructions[start:start + _REPORT_GROUP]
+        np.square(sq, out=sq)
+        per_axis += sq[:, 0].mean(axis=2).tolist()
+        totals += sq.reshape(len(sq), -1).mean(axis=1).tolist()
     return [ReconstructionReport(tuple(a), t) for a, t in zip(per_axis, totals)]
 
 

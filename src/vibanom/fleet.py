@@ -9,17 +9,31 @@ to a newline-delimited report log whose records round-trip losslessly
 Reconstruction error is computed in standardized space, matching how
 the score normalization was calibrated. A stream is a FrameBlock or a
 Sequence[Frame] (run_fleet also takes the path of a FRME file). It is
-ordered by one stable argsort of its timestamps and walked in _CHUNK-frame
-slices of that order: each slice is gathered, stacked, standardized,
-reconstructed and reported before the next is touched, so the working
-memory beyond the stream itself is one chunk's, however long the stream.
+ordered by one stable argsort of its timestamps and cut into fixed
+_TASK-frame slices of that order. Each slice is one task: gather, stack,
+standardize, reconstruct and report its frames. The tasks are taken in
+order by one thread per usable CPU (_worker_count), the caller included,
+and their reports are joined in task order, so the reports, and the first
+error in that order, are those of a sequential walk. At most _IN_FLIGHT
+frames are being worked on at once, so the working memory beyond the
+stream itself is bounded by that, however long the stream.
+
+While the tasks run, OpenBLAS is pinned to one thread (vibanom.blas) and
+its count is restored afterwards. The workers then share the cores
+without BLAS threads competing for them, and since the GEMM shapes are
+fixed by _TASK alone, the report bits are the same for any worker count.
+They are the same for any number of cores only where OpenBLAS is found
+and pinned: with another BLAS (or no /proc) there is one worker and the
+BLAS keeps its own threads, so the last digits can depend on the cores.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
+import threading
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -27,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import dcan
+from . import blas, dcan
 from .errors import (
     ConfigurationError,
     DataWarning,
@@ -55,8 +69,27 @@ DEFAULT_LOCATIONS = (
     "cylinder-right",
 )
 
-# frames per stack/standardize/reconstruct/report step
-_CHUNK = 64
+# frames per scoring task; a constant, so the GEMM shapes, and with them
+# the report bits, do not depend on the worker count
+_TASK = 16
+# frames being scored at once, at most, whatever the machine
+_IN_FLIGHT = 64
+
+
+def _worker_count() -> int:
+    """One scoring worker per usable CPU, up to _IN_FLIGHT // _TASK.
+
+    Without an OpenBLAS to pin, the workers' GEMMs would compete with
+    BLAS threads for the cores, which measured slower than one worker.
+    """
+    if blas.thread_count() is None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _IN_FLIGHT // _TASK)
+
 
 # report lines are space-separated key:value pairs, so these tokens must
 # stay free of spaces and colons
@@ -329,14 +362,79 @@ def load_fleet_config(path) -> FleetConfig:
     return fleet_config_from_dict(data)
 
 
+def _task_reports(model, stats, stream: FrameStream, rows: np.ndarray, meet=None):
+    """Stack, standardize, reconstruct and report the frames at rows,
+    calling meet(), if given, once the report's working set is allocated."""
+    batch = standardize(stack_frames(stream[rows]), stats)
+    recon = dcan.reconstruct(model, batch)
+    scratch = dcan._report_scratch(batch)
+    if meet is not None:
+        meet()
+    return dcan.reconstruction_report(batch, recon, _scratch=scratch)
+
+
 def _reconstruction_reports(model, stats, stream: FrameStream, order: np.ndarray):
-    """Stack, standardize, reconstruct and report _CHUNK frames at a time,
-    taking the frames in order (an index array)."""
-    reports = []
-    for start in range(0, len(stream), _CHUNK):
-        batch = standardize(stack_frames(stream[order[start:start + _CHUNK]]), stats)
-        reports.extend(dcan.reconstruction_report(batch, dcan.reconstruct(model, batch)))
-    return reports
+    """One ReconstructionReport per frame, taking the frames in order (an
+    index array).
+
+    The _TASK-frame tasks are taken in order by `workers` threads, the
+    calling thread among them. When a task raises, the threads take only
+    tasks before the first failing one. Tasks are taken in order, so every
+    task a sequential walk would run before its error runs, and the error
+    raised, the first in task order, is the one it would raise.
+
+    The first task of each thread waits at a barrier once it holds its
+    report working set (standardized frames, reconstruction, report
+    buffer), so every walk reaches `workers` such sets at once. This is
+    for the peak memory's sake, not speed: without it the peak of a short
+    walk depends on whether the threads' peaks happen to overlap. Later
+    tasks do not wait for each other.
+    """
+    tasks = [order[start:start + _TASK] for start in range(0, len(order), _TASK)]
+    workers = min(_worker_count(), len(tasks))
+    results: list = [None] * len(tasks)
+    errors = {}  # task index -> its exception, under lock
+    lock = threading.Lock()
+    taken = itertools.count()
+    first_round = threading.Barrier(workers)
+
+    def meet():
+        try:
+            first_round.wait()
+        except threading.BrokenBarrierError:
+            pass  # a task failed: go on alone
+
+    def work():
+        while True:
+            k = next(taken)
+            with lock:
+                if k >= len(tasks) or (errors and k > min(errors)):
+                    return
+            try:
+                results[k] = _task_reports(
+                    model, stats, stream, tasks[k], meet if k < workers else None
+                )
+            except BaseException as exc:
+                with lock:
+                    errors[k] = exc
+                first_round.abort()
+
+    with blas.one_thread():
+        threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+        try:
+            for thread in threads:
+                thread.start()
+            work()
+        finally:
+            # frees a thread still waiting, which only a caller that
+            # failed outside a task can leave behind
+            first_round.abort()
+            for thread in threads:
+                if thread.ident is not None:  # started
+                    thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return [report for part in results for report in part]
 
 
 def _timestamp_order(spec: PredictorSpec, stream: FrameStream) -> np.ndarray:

@@ -430,15 +430,22 @@ def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
 
 def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.01) -> np.ndarray:
     """Upstream scaled by 1 where x >= 0 (including exactly 0) else by slope."""
-    dt = x.dtype.type
-    return upstream * np.where(x >= 0, dt(1.0), dt(slope))
+    # max(1, slope) = 1 and max(0, slope) = slope for 0 <= slope <= 1, which
+    # DcanConfig.validate enforces; this is branch-free, unlike np.where
+    d = (x >= 0).astype(x.dtype)
+    np.maximum(d, slope, out=d)
+    d *= upstream
+    return d
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean over all elements of the squared difference."""
     if a.shape != b.shape:
         raise DimensionError(f"mse operands have different shapes: {a.shape} vs {b.shape}")
-    d = np.subtract(a, b, dtype=np.float64)
+    # a cast copy, then an in-place subtract: np.subtract(..., dtype=float64)
+    # gives the same bits through a slower buffered cast
+    d = a.astype(np.float64)
+    d -= b
     np.square(d, out=d)
     return float(d.mean())
 

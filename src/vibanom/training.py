@@ -142,7 +142,9 @@ def standardize(frames: np.ndarray, stats: StandardizationStats) -> np.ndarray:
         raise DimensionError(f"frames have {frames.shape[2]} axes, stats cover {stats.axes}")
     mean = stats.per_axis_mean.astype(frames.dtype)[None, None, :, None]
     std = stats.per_axis_std.astype(frames.dtype)[None, None, :, None]
-    return (frames - mean) / std
+    out = frames - mean
+    out /= std
+    return out
 
 
 def should_stop(val_losses, patience: int) -> bool:

@@ -1,4 +1,5 @@
-"""Shared pytest hooks: one-line summary per acceptance criterion.
+"""Shared pytest hooks: one-line summary per acceptance criterion, and a
+guard against a test that leaves OpenBLAS's thread count changed.
 
 Tests marked with @pytest.mark.criterion("A1", "some title") contribute to a
 terminal summary block with one [A1] PASS/FAIL/SKIP line per label.  Several
@@ -9,6 +10,19 @@ all were skipped, else PASS.
 from __future__ import annotations
 
 import pytest
+
+from vibanom import blas
+
+
+@pytest.fixture(autouse=True)
+def openblas_threads_unchanged():
+    """The OpenBLAS thread count after each test is the one before it (the
+    scoring walk pins it to 1 while it runs). No check without OpenBLAS."""
+    before = blas.thread_count()
+    yield
+    if before is not None:
+        assert blas.thread_count() == before, "OpenBLAS thread count left changed"
+
 
 _STATUSES: dict = {}
 _TITLES: dict = {}

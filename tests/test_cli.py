@@ -7,11 +7,12 @@ checkpoint, small FRME files of noise frames, and a miniature IMS tree.
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vibanom import dcan
+from vibanom import dcan, fleet
 from vibanom.cli import main
 from vibanom.errors import AliasingWarning, DataWarning
 from vibanom.fleet import (
@@ -120,7 +121,7 @@ class TestScore:
     def test_adhoc_reconstructs_each_frame_once(
         self, checkpoint, tmp_path, capsys, monkeypatch
     ):
-        # 70 frames span two reconstruction chunks
+        # 70 frames span five scoring tasks
         frames = frames_file(tmp_path / "once.frames", seed=8, count=70)
         reconstructed = []
         real = dcan.reconstruct
@@ -185,6 +186,26 @@ class TestScore:
         assert captured.out == ""
         assert "error: DimensionError:" in captured.err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("frame_len", "4096"), ("axes", 3.0), ("fc_widths", (200, "200", 200, 200))],
+    )
+    def test_mistyped_checkpoint_metadata_fails_cleanly(self, tmp_path, capsys, field, value):
+        model = dcan.build(dcan.DcanConfig(), seed=21)
+        model.config = replace(model.config, **{field: value})
+        stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(model, stats, bad)
+        frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
+        rc = main(["score", "--checkpoint", str(bad), "--frames", frames])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ConfigurationError: ")
+        assert field in lines[0] and "must be an int" in lines[0]
+
     def test_config_without_matching_checkpoint(self, checkpoint, tmp_path, capsys):
         frames = frames_file(tmp_path / "score3.frames", seed=6, count=3)
         spec = PredictorSpec(id="a", location="a", checkpoint="other.ckpt")
@@ -198,6 +219,64 @@ class TestScore:
         )
         assert rc == 1
         assert "error: RoutingError:" in capsys.readouterr().err
+
+
+class TestWorkerCount:
+    """monitor and score write the same bytes for any number of workers."""
+
+    LENGTHS = (1, 15, 16, 17, 64, 65, 203)
+
+    @pytest.fixture(scope="class")
+    def setup(self, checkpoint, tmp_path_factory):
+        root = tmp_path_factory.mktemp("workers")
+        streams = root / "streams"
+        streams.mkdir()
+        specs = []
+        for k, count in enumerate(self.LENGTHS):
+            # timestamps shuffled, so each task gathers out of file order
+            rng = np.random.default_rng(60 + k)
+            frames = [
+                Frame(data=rng.normal(0.0, 1.0, (3, FRAME_LEN)).astype(np.float32),
+                      timestamp=int(ts), source="s")
+                for ts in 1000 + rng.permutation(count)
+            ]
+            name = "n%d" % count
+            write_frames(streams / (name + ".frames"), frames)
+            specs.append(PredictorSpec(
+                id=name, location=name, checkpoint=checkpoint,
+                normalization=ScoreNormalization(mu=1.0, sigma=0.5),
+            ))
+        save_fleet_config(FleetConfig(predictors=tuple(specs)), root / "fleet.json")
+        save_fleet_config(FleetConfig(predictors=tuple(specs[:1])), root / "one.json")
+        return root
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_monitor_log_bytes(self, setup, workers, monkeypatch, capsys):
+        logs = []
+        for count in (1, workers):
+            monkeypatch.setattr(fleet, "_worker_count", lambda count=count: count)
+            log = setup / ("w%d-%d.log" % (workers, count))
+            assert main(["monitor", "--config", str(setup / "fleet.json"),
+                         "--frames", str(setup / "streams"), "--out", str(log)]) == 0
+            logs.append(log.read_bytes())
+        assert logs[0].count(b"\n") == sum(self.LENGTHS)
+        assert logs[1] == logs[0]
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_score_stdout(self, setup, checkpoint, workers, with_config, monkeypatch, capsys):
+        # one predictor in one.json uses the checkpoint, so --config applies;
+        # without it a 1-frame stream fails to self-calibrate, the same way
+        extra = ["--config", str(setup / "one.json")] if with_config else []
+        for length in self.LENGTHS:
+            frames = str(setup / "streams" / ("n%d.frames" % length))
+            outputs = []
+            for count in (1, workers):
+                monkeypatch.setattr(fleet, "_worker_count", lambda count=count: count)
+                rc = main(["score", "--checkpoint", checkpoint, "--frames", frames, *extra])
+                outputs.append((rc, capsys.readouterr()))
+            assert outputs[1] == outputs[0]
+            assert outputs[0][0] == (1 if length == 1 and not with_config else 0)
 
 
 class TestMonitor:

@@ -182,7 +182,9 @@ class TestReport:
             dcan.reconstruction_report(np.zeros((1, 1, 3, 8)), np.zeros((1, 1, 3, 9)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(1, 1, 1, 4096), (64, 1, 3, 4096), (5, 1, 2, 33)])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1, 4096), (64, 1, 3, 4096), (5, 1, 2, 33), (17, 1, 3, 33)]
+    )
     def test_bit_identical_to_per_frame_float64_formula(self, shape, dtype):
         rng = np.random.default_rng(14)
         x = rng.standard_normal(shape).astype(dtype)

@@ -9,13 +9,17 @@ Alarm sequences are checked against the brute-force hysteresis replay
 from helpers.
 """
 
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from vibanom import dcan
+from vibanom import blas, dcan, fleet
 from vibanom.errors import (
     CalibrationError,
     ConfigurationError,
@@ -330,7 +334,7 @@ class TestBatchInvariance:
 
     calibrate() treats MSEs that agree to float32 resolution as equal;
     this pins that reconstruction rounding stays within that bound at
-    every batch position, including across the 64-frame chunk boundary,
+    every batch position, including across the 16-frame task boundary,
     and that distinct frames score as if alone at any batch size.
     """
 
@@ -419,6 +423,190 @@ class TestChunkWalk:
             evaluate_stream(self.spec(checkpoint), model, stats, frames)
         with pytest.raises(DimensionError, match="^" + message):
             calibrate_predictor(checkpoint, frames)
+
+
+needs_openblas = pytest.mark.skipif(
+    blas.thread_count() is None, reason="no OpenBLAS found to pin"
+)
+
+
+def bounded(fn, *args, timeout=60):
+    """fn(*args) on a helper thread joined with a timeout, so a walk that
+    hangs fails the test instead of stalling the suite."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "scoring still running after %d s" % timeout
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class Boom(Exception):
+    pass
+
+
+class TestScoringTasks:
+    """The scoring walk: _TASK-frame tasks on one thread per usable CPU,
+    with OpenBLAS pinned to one thread while they run."""
+
+    def spec(self, checkpoint):
+        return PredictorSpec(
+            id="p", location="p", checkpoint=checkpoint,
+            normalization=ScoreNormalization(mu=1.0, sigma=0.5),
+        )
+
+    def lines(self, checkpoint, frames):
+        model, stats = load_checkpoint(checkpoint)
+        return [format_report(r) for r in evaluate_stream(self.spec(checkpoint), model, stats, frames)]
+
+    @pytest.mark.parametrize(
+        "cpus, found, want", [(1, True, 1), (3, True, 3), (8, True, 4), (8, False, 1)]
+    )
+    def test_worker_count_rule(self, monkeypatch, cpus, found, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(blas, "thread_count", lambda: 2 if found else None)
+        assert fleet._worker_count() == want
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(blas, "thread_count", lambda: 2)
+        assert fleet._worker_count() == 3
+
+    def test_fixed_tasks_in_order_under_fast_thread_switching(self, checkpoint, monkeypatch):
+        # 203 frames in shuffled timestamp order: twelve 16-frame tasks and
+        # one of 11, each standardized and reconstructed once, on more
+        # workers than cores, switching threads as often as the interpreter
+        # allows; the reports are those of one worker
+        frames = make_frames(seed=18, count=203)
+        order = np.random.default_rng(19).permutation(203)
+        frames = [frames[k] for k in order]
+        monkeypatch.setattr(fleet, "_worker_count", lambda: 1)
+        alone = self.lines(checkpoint, frames)
+        sizes = []
+        real = dcan.reconstruct
+
+        def counting(model, batch):
+            sizes.append(batch.shape[0])
+            return real(model, batch)
+
+        monkeypatch.setattr(fleet, "_worker_count", lambda: 4)
+        monkeypatch.setattr(dcan, "reconstruct", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            lines = bounded(self.lines, checkpoint, frames)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(sizes) == [11] + [16] * 12
+        assert lines == alone
+        assert [parse_report(line).timestamp for line in lines] == list(range(1000, 1203))
+
+    @needs_openblas
+    def test_independent_of_blas_threads_before_the_call(self, checkpoint):
+        frames = make_frames(seed=20, count=40)
+        before = blas.thread_count()
+        try:
+            blas.set_thread_count(1)
+            one = self.lines(checkpoint, frames)
+            assert blas.thread_count() == 1
+            blas.set_thread_count(2)
+            two = self.lines(checkpoint, frames)
+            assert blas.thread_count() == 2
+        finally:
+            blas.set_thread_count(before)
+        assert one == two
+
+    def test_failing_task_stops_the_walk_cleanly(self, checkpoint, monkeypatch):
+        lock = threading.Lock()
+        state = {"calls": 0, "running": 0, "most": 0, "blas": set()}
+        real = dcan.reconstruct
+
+        def failing(model, batch):
+            with lock:
+                state["calls"] += 1
+                call = state["calls"]
+                state["running"] += 1
+                state["most"] = max(state["most"], state["running"])
+                state["blas"].add(blas.thread_count())
+            try:
+                if call == 3:
+                    raise Boom("task 3")
+                time.sleep(0.05)  # still running when task 3 fails
+                return real(model, batch)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        monkeypatch.setattr(fleet, "_worker_count", lambda: 4)
+        monkeypatch.setattr(dcan, "reconstruct", failing)
+        threads, blas_threads = threading.active_count(), blas.thread_count()
+        with pytest.raises(Boom, match="task 3"):
+            bounded(self.lines, checkpoint, make_frames(seed=21, count=16 * 12))
+        assert state["running"] == 0
+        assert 1 < state["most"] <= 4
+        assert state["calls"] < 12  # tasks not yet started were dropped
+        assert threading.active_count() == threads
+        assert blas.thread_count() == blas_threads
+        if blas_threads is not None:
+            assert state["blas"] == {1}
+
+    def test_first_round_meets_before_reporting(self, checkpoint, monkeypatch):
+        # every worker's first task holds its reconstruction before any
+        # report starts, so a walk's peak memory reaches that level
+        events = []
+        lock = threading.Lock()
+        reconstruct, report = dcan.reconstruct, dcan.reconstruction_report
+
+        def reconstructed(model, batch):
+            result = reconstruct(model, batch)
+            with lock:
+                events.append("reconstructed")
+            return result
+
+        def reporting(*args, **kwargs):
+            with lock:
+                events.append("report")
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(fleet, "_worker_count", lambda: 4)
+        monkeypatch.setattr(dcan, "reconstruct", reconstructed)
+        monkeypatch.setattr(dcan, "reconstruction_report", reporting)
+        bounded(self.lines, checkpoint, make_frames(seed=23, count=16 * 6))
+        assert events[:4] == ["reconstructed"] * 4
+        assert events.count("report") == 6
+
+    def test_first_error_in_task_order_wins(self, checkpoint, monkeypatch):
+        # identity standardization keeps each frame's first sample, which
+        # here numbers the frame, so a batch names its task; task 3 fails
+        # at once while task 2 is still running, then task 2 fails too
+        frames = make_frames(seed=22, count=16 * 8)
+        for k, frame in enumerate(frames):
+            frame.data[0, 0] = k
+        real = dcan.reconstruct
+
+        def failing(model, batch):
+            task = int(batch[0, 0, 0, 0]) // 16
+            if task == 2:
+                time.sleep(0.1)
+                raise Boom("task 2")
+            if task == 3:
+                raise Boom("task 3")
+            return real(model, batch)
+
+        monkeypatch.setattr(fleet, "_worker_count", lambda: 2)
+        monkeypatch.setattr(dcan, "reconstruct", failing)
+        with pytest.raises(Boom, match="task 2"):
+            bounded(self.lines, checkpoint, frames)
 
 
 def one_predictor_fleet(checkpoint, norm, log_path, alarm=None):
@@ -547,8 +735,8 @@ class TestRunFleet:
 class TestStreamForms:
     """A list of Frames, a FrameBlock and a FRME file score alike.
 
-    The counts sit at and across the 64-frame chunk boundary; the file is
-    written in shuffled order, so scoring it walks gathered chunks.
+    The counts sit at and across 16-frame task boundaries; the file is
+    written in shuffled order, so each scoring task gathers its frames.
     """
 
     def outcome(self, fn, *args):

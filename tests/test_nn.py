@@ -329,6 +329,23 @@ class TestLeakyRelu:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 1.0])
+    def test_backward_bit_equal_to_the_branch_form(self, dtype, slope):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(4096).astype(dtype)
+        up = rng.standard_normal(4096).astype(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        x[:5] = special
+        up[5:10] = special  # and each special upstream value on both signs of x
+        up[10:15] = special
+        x[10:15] = -1.0
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN in both forms
+            want = up * np.where(x >= 0, dtype(1.0), dtype(slope))
+            got = nn.leaky_relu_backward(x, up, slope)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_gradcheck_away_from_kink(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(20)
