@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Spectral laboratory: FFT oracle checks and the synthetic fault generators.
 
-Shows the radix-2 FFT agreeing with a direct DFT, locates the dominant
+Shows fft_complex (numpy's FFT) agreeing with a direct DFT, locates the dominant
 frequency of the synthetic healthy signal, and demonstrates how each fault
 generator moves or enriches the spectrum.
 """

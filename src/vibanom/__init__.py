@@ -26,7 +26,6 @@ from vibanom.fleet import (
     PredictorSpec,
     StatusReport,
     calibrate_predictor,
-    default_fleet_config,
     load_fleet_config,
     run_fleet,
     save_fleet_config,
@@ -100,7 +99,6 @@ __all__ = [
     "calibrate",
     "calibrate_predictor",
     "classify",
-    "default_fleet_config",
     "evaluate",
     "fft_magnitude",
     "fit_standardization",

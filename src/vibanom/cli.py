@@ -54,7 +54,7 @@ from .training import (
     write_loss_csv,
 )
 
-WAVEFORM_CSV_HEADER = "index,value"
+WAVEFORM_CSV_HEADER = b"index,value"
 
 
 def cmd_train(args) -> int:
@@ -200,8 +200,9 @@ def cmd_ingest_nasa(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
-    first = text.splitlines()[0].strip() if text.strip() else ""
+    # sniff the first line only; each reader decodes and checks the rest
+    with open(args.input, "rb") as fh:
+        first = fh.readline().strip()
     lines = []
     if first == WAVEFORM_CSV_HEADER:
         spectrum = fft_magnitude(read_waveform_csv(args.input))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import mmap
 import os
 import re
 import threading
@@ -155,27 +156,6 @@ class FleetConfig:
             )
         object.__setattr__(self, "predictors", predictors)
 
-    def predictor(self, predictor_id: str) -> PredictorSpec:
-        for spec in self.predictors:
-            if spec.id == predictor_id:
-                return spec
-        raise RoutingError("unknown predictor id %r" % predictor_id)
-
-
-def default_fleet_config(
-    checkpoint_dir: str = "checkpoints", report_log: str = "reports.log"
-) -> FleetConfig:
-    """The six-location mill deployment with conventional paths."""
-    predictors = tuple(
-        PredictorSpec(
-            id=name,
-            location=name,
-            checkpoint="%s/%s.ckpt" % (checkpoint_dir, name),
-        )
-        for name in DEFAULT_LOCATIONS
-    )
-    return FleetConfig(predictors=predictors, report_log=report_log)
-
 
 @dataclass(frozen=True)
 class StatusReport:
@@ -263,19 +243,12 @@ def parse_report(line: str) -> StatusReport:
 def _torn_line_start(fh) -> Optional[int]:
     """Byte offset of the last line of a binary log file if it lacks its
     trailing newline (a write cut short), else None."""
-    end = fh.seek(0, os.SEEK_END)
-    pos = end
-    while pos > 0:
-        step = min(pos, 4096)
-        fh.seek(pos - step)
-        block = fh.read(step)
-        if pos == end and block.endswith(b"\n"):
+    if os.fstat(fh.fileno()).st_size == 0:
+        return None  # mmap cannot map an empty file
+    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+        if view[-1:] == b"\n":
             return None
-        cut = block.rfind(b"\n")
-        if cut >= 0:
-            return pos - step + cut + 1
-        pos -= step
-    return 0 if end else None
+        return view.rfind(b"\n") + 1
 
 
 def _warn_torn(path, offset: int, action: str):
@@ -315,7 +288,11 @@ def read_report_log(path) -> List[StatusReport]:
         data = fh.read() if torn is None else fh.read(torn)
     if torn is not None:
         _warn_torn(path, torn, "dropped")
-    return [parse_report(line) for line in data.decode("utf-8").splitlines() if line.strip()]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("report log %s: not UTF-8 text: %s" % (path, exc)) from None
+    return [parse_report(line) for line in text.splitlines() if line.strip()]
 
 
 def _predictor_from_dict(entry: dict) -> PredictorSpec:
@@ -351,7 +328,7 @@ def save_fleet_config(config: FleetConfig, path):
 def load_fleet_config(path) -> FleetConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long int
         raise ConfigurationError(
             "fleet config %s is not valid JSON: %s" % (path, exc)
         ) from exc

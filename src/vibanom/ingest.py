@@ -529,28 +529,18 @@ def _record_dtype(axes: int) -> np.dtype:
 def write_frames(path, frames: Frames):
     """Write frames (a FrameBlock or a Sequence[Frame]) to the FRME binary
     format (bit-exact)."""
-    frames = list(frames)
-    if not frames:
+    if len(frames) == 0:
         raise DimensionError("refusing to write an empty frame file")
-    axes = frames[0].axes
-    for k, frame in enumerate(frames):
-        if frame.axes != axes:
-            raise DimensionError(
-                "frame %d has %d axes, expected %d" % (k, frame.axes, axes)
-            )
-        if frame.timestamp < 0:
-            raise ConfigurationError(
-                "frame %d has negative timestamp %d" % (k, frame.timestamp)
-            )
+    stream = frame_stream(frames)
     header = np.array(
-        [(FRAME_MAGIC, FRAME_FORMAT_VERSION, axes, FRAME_LEN)], dtype=_HEADER
+        [(FRAME_MAGIC, FRAME_FORMAT_VERSION, stream.axes, FRAME_LEN)], dtype=_HEADER
     )
     # one reused record, so memory does not grow with the frame count
-    record = np.empty(1, dtype=_record_dtype(axes))
+    record = np.empty(1, dtype=_record_dtype(stream.axes))
     with open(path, "wb") as fh:
         fh.write(header)
-        for frame in frames:
-            record[0] = (frame.timestamp, frame.data)
+        for timestamp, frame in zip(stream.timestamps, frames):
+            record[0] = (timestamp, frame.data)
             fh.write(record)
 
 

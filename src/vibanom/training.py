@@ -197,6 +197,7 @@ def train(
     split = rng.permutation(n)
     x_val = x[split[:n_val]]
     x_train = x[split[n_val:]]
+    del x  # the two splits are copies; keep one set of frames, not two
     n_train = x_train.shape[0]
 
     params = model.named_parameters()
@@ -320,9 +321,12 @@ def _read_header(fh) -> dict:
         )
     meta_len = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))[0]
     try:
-        return json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        metadata = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long int
         raise CheckpointFormatError(f"unreadable metadata block: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise CheckpointFormatError("metadata block is not a JSON object")
+    return metadata
 
 
 def read_checkpoint_metadata(path) -> dict:

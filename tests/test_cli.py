@@ -547,6 +547,62 @@ class TestIngestNasa:
 
 
 class TestErrorSurface:
+    def one_error_line(self, capsys, argv, kind):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: %s: " % kind)
+        return lines[0]
+
+    @pytest.mark.parametrize("command", ["monitor", "score"])
+    def test_non_utf8_config(self, checkpoint, tmp_path, capsys, command):
+        config = tmp_path / "fleet.json"
+        config.write_bytes(b'{"predictors": "\xff\xfe"}\n')
+        if command == "monitor":
+            (tmp_path / "streams").mkdir()
+            argv = ["monitor", "--frames", str(tmp_path / "streams")]
+        else:
+            frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
+            argv = ["score", "--checkpoint", checkpoint, "--frames", frames]
+        line = self.one_error_line(
+            capsys, argv + ["--config", str(config)], "ConfigurationError"
+        )
+        assert str(config) in line
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe\x00binary\n", b"index,value\r\n0,\xff\r\n"],
+        ids=["report-log", "waveform"],
+    )
+    def test_export_plot_non_utf8_input(self, tmp_path, capsys, content):
+        source = tmp_path / "input.bin"
+        source.write_bytes(content)
+        out = tmp_path / "out.csv"
+        line = self.one_error_line(
+            capsys, ["export-plot", str(source), "--out", str(out)], "ParseError"
+        )
+        assert str(source) in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "metadata, message",
+        [(b"[]", "metadata block is not a JSON object"),
+         (b'{"config": ' + b"1" * 5000 + b"}", "unreadable metadata block")],
+        ids=["list", "over-long-int"],
+    )
+    def test_unusable_checkpoint_metadata(self, tmp_path, capsys, metadata, message):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(
+            b"DCAN" + struct.pack("<II", 1, len(metadata)) + metadata + struct.pack("<I", 0)
+        )
+        frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
+        line = self.one_error_line(
+            capsys, ["score", "--checkpoint", str(ckpt), "--frames", frames],
+            "CheckpointFormatError",
+        )
+        assert message in line
+
     def test_missing_input_file(self, checkpoint, tmp_path, capsys):
         rc = main(
             ["score", "--checkpoint", checkpoint, "--frames",

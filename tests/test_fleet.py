@@ -29,11 +29,11 @@ from vibanom.errors import (
     RoutingError,
 )
 from vibanom.fleet import (
+    DEFAULT_LOCATIONS,
     FleetConfig,
     PredictorSpec,
     StatusReport,
     calibrate_predictor,
-    default_fleet_config,
     evaluate_self_calibrated,
     evaluate_stream,
     fleet_config_from_dict,
@@ -108,19 +108,6 @@ class TestPredictorSpec:
 
 
 class TestFleetConfig:
-    def test_default_fleet_is_the_six_mill_locations(self):
-        fleet = default_fleet_config()
-        assert [p.id for p in fleet.predictors] == [
-            "motor-left",
-            "motor-right",
-            "gear-left",
-            "gear-right",
-            "cylinder-left",
-            "cylinder-right",
-        ]
-        assert all(p.checkpoint.endswith(p.id + ".ckpt") for p in fleet.predictors)
-        assert fleet.report_log == "reports.log"
-
     def test_needs_a_predictor(self):
         with pytest.raises(ConfigurationError):
             FleetConfig(predictors=())
@@ -129,12 +116,6 @@ class TestFleetConfig:
         spec = PredictorSpec(id="a", location="l", checkpoint="c")
         with pytest.raises(ConfigurationError, match="duplicate.*a"):
             FleetConfig(predictors=(spec, spec))
-
-    def test_lookup(self):
-        fleet = default_fleet_config()
-        assert fleet.predictor("gear-left").location == "gear-left"
-        with pytest.raises(RoutingError):
-            fleet.predictor("nope")
 
 
 class TestReportSerialization:
@@ -231,7 +212,10 @@ class TestReportSerialization:
 
 class TestFleetConfigFile:
     def test_json_round_trip(self, tmp_path):
-        fleet = default_fleet_config(checkpoint_dir="ck", report_log="r.log")
+        predictors = tuple(
+            PredictorSpec(id=name, location=name, checkpoint="ck/%s.ckpt" % name)
+            for name in DEFAULT_LOCATIONS
+        )
         # give one predictor a calibration to cover the non-null branch
         calibrated = PredictorSpec(
             id="extra",
@@ -240,9 +224,7 @@ class TestFleetConfigFile:
             normalization=ScoreNormalization(mu=0.25, sigma=0.03125),
             alarm=AlarmConfig(level_thresholds=(2.0, 4.0, 6.0)),
         )
-        fleet = FleetConfig(
-            predictors=fleet.predictors + (calibrated,), report_log="r.log"
-        )
+        fleet = FleetConfig(predictors=predictors + (calibrated,), report_log="r.log")
         path = tmp_path / "fleet.json"
         save_fleet_config(fleet, path)
         assert load_fleet_config(path) == fleet
@@ -257,6 +239,16 @@ class TestFleetConfigFile:
         path = tmp_path / "fleet.json"
         path.write_text('{"predictors": [{"id": "a"}]}')
         with pytest.raises(ConfigurationError, match="malformed"):
+            load_fleet_config(path)
+
+    @pytest.mark.parametrize(
+        "blob", [b'{"predictors": "\xff\xfe"}', b'{"report_log": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "over-long-int"],
+    )
+    def test_unreadable_json_rejected(self, tmp_path, blob):
+        path = tmp_path / "fleet.json"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigurationError, match="fleet config .*fleet.json is not valid JSON"):
             load_fleet_config(path)
 
     def test_non_object_rejected(self, tmp_path):
@@ -827,3 +819,33 @@ class TestTornLog:
         with pytest.warns(DataWarning, match="byte 0"):
             write_report_log([], log)
         assert log.read_bytes() == b""
+
+    @pytest.mark.parametrize("whole_lines", [0, 1, 30])
+    def test_torn_line_longer_than_4096_bytes(self, tmp_path, whole_lines):
+        reports = [TestReportSerialization().sample()] * whole_lines
+        log = tmp_path / "r.log"
+        write_report_log(reports, log)
+        offset = log.stat().st_size
+        log.write_bytes(log.read_bytes() + b"ts:1 predictor:" + b"p" * 4985)
+        with pytest.warns(DataWarning, match="torn last line at byte %d " % offset):
+            assert read_report_log(log) == reports
+        with pytest.warns(DataWarning, match="cut the torn last line at byte %d " % offset):
+            write_report_log(reports[:1], log)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_report_log(log) == reports + reports[:1]
+
+    def test_empty_log_is_not_torn(self, tmp_path):
+        log = tmp_path / "r.log"
+        log.write_bytes(b"")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_report_log(log) == []
+            write_report_log([], log)
+        assert log.read_bytes() == b""
+
+    def test_non_utf8_log_rejected(self, tmp_path):
+        log = tmp_path / "r.log"
+        log.write_bytes(b"ts:1 predictor:\xff\n")
+        with pytest.raises(ParseError, match="report log .*r.log: not UTF-8 text"):
+            read_report_log(log)

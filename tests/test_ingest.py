@@ -328,8 +328,9 @@ class TestFrameFileRoundTrip:
             golden += struct.pack("<Q", frame.timestamp)
             golden += struct.pack("<%df" % (axes * FRAME_LEN), *frame.data.ravel())
         written = tmp_path / "written.bin"
-        write_frames(written, frames)
-        assert written.read_bytes() == golden
+        for form in (frames, FrameBlock.of(frames)):
+            write_frames(written, form)
+            assert written.read_bytes() == golden
         reference = tmp_path / "golden.bin"
         reference.write_bytes(golden)
         loaded = read_frames(reference)
@@ -362,8 +363,8 @@ class TestFrameFileRoundTrip:
         rng = np.random.default_rng(11)
         with pytest.raises(DimensionError):
             write_frames(tmp_path / "a.bin", [])
-        mixed = [random_frame(rng, axes=3), random_frame(rng, axes=1)]
-        with pytest.raises(DimensionError):
+        mixed = [random_frame(rng, axes=3), random_frame(rng, axes=1, timestamp=7)]
+        with pytest.raises(DimensionError, match=r"frame 1 \(timestamp 7\) has 1 axes, expected 3"):
             write_frames(tmp_path / "b.bin", mixed)
 
     def test_write_rejects_negative_timestamp(self, tmp_path):

@@ -7,6 +7,7 @@ asserted bit-for-bit.
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,23 @@ class TestTrain:
         assert len(id_sets) == 3
         assert all(len(s) == 12 for s in id_sets)  # 16 frames, 4 held out
         assert id_sets[0] == id_sets[1] == id_sets[2]  # split fixed once
+
+    def test_epochs_hold_one_standardized_copy(self):
+        # the validation and training splits are copies of the standardized
+        # frames; the full standardized stack must not outlive the split
+        frames = np.random.default_rng(12).normal(size=(2000, 1, 3, 64)).astype(np.float32)
+        stats = training.fit_standardization(frames)
+        model = dcan.build(tiny_config(), seed=12)
+        held = []
+        tracemalloc.start()
+        try:
+            training.train(
+                model, frames, stats, TrainConfig(max_epochs=1, seed=12),
+                on_batch=lambda *_: held.append(tracemalloc.get_traced_memory()[0]),
+            )
+        finally:
+            tracemalloc.stop()
+        assert max(held) <= 1.5 * frames.nbytes
 
     def test_non_finite_loss_raises(self):
         frames = easy_frames(8)
