@@ -16,8 +16,11 @@ The binary frame format "FRME" is the bit-exact interchange format: one
 packed 13-byte _HEADER record, then one _record_dtype(axes) record per
 frame (a u64 timestamp and the axis-major float32 samples). Those two
 numpy dtypes are the whole layout; every field is little-endian.
-read_frames returns the file as a FrameBlock whose columns are views of
-the one record array it reads.
+read_frames opens a file as a FrameFile: the header and the timestamp
+column are read and checked at once, the samples only when rows of the
+file are taken, so a walk over it in slices holds one slice's samples at
+a time, however long the file. read_frames(path)[:] is the whole file as
+one FrameBlock.
 """
 
 from __future__ import annotations
@@ -136,21 +139,17 @@ class FrameBlock:
             raise DimensionError(
                 "%d timestamps for %d frames" % (stamps.shape[0], data.shape[0])
             )
-        finite = np.isfinite(data).all(axis=(1, 2))
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise IngestError(
-                "frame %d (timestamp %d) contains non-finite values" % (k, stamps[k])
-            )
+        _require_finite(stamps, data)
         object.__setattr__(self, "timestamps", stamps)
         object.__setattr__(self, "data", data)
 
     @classmethod
     def of(cls, frames: Frames) -> "FrameBlock":
-        """frames as one block: a FrameBlock unchanged, a Sequence[Frame] stacked once."""
+        """frames as one block: a FrameBlock unchanged, a FrameFile read
+        whole, a Sequence[Frame] stacked once."""
         if isinstance(frames, FrameBlock):
             return frames
-        return _FrameSequence(frames)[:]
+        return frame_stream(frames)[:]
 
     @property
     def axes(self) -> int:
@@ -177,7 +176,102 @@ class FrameBlock:
         return (self[k] for k in range(len(self)))
 
 
-Frames = Union[FrameBlock, Sequence[Frame]]
+def _require_finite(stamps: np.ndarray, data: np.ndarray, index=None, where: str = ""):
+    """Refuse the first frame of data with a non-finite sample, naming it
+    by index[k] (k when index is None) and its timestamp after where."""
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise IngestError(
+            "%sframe %d (timestamp %d) contains non-finite values"
+            % (where, k if index is None else index[k], stamps[k])
+        )
+
+
+# records per os.preadv, and per step when a FrameFile is iterated: two
+# buffers each keeps a read within Linux's IOV_MAX of 1024 buffers
+_READ_RECORDS = 64
+
+
+class FrameFile:
+    """A FRME file behind FrameBlock's stream interface; read_frames opens one.
+
+    timestamps (N,) u8 and axes were read and checked when the file was
+    opened; the samples stay on disk. file[rows], for a slice or an index
+    array, reads only those records, each run of consecutive ones with one
+    os.preadv straight into the (rows,) u8 and (rows, A, 4096) float32
+    columns of the FrameBlock it returns. Those rows are checked as
+    FrameBlock checks its frames, but a non-finite sample names the frame's
+    index in the file. A record cut short, or one whose timestamp is not
+    the one read at open, raises ParseError: the file changed after it was
+    opened. file[k] is frame k as a Frame, and iteration reads
+    _READ_RECORDS records at a time, so neither holds the whole file.
+    """
+
+    def __init__(self, path, axes: int, timestamps: np.ndarray):
+        self.path = path
+        self.axes = axes
+        self.timestamps = timestamps
+
+    def __len__(self) -> int:
+        return int(self.timestamps.shape[0])
+
+    def __getitem__(self, key):
+        # rows are resolved without an arange over the whole file, so a
+        # task's read costs the same however long the file is
+        n = len(self)
+        if isinstance(key, slice):
+            return self._read(np.arange(*key.indices(n)))
+        rows = np.asarray(key)
+        if rows.dtype.kind not in "iu" or rows.ndim > 1:
+            raise IndexError(
+                "frame file rows must be an int, a slice or a 1-D integer array"
+            )
+        if np.any((rows < -n) | (rows >= n)):
+            raise IndexError("row out of range for a file of %d frames" % n)
+        rows = np.where(rows < 0, rows + n, rows)
+        if rows.ndim == 0:
+            return self._read(rows.reshape(1))[0]
+        return self._read(rows)
+
+    def __iter__(self) -> Iterator[Frame]:
+        for start in range(0, len(self), _READ_RECORDS):
+            yield from self[start:start + _READ_RECORDS]
+
+    def _read(self, rows: np.ndarray) -> FrameBlock:
+        stamps = np.empty(len(rows), dtype="<u8")
+        data = np.empty((len(rows), self.axes, FRAME_LEN), dtype=np.float32)
+        stamp_bytes = stamps.view(np.uint8).reshape(len(rows), 8)
+        sample_bytes = data.reshape(len(rows), self.axes * FRAME_LEN).view(np.uint8)
+        size = _record_dtype(self.axes).itemsize
+        # output positions where a run of consecutive records starts
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
+        with open(self.path, "rb", buffering=0) as fh:
+            for first, stop in zip(starts, starts[1:] + [len(rows)]):
+                for lo in range(first, stop, _READ_RECORDS):
+                    hi = min(lo + _READ_RECORDS, stop)
+                    buffers = []
+                    for k in range(lo, hi):
+                        buffers += (stamp_bytes[k], sample_bytes[k])
+                    offset = _HEADER.itemsize + int(rows[lo]) * size
+                    got = os.preadv(fh.fileno(), buffers, offset)
+                    if got != (hi - lo) * size:
+                        raise ParseError(
+                            "%s: frame %d is cut short; the file changed after "
+                            "it was opened" % (self.path, rows[lo] + got // size)
+                        )
+        moved = np.flatnonzero(stamps != self.timestamps[rows])
+        if moved.size:
+            k = int(moved[0])
+            raise ParseError(
+                "%s: frame %d has timestamp %d, not %d; the file changed after "
+                "it was opened" % (self.path, rows[k], stamps[k], self.timestamps[rows[k]])
+            )
+        _require_finite(stamps, data, rows, "%s: " % self.path)
+        return FrameBlock._checked(stamps, data)
+
+
+Frames = Union[FrameBlock, FrameFile, Sequence[Frame]]
 
 
 class _FrameSequence:
@@ -213,17 +307,19 @@ class _FrameSequence:
         )
 
 
-FrameStream = Union[FrameBlock, _FrameSequence]
+FrameStream = Union[FrameBlock, FrameFile, _FrameSequence]
 
 
 def frame_stream(frames: Frames) -> FrameStream:
     """frames as a stream that slices into FrameBlocks.
 
-    A FrameBlock is returned unchanged; a non-empty Sequence[Frame] is
-    wrapped so that each slice is stacked only when it is taken. Either
-    has timestamps, axes, len() and [rows] -> FrameBlock.
+    A FrameBlock or a FrameFile is returned unchanged; a non-empty
+    Sequence[Frame] is wrapped so that each slice is stacked only when it
+    is taken. Each has timestamps, axes, len() and [rows] -> FrameBlock.
     """
-    return frames if isinstance(frames, FrameBlock) else _FrameSequence(frames)
+    if isinstance(frames, (FrameBlock, FrameFile)):
+        return frames
+    return _FrameSequence(frames)
 
 
 def stack_frames(frames: Frames) -> np.ndarray:
@@ -544,11 +640,13 @@ def write_frames(path, frames: Frames):
             fh.write(record)
 
 
-def read_frames(path) -> FrameBlock:
-    """Read a FRME binary file; values round-trip bit-identically.
+def read_frames(path) -> FrameFile:
+    """Open a FRME binary file as a FrameFile; values round-trip bit-identically.
 
-    The block's timestamps and samples are views of the one record array
-    read from the file: no per-frame objects, no copy.
+    The header, the stray-byte count and the timestamp column (one 8-byte
+    pread per record) are read and checked here; the samples are read only
+    when rows of the file are taken. read_frames(path)[:] reads every frame
+    into one FrameBlock.
     """
     with open(path, "rb") as fh:
         header = np.fromfile(fh, dtype=_HEADER, count=1)
@@ -568,14 +666,16 @@ def read_frames(path) -> FrameBlock:
                 "%s: frame length %d unsupported, expected %d"
                 % (path, frame_len, FRAME_LEN)
             )
-        record = _record_dtype(axes)
-        stray = (os.fstat(fh.fileno()).st_size - _HEADER.itemsize) % record.itemsize
-        if stray:
+        size = _record_dtype(axes).itemsize
+        body = os.fstat(fh.fileno()).st_size - _HEADER.itemsize
+        if body % size:
             raise ParseError(
-                "%s: truncated frame record (%d stray bytes)" % (path, stray)
+                "%s: truncated frame record (%d stray bytes)" % (path, body % size)
             )
-        records = np.fromfile(fh, dtype=record)
-    try:
-        return FrameBlock(timestamps=records["ts"], data=records["data"])
-    except IngestError as exc:
-        raise IngestError("%s: %s" % (path, exc)) from None
+        offsets = range(_HEADER.itemsize, _HEADER.itemsize + body, size)
+        column = b"".join(os.pread(fh.fileno(), 8, offset) for offset in offsets)
+    if len(column) != 8 * len(offsets):
+        raise ParseError(
+            "%s: a timestamp is cut short; the file changed while it was read" % path
+        )
+    return FrameFile(path, axes, np.frombuffer(column, dtype="<u8"))

@@ -239,17 +239,26 @@ def write_waveform_csv(waveform: Waveform, path) -> None:
             writer.writerow([i, repr(float(v))])
 
 
+def _csv_rows(path, reader):
+    """The rows of a csv.reader; a csv.Error (a field over
+    csv.field_size_limit(), say) is a ParseError naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_waveform_csv(path) -> Waveform:
     """Read a waveform written by write_waveform_csv, at DEFAULT_SAMPLE_RATE."""
     values = []
     # a byte that is not UTF-8 reads as U+FFFD, which fails the header or
     # number checks below with a ParseError naming the file and line
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(path, csv.reader(fh))
+        header = next(rows, None)
         if header != ["index", "value"]:
             raise ParseError(f"{path}: expected header 'index,value', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if len(row) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
             try:

@@ -42,7 +42,6 @@ __all__ = [
     "should_stop",
     "save_checkpoint",
     "load_checkpoint",
-    "read_checkpoint_metadata",
     "write_loss_csv",
 ]
 
@@ -327,12 +326,6 @@ def _read_header(fh) -> dict:
     if not isinstance(metadata, dict):
         raise CheckpointFormatError("metadata block is not a JSON object")
     return metadata
-
-
-def read_checkpoint_metadata(path) -> dict:
-    """Read only the JSON metadata block (architecture and training summary)."""
-    with open(path, "rb") as fh:
-        return _read_header(fh)
 
 
 def load_checkpoint(path):

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vibanom import dcan, fleet
+from vibanom import cli, dcan, fleet
 from vibanom.cli import main
 from vibanom.errors import AliasingWarning, DataWarning
 from vibanom.fleet import (
@@ -21,7 +21,7 @@ from vibanom.fleet import (
     parse_report,
     save_fleet_config,
 )
-from vibanom.ingest import FRAME_LEN, Frame, read_frames, write_frames
+from vibanom.ingest import FRAME_LEN, Frame, FrameBlock, read_frames, write_frames
 from vibanom.scoring import AlarmLevel, ScoreNormalization
 from vibanom.signals import DEFAULT_SAMPLE_RATE
 from vibanom.training import StandardizationStats, load_checkpoint, save_checkpoint
@@ -221,6 +221,34 @@ class TestScore:
         assert "error: RoutingError:" in capsys.readouterr().err
 
 
+def shuffled_streams(root, checkpoint, lengths, seed):
+    """Write one stream file per length under root/streams, with shuffled
+    timestamps so each scoring task gathers out of file order, plus
+    fleet.json (a predictor per stream) and one.json (the first only).
+    Returns each file's frames as a FrameBlock, keyed by its path."""
+    streams = root / "streams"
+    streams.mkdir()
+    blocks, specs = {}, []
+    for k, count in enumerate(lengths):
+        rng = np.random.default_rng(seed + k)
+        frames = [
+            Frame(data=rng.normal(0.0, 1.0, (3, FRAME_LEN)).astype(np.float32),
+                  timestamp=int(ts), source="s")
+            for ts in 1000 + rng.permutation(count)
+        ]
+        name = "n%d" % count
+        path = streams / (name + ".frames")
+        write_frames(path, frames)
+        blocks[str(path)] = FrameBlock.of(frames)
+        specs.append(PredictorSpec(
+            id=name, location=name, checkpoint=checkpoint,
+            normalization=ScoreNormalization(mu=1.0, sigma=0.5),
+        ))
+    save_fleet_config(FleetConfig(predictors=tuple(specs)), root / "fleet.json")
+    save_fleet_config(FleetConfig(predictors=tuple(specs[:1])), root / "one.json")
+    return blocks
+
+
 class TestWorkerCount:
     """monitor and score write the same bytes for any number of workers."""
 
@@ -229,25 +257,7 @@ class TestWorkerCount:
     @pytest.fixture(scope="class")
     def setup(self, checkpoint, tmp_path_factory):
         root = tmp_path_factory.mktemp("workers")
-        streams = root / "streams"
-        streams.mkdir()
-        specs = []
-        for k, count in enumerate(self.LENGTHS):
-            # timestamps shuffled, so each task gathers out of file order
-            rng = np.random.default_rng(60 + k)
-            frames = [
-                Frame(data=rng.normal(0.0, 1.0, (3, FRAME_LEN)).astype(np.float32),
-                      timestamp=int(ts), source="s")
-                for ts in 1000 + rng.permutation(count)
-            ]
-            name = "n%d" % count
-            write_frames(streams / (name + ".frames"), frames)
-            specs.append(PredictorSpec(
-                id=name, location=name, checkpoint=checkpoint,
-                normalization=ScoreNormalization(mu=1.0, sigma=0.5),
-            ))
-        save_fleet_config(FleetConfig(predictors=tuple(specs)), root / "fleet.json")
-        save_fleet_config(FleetConfig(predictors=tuple(specs[:1])), root / "one.json")
+        shuffled_streams(root, checkpoint, self.LENGTHS, seed=60)
         return root
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -277,6 +287,46 @@ class TestWorkerCount:
                 outputs.append((rc, capsys.readouterr()))
             assert outputs[1] == outputs[0]
             assert outputs[0][0] == (1 if length == 1 and not with_config else 0)
+
+
+class TestFileStreams:
+    """monitor and score give the same bytes for a stream file as for the
+    same frames held in memory as a FrameBlock."""
+
+    LENGTHS = (1, 15, 16, 17, 65, 203)
+
+    @pytest.fixture(scope="class")
+    def setup(self, checkpoint, tmp_path_factory):
+        root = tmp_path_factory.mktemp("file-streams")
+        return root, shuffled_streams(root, checkpoint, self.LENGTHS, seed=70)
+
+    def test_monitor_log_bytes(self, setup, monkeypatch, capsys):
+        root, blocks = setup
+        logs = []
+        for in_memory in (False, True):
+            if in_memory:
+                monkeypatch.setattr(fleet, "read_frames", lambda path: blocks[str(path)])
+            log = root / ("monitor-%d.log" % in_memory)
+            assert main(["monitor", "--config", str(root / "fleet.json"),
+                         "--frames", str(root / "streams"), "--out", str(log)]) == 0
+            logs.append(log.read_bytes())
+        assert logs[0].count(b"\n") == sum(self.LENGTHS)
+        assert logs[1] == logs[0]
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_score_stdout(self, setup, checkpoint, with_config, monkeypatch, capsys):
+        root, blocks = setup
+        extra = ["--config", str(root / "one.json")] if with_config else []
+        for path in blocks:
+            outputs = []
+            for in_memory in (False, True):
+                if in_memory:
+                    monkeypatch.setattr(cli, "read_frames", lambda path: blocks[str(path)])
+                rc = main(["score", "--checkpoint", checkpoint, "--frames", path, *extra])
+                outputs.append((rc, capsys.readouterr()))
+                monkeypatch.undo()
+            assert outputs[1] == outputs[0]
+            assert outputs[0][0] == (1 if path.endswith("n1.frames") and not with_config else 0)
 
 
 class TestMonitor:
@@ -339,6 +389,63 @@ class TestMonitor:
 
         assert peak(6) <= 1.3 * peak(1)
         assert "report log: %s (600 reports appended)" % (tmp_path / "r6.log") in capsys.readouterr().out
+
+    def test_monitor_memory_does_not_grow_with_stream_length(self, checkpoint, tmp_path, capsys):
+        # each scoring task reads its own records from the file, so the
+        # stream is never held whole; only the reports grow with it
+        config_path = self.make_fleet(checkpoint, tmp_path)
+        for count in (100, 400):
+            streams = tmp_path / ("streams%d" % count)
+            streams.mkdir()
+            frames_file(streams / "motor-left.frames", seed=41, count=count)
+
+        def peak(count):
+            argv = ["monitor", "--config", str(config_path),
+                    "--frames", str(tmp_path / ("streams%d" % count)),
+                    "--out", str(tmp_path / ("r%d.log" % count))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) <= 1.2 * peak(100)
+        assert "(400 reports appended)" in capsys.readouterr().out
+
+    def test_nan_frame_mid_stream_fails_cleanly(self, checkpoint, tmp_path, capsys):
+        specs = tuple(
+            PredictorSpec(
+                id=name, location=name, checkpoint=checkpoint,
+                normalization=ScoreNormalization(mu=1.0, sigma=0.5),
+            )
+            for name in ("first", "second")
+        )
+        config_path = tmp_path / "fleet.json"
+        save_fleet_config(FleetConfig(predictors=specs), config_path)
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        frames_file(streams / "first.frames", seed=23, count=20)
+        # shuffled timestamps: the file index and the scoring order differ
+        second = streams / "second.frames"
+        stamps = 1000 + np.random.default_rng(24).permutation(70)
+        write_frames(second, [
+            Frame(data=np.full((3, FRAME_LEN), 0.5, dtype=np.float32), timestamp=int(t))
+            for t in stamps
+        ])
+        blob = bytearray(second.read_bytes())
+        record = 8 + 3 * FRAME_LEN * 4
+        struct.pack_into("<f", blob, 13 + 37 * record + 8 + 4 * 9000, np.nan)
+        second.write_bytes(bytes(blob))
+        log = tmp_path / "out.log"
+        rc = main(["monitor", "--config", str(config_path), "--frames", str(streams),
+                   "--out", str(log)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: IngestError: %s: frame 37 (timestamp %d) contains non-finite values"
+            % (second, stamps[37])
+        ]
+        assert not log.exists()
 
     def test_monitor_appends_after_a_torn_line(self, checkpoint, tmp_path, capsys):
         config_path = self.make_fleet(checkpoint, tmp_path)
@@ -583,6 +690,16 @@ class TestErrorSurface:
             capsys, ["export-plot", str(source), "--out", str(out)], "ParseError"
         )
         assert str(source) in line
+        assert not out.exists()
+
+    def test_export_plot_over_long_csv_field(self, tmp_path, capsys):
+        source = tmp_path / "wave.csv"
+        source.write_text("index,value\n0,1.5\n1," + "7" * 200_000 + "\n")
+        out = tmp_path / "out.csv"
+        line = self.one_error_line(
+            capsys, ["export-plot", str(source), "--out", str(out)], "ParseError"
+        )
+        assert line.startswith("error: ParseError: %s:3: field larger than field limit" % source)
         assert not out.exists()
 
     @pytest.mark.parametrize(

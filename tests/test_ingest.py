@@ -5,6 +5,7 @@ whose channel columns hold the constant set*100 + channel, so any frame
 can be traced back to its origin by value.
 """
 
+import re
 import struct
 import tracemalloc
 from datetime import datetime, timezone
@@ -23,6 +24,7 @@ from vibanom.ingest import (
     FRAME_LEN,
     Frame,
     FrameBlock,
+    FrameFile,
     ImsRecording,
     SplitSpec,
     build_nasa_splits,
@@ -139,19 +141,105 @@ class TestFrameBlock:
         struct.pack_into("<f", blob, 13 + 3 * record + 8 + 4 * 5000, np.nan)
         path.write_bytes(bytes(blob))
         with pytest.raises(IngestError, match=r"frame 3 \(timestamp 43\) contains non-finite"):
-            read_frames(path)
+            read_frames(path)[:]
 
-    def test_read_frames_views_one_record_array(self, tmp_path):
-        rng = np.random.default_rng(4)
-        frames = [random_frame(rng, timestamp=i) for i in range(3)]
-        path = tmp_path / "frames.bin"
+
+class TestFrameFile:
+    """read_frames opens a file; rows are read from it only when taken."""
+
+    def write(self, path, count, seed=4, stamps=None):
+        rng = np.random.default_rng(seed)
+        stamps = range(count) if stamps is None else stamps
+        frames = [random_frame(rng, timestamp=int(t)) for t in stamps]
         write_frames(path, frames)
-        block = read_frames(path)
+        return frames
+
+    def test_read_frames_reads_into_contiguous_columns(self, tmp_path):
+        frames = self.write(tmp_path / "frames.bin", 3)
+        stream = read_frames(tmp_path / "frames.bin")
+        assert isinstance(stream, FrameFile)
+        assert (len(stream), stream.axes) == (3, 3)
+        assert stream.timestamps.tolist() == [0, 1, 2]
+        block = stream[:]
         assert isinstance(block, FrameBlock)
-        assert block.timestamps.base is block.data.base
+        for column in (block.timestamps, block.data):
+            assert column.flags.c_contiguous and column.flags.owndata
         assert np.array_equal(block.data, np.stack([f.data for f in frames]))
         write_frames(tmp_path / "again.bin", block)
-        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "frames.bin").read_bytes()
+        write_frames(tmp_path / "again.bin", stream)
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "frames.bin").read_bytes()
+
+    def test_rows_match_the_block_in_memory(self, tmp_path):
+        # 150 records: runs longer than one preadv, and iteration in steps
+        frames = self.write(tmp_path / "frames.bin", 150)
+        whole = FrameBlock.of(frames)
+        stream = read_frames(tmp_path / "frames.bin")
+        picks = [
+            slice(None), slice(3, 140), slice(None, None, -7), slice(5, 5),
+            np.random.default_rng(5).permutation(150)[:40],
+            np.array([7, 8, 9, 3, 4, 149, 0, 1]), np.array([-1, -150, 2]),
+            np.array([], dtype=np.int64), [5, 6],
+        ]
+        for rows in picks:
+            block = stream[rows]
+            assert np.array_equal(block.timestamps, whole.timestamps[rows])
+            assert np.array_equal(block.data, whole.data[rows])
+        for k in (0, 77, -1):
+            assert stream[k].timestamp == whole[k].timestamp
+            assert np.array_equal(stream[k].data, whole[k].data)
+        assert [f.timestamp for f in stream] == list(range(150))
+        assert np.array_equal(stack_frames(stream), stack_frames(whole))
+        for rows in (150, -151, np.array([3, 150]), np.ones(150, dtype=bool), 2.0):
+            with pytest.raises(IndexError):
+                stream[rows]
+
+    def test_open_reads_no_samples(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        self.write(path, 100)
+        tracemalloc.start()
+        try:
+            stream = read_frames(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 100
+        assert peak < path.stat().st_size / 100
+
+    def test_nan_frame_named_by_its_index_in_the_file(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        self.write(path, 6, stamps=[50, 40, 30, 20, 10, 60])
+        blob = bytearray(path.read_bytes())
+        record = 8 + 3 * FRAME_LEN * 4
+        struct.pack_into("<f", blob, 13 + 3 * record + 8 + 4 * 77, np.inf)
+        path.write_bytes(bytes(blob))
+        stream = read_frames(path)
+        assert len(stream[:3]) == 3
+        message = r"^%s: frame 3 \(timestamp 20\) contains non-finite values$"
+        with pytest.raises(IngestError, match=message % re.escape(str(path))):
+            stream[np.array([4, 3, 2])]
+
+    def test_file_cut_short_after_open(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        self.write(path, 5)
+        stream = read_frames(path)
+        record = 8 + 3 * FRAME_LEN * 4
+        path.write_bytes(path.read_bytes()[:13 + 2 * record + record // 2])
+        assert len(stream[:2]) == 2
+        message = r"^%s: frame %d is cut short; the file changed after it was opened$"
+        for rows, short in ((slice(None), 2), (np.array([1, 4]), 4)):
+            with pytest.raises(ParseError, match=message % (re.escape(str(path)), short)):
+                stream[rows]
+
+    def test_file_rewritten_after_open(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        self.write(path, 5)
+        stream = read_frames(path)
+        self.write(path, 5, seed=5, stamps=[0, 1, 7, 3, 4])
+        assert np.array_equal(stream[:2].timestamps, [0, 1])
+        message = r"^%s: frame 2 has timestamp 7, not 2; the file changed after it was opened$"
+        with pytest.raises(ParseError, match=message % re.escape(str(path))):
+            stream[1:4]
 
 
 class TestTimestampFromFilename:

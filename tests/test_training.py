@@ -267,7 +267,8 @@ class TestCheckpoint:
         model, stats = self.trained_pair()
         path = tmp_path / "model.dcan"
         training.save_checkpoint(model, stats, path, training_meta={"epochs_run": 2, "final_val_mse": 0.1})
-        meta = training.read_checkpoint_metadata(path)
+        with open(path, "rb") as fh:
+            meta = training._read_header(fh)
         assert meta["training"] == {"epochs_run": 2, "final_val_mse": 0.1}
         assert meta["config"]["axes"] == 3
 
@@ -352,7 +353,8 @@ class TestCheckpoint:
         training.save_checkpoint(dcan.build(tiny_config(), seed=0), stats, path)
         data = path.read_bytes()
         meta_end = 12 + struct.unpack_from("<I", data, 8)[0]
-        meta = training.read_checkpoint_metadata(path)
+        with open(path, "rb") as fh:
+            meta = training._read_header(fh)
         meta["config"]["fc_widths"] = [20, 20, 20, 19]
         blob = json.dumps(meta).encode("utf-8")
         path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[meta_end:])
