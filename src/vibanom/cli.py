@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dcan
-from .errors import ConfigurationError, RoutingError, VibanomError
+from .errors import ConfigurationError, DimensionError, RoutingError, VibanomError
 from .fleet import (
     PredictorSpec,
     calibrate_predictor,
@@ -34,7 +34,7 @@ from .fleet import (
     run_fleet,
     write_report_log,
 )
-from .ingest import Frame, build_nasa_splits, read_frames, stack_frames, write_frames
+from .ingest import FrameBlock, build_nasa_splits, read_frames, stack_frames, write_frames
 from .signals import (
     NormalSignalSpec,
     Waveform,
@@ -59,6 +59,8 @@ WAVEFORM_CSV_HEADER = b"index,value"
 
 def cmd_train(args) -> int:
     frames = read_frames(args.frames)
+    if len(frames) == 0:
+        raise DimensionError("%s: the frame file has no frames" % args.frames)
     batch = stack_frames(frames)
     stats = fit_standardization(batch)
     model = dcan.build(dcan.DcanConfig(axes=frames.axes), seed=args.seed)
@@ -176,10 +178,8 @@ def cmd_synth(args) -> int:
         print("waveform csv: %s (%d samples)" % (args.out, len(wave.samples)))
         return 0
     children = np.random.SeedSequence(args.seed).spawn(args.axes)
-    rows = [np.asarray(_synth_waveform(child, args).samples, dtype=np.float32)
-            for child in children]
-    frame = Frame(data=np.stack(rows), timestamp=0, source="synth")
-    write_frames(args.out, [frame])
+    rows = [_synth_waveform(child, args).samples for child in children]
+    write_frames(args.out, FrameBlock(np.zeros(1, np.int64), np.stack(rows)[None]))
     print("frame file: %s (1 frame, %d axes)" % (args.out, args.axes))
     return 0
 

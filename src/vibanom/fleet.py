@@ -7,19 +7,20 @@ to a newline-delimited report log whose records round-trip losslessly
 (floats are serialized with repr, which preserves the exact value).
 
 Reconstruction error is computed in standardized space, matching how
-the score normalization was calibrated. A stream is a FrameBlock, a
-FrameFile (ingest.read_frames) or a Sequence[Frame]; run_fleet also takes
-the path of a FRME file and opens it with read_frames. It is ordered by
-one stable argsort of its timestamps and cut into fixed _TASK-frame
-slices of that order. Each slice is one task: gather (for a FrameFile,
-read and check those records from the file), stack, standardize,
-reconstruct and report its frames. The tasks are taken in order by one
-thread per usable CPU (_worker_count), the caller included, and their
-reports are joined in task order, so the reports, and the first error in
-that order, are those of a sequential walk. At most _IN_FLIGHT frames are
-being worked on at once. So the working memory is bounded by that however
-long the stream, and for a FrameFile nothing else of the stream is held
-but its timestamp column and the reports, about 0.4 KB per frame.
+the score normalization was calibrated. A stream is a FrameBlock or a
+FrameFile (ingest.read_frames); a Sequence[Frame] is stacked into a block
+once, as it comes in, and run_fleet also takes the path of a FRME file
+and opens it with read_frames. A stream is ordered by one stable argsort
+of its timestamps and cut into fixed _TASK-frame slices of that order.
+Each slice is one task: gather (for a FrameFile, read and check those
+records from the file), standardize, reconstruct and report its frames.
+The tasks are taken in order by one thread per usable CPU
+(_worker_count), the caller included, and their reports are joined in
+task order, so the reports, and the first error in that order, are those
+of a sequential walk. At most _IN_FLIGHT frames are being worked on at
+once. So the working memory is bounded by that however long the stream,
+and for a FrameFile nothing else of the stream is held but its timestamp
+column and the reports, about 0.4 KB per frame.
 
 While the tasks run, OpenBLAS is pinned to one thread (vibanom.blas) and
 its count is restored afterwards. The workers then share the cores
@@ -55,7 +56,7 @@ from .errors import (
     ParseError,
     RoutingError,
 )
-from .ingest import FrameStream, Frames, frame_stream, read_frames, stack_frames
+from .ingest import FrameBlock, FrameFile, Frames, frame_stream, read_frames, stack_frames
 from .scoring import (
     AlarmConfig,
     AlarmLevel,
@@ -369,7 +370,7 @@ def load_fleet_config(path) -> FleetConfig:
     return fleet_config_from_dict(data)
 
 
-def _task_reports(model, stats, stream: FrameStream, rows: np.ndarray, meet=None):
+def _task_reports(model, stats, stream: FrameBlock | FrameFile, rows: np.ndarray, meet=None):
     """Stack, standardize, reconstruct and report the frames at rows,
     calling meet(), if given, once the report's working set is allocated."""
     batch = standardize(stack_frames(stream[rows]), stats)
@@ -380,7 +381,7 @@ def _task_reports(model, stats, stream: FrameStream, rows: np.ndarray, meet=None
     return dcan.reconstruction_report(batch, recon, _scratch=scratch)
 
 
-def _reconstruction_reports(model, stats, stream: FrameStream, order: np.ndarray):
+def _reconstruction_reports(model, stats, stream: FrameBlock | FrameFile, order: np.ndarray):
     """One ReconstructionReport per frame, taking the frames in order (an
     index array).
 
@@ -445,7 +446,7 @@ def _reconstruction_reports(model, stats, stream: FrameStream, order: np.ndarray
     return [report for part in results for report in part]
 
 
-def _timestamp_order(spec: PredictorSpec, stream: FrameStream) -> np.ndarray:
+def _timestamp_order(spec: PredictorSpec, stream: FrameBlock | FrameFile) -> np.ndarray:
     """The stable timestamp order of stream.
 
     Two frames with one timestamp are refused: one report per sampling time.
@@ -461,9 +462,10 @@ def _timestamp_order(spec: PredictorSpec, stream: FrameStream) -> np.ndarray:
     return order
 
 
-def _scorable(model, frames: Frames, who: str) -> FrameStream:
-    """frames as a stream (ingest.frame_stream) the checkpoint can score;
-    a FrameFile stays on disk, its records read by the scoring tasks.
+def _scorable(model, frames: Frames, who: str) -> FrameBlock | FrameFile:
+    """frames as a stream (ingest.frame_stream) the checkpoint can score:
+    a FrameFile stays on disk, its records read by the scoring tasks, and
+    a list is stacked once.
 
     An empty stream, mixed axis counts or the wrong axis count for the
     checkpoint is refused; who prefixes the message, e.g. "predictor p: ",

@@ -1,16 +1,17 @@
 """Frame ingestion: NASA IMS bearing files and binary frames.
 
-Raw recordings become Frame objects: A axes x 4096 points of float32
-acceleration, a timestamp and a source label (the IMS channel a frame was
-cut from). A stream of frames is a FrameBlock: one (N,) column of
-timestamps and one (N, A, 4096) float32 column of samples, checked once
-with vectorised checks; FrameBlock.of stacks a Sequence[Frame] into one.
+A stream of frames is a FrameBlock: one (N,) column of timestamps and
+one (N, A, 4096) float32 column of samples (A axes of acceleration),
+checked once with vectorised checks. A Frame is one such sampling event
+handed in by a caller; FrameBlock.of stacks a Sequence[Frame] into a
+block once, where it comes in, and nothing downstream walks Frames.
 IMS files are whitespace-separated channel columns named by their capture
 time (YYYY.MM.DD.HH.MM.SS, interpreted as UTC for determinism); each
-channel column is cut into non-overlapping FRAME_LEN-point windows.
-Window k of a file gets timestamp file_ts + k: a synthetic one-second
-tiebreaker that keeps per-channel sequences strictly chronological (files
-are 600 s apart, so order is never disturbed).
+channel column is cut into non-overlapping FRAME_LEN-point windows, the
+rows of a single-axis FrameBlock. Window k of a file gets timestamp
+file_ts + k: a synthetic one-second tiebreaker that keeps per-channel
+sequences strictly chronological (files are 600 s apart, so order is
+never disturbed).
 
 The binary frame format "FRME" is the bit-exact interchange format: one
 packed 13-byte _HEADER record, then one _record_dtype(axes) record per
@@ -32,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +59,8 @@ _TIMESTAMP_NAME = re.compile(r"^\d{4}\.\d{2}\.\d{2}\.\d{2}\.\d{2}\.\d{2}$")
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """One sampling event: A axes x 4096 points, in g."""
+    """One sampling event: A axes x 4096 points, in g. An input record:
+    FrameBlock.of stacks a Sequence[Frame] into a stream."""
 
     data: np.ndarray
     timestamp: int
@@ -111,10 +113,9 @@ class FrameBlock:
 
     timestamps is (N,) u8 and data (N, A, 4096) float32; both are checked
     once, with vectorised checks, and an error names the first bad frame
-    by index (and timestamp). len(block) is N, block.axes is A, block[k]
-    is frame k as a Frame viewing the block's samples, and block[rows]
-    for a slice or an index array is the sub-block of those rows (a view
-    for a slice).
+    by index (and timestamp). len(block) is N, block.axes is A, and
+    block[rows], for a slice or a 1-D index array, is the sub-block of
+    those rows (a view for a slice).
     """
 
     timestamps: np.ndarray
@@ -146,10 +147,27 @@ class FrameBlock:
     @classmethod
     def of(cls, frames: Frames) -> "FrameBlock":
         """frames as one block: a FrameBlock unchanged, a FrameFile read
-        whole, a Sequence[Frame] stacked once."""
+        whole, a non-empty Sequence[Frame] stacked once. A frame whose
+        axis count differs from the first's is named by index and
+        timestamp."""
         if isinstance(frames, FrameBlock):
             return frames
-        return frame_stream(frames)[:]
+        if isinstance(frames, FrameFile):
+            return frames[:]
+        if len(frames) == 0:
+            raise DimensionError("cannot stack an empty frame list")
+        axes = frames[0].axes
+        for k, frame in enumerate(frames):
+            if frame.axes != axes:
+                raise DimensionError(
+                    "frame %d (timestamp %d) has %d axes, expected %d"
+                    % (k, frame.timestamp, frame.axes, axes)
+                )
+        # each Frame checked its samples
+        return cls._checked(
+            _timestamp_column([f.timestamp for f in frames]),
+            np.stack([f.data for f in frames]),
+        )
 
     @property
     def axes(self) -> int:
@@ -161,19 +179,17 @@ class FrameBlock:
     @classmethod
     def _checked(cls, timestamps: np.ndarray, data: np.ndarray) -> "FrameBlock":
         """A block of columns that already pass every check, built without
-        checking them again (rows of a block, stacks of Frames)."""
+        checking them again (rows of a block or a file, stacks of Frames)."""
         block = object.__new__(cls)
         object.__setattr__(block, "timestamps", timestamps)
         object.__setattr__(block, "data", data)
         return block
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return Frame(data=self.data[key], timestamp=int(self.timestamps[key]))
-        return FrameBlock._checked(self.timestamps[key], self.data[key])
-
-    def __iter__(self) -> Iterator[Frame]:
-        return (self[k] for k in range(len(self)))
+    def __getitem__(self, rows) -> "FrameBlock":
+        # an int is refused, which also makes a block not iterable
+        if not isinstance(rows, slice) and np.ndim(rows) != 1:
+            raise TypeError("frame block rows must be a slice or a 1-D index array")
+        return FrameBlock._checked(self.timestamps[rows], self.data[rows])
 
 
 def _require_finite(stamps: np.ndarray, data: np.ndarray, index=None, where: str = ""):
@@ -188,8 +204,8 @@ def _require_finite(stamps: np.ndarray, data: np.ndarray, index=None, where: str
         )
 
 
-# records per os.preadv, and per step when a FrameFile is iterated: two
-# buffers each keeps a read within Linux's IOV_MAX of 1024 buffers
+# records per os.preadv, and per write_frames chunk: two buffers each
+# keeps a read within Linux's IOV_MAX of 1024 buffers
 _READ_RECORDS = 64
 
 
@@ -204,8 +220,7 @@ class FrameFile:
     FrameBlock checks its frames, but a non-finite sample names the frame's
     index in the file. A record cut short, or one whose timestamp is not
     the one read at open, raises ParseError: the file changed after it was
-    opened. file[k] is frame k as a Frame, and iteration reads
-    _READ_RECORDS records at a time, so neither holds the whole file.
+    opened.
     """
 
     def __init__(self, path, axes: int, timestamps: np.ndarray):
@@ -216,27 +231,19 @@ class FrameFile:
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
 
-    def __getitem__(self, key):
+    def __getitem__(self, rows) -> FrameBlock:
         # rows are resolved without an arange over the whole file, so a
         # task's read costs the same however long the file is
         n = len(self)
-        if isinstance(key, slice):
-            return self._read(np.arange(*key.indices(n)))
-        rows = np.asarray(key)
-        if rows.dtype.kind not in "iu" or rows.ndim > 1:
-            raise IndexError(
-                "frame file rows must be an int, a slice or a 1-D integer array"
-            )
+        if isinstance(rows, slice):
+            return self._read(np.arange(*rows.indices(n)))
+        rows = np.asarray(rows)
+        # an int is refused, which also makes a file not iterable
+        if rows.dtype.kind not in "iu" or rows.ndim != 1:
+            raise TypeError("frame file rows must be a slice or a 1-D integer array")
         if np.any((rows < -n) | (rows >= n)):
             raise IndexError("row out of range for a file of %d frames" % n)
-        rows = np.where(rows < 0, rows + n, rows)
-        if rows.ndim == 0:
-            return self._read(rows.reshape(1))[0]
-        return self._read(rows)
-
-    def __iter__(self) -> Iterator[Frame]:
-        for start in range(0, len(self), _READ_RECORDS):
-            yield from self[start:start + _READ_RECORDS]
+        return self._read(np.where(rows < 0, rows + n, rows))
 
     def _read(self, rows: np.ndarray) -> FrameBlock:
         stamps = np.empty(len(rows), dtype="<u8")
@@ -274,52 +281,11 @@ class FrameFile:
 Frames = Union[FrameBlock, FrameFile, Sequence[Frame]]
 
 
-class _FrameSequence:
-    """A Sequence[Frame] behind FrameBlock's stream interface.
-
-    Its timestamps and axis count are taken up front; stream[rows] stacks
-    only those rows into a FrameBlock, so a walk over it in slices holds
-    one slice's copy of the samples at a time, never the whole stream's.
-    """
-
-    def __init__(self, frames: Sequence[Frame]):
-        if len(frames) == 0:
-            raise DimensionError("cannot stack an empty frame list")
-        axes = frames[0].axes
-        for k, frame in enumerate(frames):
-            if frame.axes != axes:
-                raise DimensionError(
-                    "frame %d (timestamp %d) has %d axes, expected %d"
-                    % (k, frame.timestamp, frame.axes, axes)
-                )
-        self.frames = frames
-        self.axes = axes
-        self.timestamps = _timestamp_column([f.timestamp for f in frames])
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def __getitem__(self, rows) -> FrameBlock:
-        # each Frame checked its samples and __init__ checked the rest
-        picked = np.arange(len(self.frames))[rows]
-        return FrameBlock._checked(
-            self.timestamps[rows], np.stack([self.frames[k].data for k in picked])
-        )
-
-
-FrameStream = Union[FrameBlock, FrameFile, _FrameSequence]
-
-
-def frame_stream(frames: Frames) -> FrameStream:
-    """frames as a stream that slices into FrameBlocks.
-
-    A FrameBlock or a FrameFile is returned unchanged; a non-empty
-    Sequence[Frame] is wrapped so that each slice is stacked only when it
-    is taken. Each has timestamps, axes, len() and [rows] -> FrameBlock.
-    """
-    if isinstance(frames, (FrameBlock, FrameFile)):
-        return frames
-    return _FrameSequence(frames)
+def frame_stream(frames: Frames) -> Union[FrameBlock, FrameFile]:
+    """frames as a stream that slices into FrameBlocks: a FrameFile stays
+    on disk, anything else is FrameBlock.of(frames). Each has timestamps,
+    axes, len() and [rows] -> FrameBlock."""
+    return frames if isinstance(frames, FrameFile) else FrameBlock.of(frames)
 
 
 def stack_frames(frames: Frames) -> np.ndarray:
@@ -447,33 +413,26 @@ def parse_ims_file(text: str, filename: str) -> ImsRecording:
     return ImsRecording(timestamp=timestamp, matrix=matrix)
 
 
-def windowize(channel_series, *, source: str = "", timestamp: int = 0) -> List[Frame]:
-    """Cut a 1-D series into non-overlapping windows of FRAME_LEN points.
+def windowize(channel_series, *, timestamp: int = 0) -> FrameBlock:
+    """Cut a 1-D series into non-overlapping windows of FRAME_LEN points,
+    the rows of a single-axis FrameBlock.
 
-    Window k holds samples k*FRAME_LEN onwards and is stamped
-    timestamp + k; the trailing remainder shorter than a frame is
-    discarded. A series shorter than one frame yields an empty list with
-    a DataWarning.
+    Row k holds samples k*FRAME_LEN onwards and is stamped timestamp + k;
+    the trailing remainder shorter than a frame is discarded. A series
+    shorter than one frame yields an empty block with a DataWarning.
     """
     series = np.asarray(channel_series, dtype=np.float32)
     if series.ndim != 1:
         raise DimensionError("channel series must be 1-D")
-    if series.size < FRAME_LEN:
+    count = series.size // FRAME_LEN
+    if count == 0:
         warnings.warn(
             "series of %d points is shorter than one %d-point frame; "
             "no frames produced" % (series.size, FRAME_LEN),
             DataWarning,
         )
-        return []
-    # each window is copied so a kept frame does not pin the whole series
-    return [
-        Frame(
-            data=series[k * FRAME_LEN:(k + 1) * FRAME_LEN].reshape(1, FRAME_LEN).copy(),
-            timestamp=int(timestamp) + k,
-            source=source,
-        )
-        for k in range(series.size // FRAME_LEN)
-    ]
+    stamps = np.arange(count, dtype=np.int64) + int(timestamp)
+    return FrameBlock(stamps, series[:count * FRAME_LEN].reshape(count, 1, FRAME_LEN))
 
 
 _SET_ORDINALS = {1: "1st", 2: "2nd", 3: "3rd", 4: "4th"}
@@ -547,42 +506,27 @@ def resolve_set_dir(root_dir, set_number: int) -> Path:
     return chosen
 
 
-class _Reservoir:
-    """Algorithm R: uniform sample of fixed size from a stream."""
-
-    def __init__(self, size: int, rng: np.random.Generator):
-        self.size = size
-        self.rng = rng
-        self.items: List[Frame] = []
-        self.seen = 0
-
-    def offer(self, item: Frame):
-        self.seen += 1
-        if len(self.items) < self.size:
-            self.items.append(item)
-        else:
-            j = int(self.rng.integers(0, self.seen))
-            if j < self.size:
-                self.items[j] = item
-
-
 def build_nasa_splits(
     root_dir,
     spec: Optional[SplitSpec] = None,
     seed: int = 0,
-) -> Tuple[List[Frame], Dict[str, List[Frame]]]:
+) -> Tuple[FrameBlock, Dict[str, FrameBlock]]:
     """Split the IMS dataset into train frames and test sequences.
 
     Test channels keep their full chronological frame sequences; every
     other channel feeds a seeded reservoir subsample of spec.train_size
-    frames. Returns (train_frames, {"SetK/ChN": frames}).
+    frames (Algorithm R, its rows written into one preallocated block).
+    Returns (train_block, {"SetK/ChN": block}), all single-axis.
     """
     if spec is None:
         spec = SplitSpec()
     rng = np.random.default_rng(seed)
-    reservoir = _Reservoir(spec.train_size, rng)
-    test_sequences: Dict[str, List[Frame]] = {
-        "%s/Ch%d" % (set_name, channel): []
+    size, seen = spec.train_size, 0
+    train = FrameBlock._checked(
+        np.empty(size, dtype="<u8"), np.empty((size, 1, FRAME_LEN), dtype=np.float32)
+    )
+    test_parts: Dict[str, List[FrameBlock]] = {
+        "%s/Ch%d" % (set_name, channel): [train[:0]]
         for set_name, channel in spec.test_channels
     }
     set_numbers = sorted({int(s[3:]) for s, _ in spec.test_channels} | {1, 2, 3})
@@ -592,30 +536,32 @@ def build_nasa_splits(
         for path in _data_files(set_dir):
             recording = parse_ims_file(path.read_text(), path.name)
             for channel in range(1, recording.channel_count + 1):
-                label = "%s/Ch%d" % (set_name, channel)
-                frames = windowize(
-                    recording.channel(channel),
-                    source=label,
-                    timestamp=recording.timestamp,
-                )
+                block = windowize(recording.channel(channel), timestamp=recording.timestamp)
                 if spec.is_test_channel(set_name, channel):
-                    test_sequences[label].extend(frames)
-                else:
-                    for frame in frames:
-                        reservoir.offer(frame)
-    if reservoir.seen < spec.train_size:
+                    test_parts["%s/Ch%d" % (set_name, channel)].append(block)
+                    continue
+                for k in range(len(block)):
+                    slot = seen if seen < size else int(rng.integers(0, seen + 1))
+                    seen += 1
+                    if slot < size:
+                        train.timestamps[slot], train.data[slot] = block.timestamps[k], block.data[k]
+    if seen < size:
         warnings.warn(
-            "requested %d training frames but only %d are available"
-            % (spec.train_size, reservoir.seen),
+            "requested %d training frames but only %d are available" % (size, seen),
             DataWarning,
         )
-    for label, frames in test_sequences.items():
-        stamps = [f.timestamp for f in frames]
-        if any(b <= a for a, b in zip(stamps, stamps[1:])):
+    test_sequences = {}
+    for label, parts in test_parts.items():
+        stamps = np.concatenate([b.timestamps for b in parts])
+        if np.any(stamps[1:] <= stamps[:-1]):
             raise IngestError(
                 "test sequence %s is not strictly chronological" % label
             )
-    return reservoir.items, test_sequences
+        test_sequences[label] = FrameBlock._checked(
+            stamps, np.concatenate([b.data for b in parts])
+        )
+        parts.clear()  # frees this label's windows once copied
+    return train[:min(seen, size)], test_sequences
 
 
 def _record_dtype(axes: int) -> np.dtype:
@@ -623,21 +569,37 @@ def _record_dtype(axes: int) -> np.dtype:
 
 
 def write_frames(path, frames: Frames):
-    """Write frames (a FrameBlock or a Sequence[Frame]) to the FRME binary
-    format (bit-exact)."""
+    """Write frames (a FrameBlock, a FrameFile or a Sequence[Frame]) to the
+    FRME binary format (bit-exact).
+
+    The stream's columns are copied into one reused chunk of
+    _READ_RECORDS records at a time, so beyond a list's one stacked copy,
+    memory does not grow with the frame count. The records go to a
+    temporary file beside path, renamed over it only once all are
+    written: a stream that fails part-way leaves path as it was.
+    """
     if len(frames) == 0:
         raise DimensionError("refusing to write an empty frame file")
     stream = frame_stream(frames)
     header = np.array(
         [(FRAME_MAGIC, FRAME_FORMAT_VERSION, stream.axes, FRAME_LEN)], dtype=_HEADER
     )
-    # one reused record, so memory does not grow with the frame count
-    record = np.empty(1, dtype=_record_dtype(stream.axes))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for timestamp, frame in zip(stream.timestamps, frames):
-            record[0] = (timestamp, frame.data)
-            fh.write(record)
+    chunk = np.empty(_READ_RECORDS, dtype=_record_dtype(stream.axes))
+    partial = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    fh = open(partial, "xb")
+    try:
+        with fh:
+            fh.write(header)
+            for start in range(0, len(stream), _READ_RECORDS):
+                block = stream[start:start + _READ_RECORDS]
+                records = chunk[:len(block)]
+                records["ts"], records["data"] = block.timestamps, block.data
+                del block  # a file's rows: freed before the next are read
+                fh.write(records)
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def read_frames(path) -> FrameFile:

@@ -41,6 +41,9 @@ class ScoreNormalization:
     sigma: float
 
     def __post_init__(self):
+        for name, value in (("mu", self.mu), ("sigma", self.sigma)):
+            if isinstance(value, bool):
+                raise ConfigurationError("%s must be a number, got %r" % (name, value))
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise CalibrationError("normalization parameters must be finite")
         if self.sigma <= 0.0:
@@ -101,6 +104,8 @@ class AlarmConfig:
     trigger_sensitized: int = 12
 
     def __post_init__(self):
+        if any(isinstance(t, bool) for t in self.level_thresholds):
+            raise ConfigurationError("level_thresholds must be numbers, not bools")
         thresholds = tuple(float(t) for t in self.level_thresholds)
         if len(thresholds) != 3:
             raise ConfigurationError(
@@ -116,10 +121,9 @@ class AlarmConfig:
             )
         object.__setattr__(self, "level_thresholds", thresholds)
         for name in ("window_len", "trigger_fresh", "trigger_sensitized"):
-            if not isinstance(getattr(self, name), int):
-                raise ConfigurationError(
-                    "%s must be an integer, got %r" % (name, getattr(self, name))
-                )
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError("%s must be an integer, got %r" % (name, value))
         # must allow a fresh trigger to fit in the window, and the
         # sensitized trigger must genuinely lower the bar
         if self.trigger_sensitized < 1:

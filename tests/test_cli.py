@@ -596,8 +596,8 @@ class TestSynthAndExportPlot:
         )
         assert rc == 0
         frames = read_frames(out)
-        assert len(frames) == 1
-        assert frames[0].axes == 3
+        assert (len(frames), frames.axes) == (1, 3)
+        assert frames.timestamps.tolist() == [0]
 
     def test_sawtooth_flags_must_pair(self, tmp_path, capsys):
         rc = main(
@@ -719,6 +719,34 @@ class TestErrorSurface:
             "CheckpointFormatError",
         )
         assert message in line
+
+    def test_train_on_header_only_frame_file(self, tmp_path, capsys):
+        frames = tmp_path / "empty.frames"
+        frames.write_bytes(b"FRME" + struct.pack("<IBI", 1, 3, FRAME_LEN))
+        out = tmp_path / "model.ckpt"
+        line = self.one_error_line(
+            capsys, ["train", "--frames", str(frames), "--out", str(out)], "DimensionError"
+        )
+        assert line == "error: DimensionError: %s: the frame file has no frames" % frames
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "part, field",
+        [("alarm", "trigger_sensitized"), ("alarm", "window_len"),
+         ("alarm", "level_thresholds"), ("normalization", "mu"),
+         ("normalization", "sigma")],
+    )
+    def test_monitor_config_with_a_bool_field(self, checkpoint, tmp_path, capsys, part, field):
+        entry = {"id": "a", "location": "a", "checkpoint": checkpoint,
+                 "normalization": {"mu": 1.0, "sigma": 0.5}, "alarm": {}}
+        entry[part][field] = [True, 5.0, 8.0] if field == "level_thresholds" else True
+        config = tmp_path / "fleet.json"
+        config.write_text(json.dumps({"predictors": [entry]}))
+        (tmp_path / "streams").mkdir()
+        argv = ["monitor", "--config", str(config), "--frames", str(tmp_path / "streams"),
+                "--out", str(tmp_path / "out.log")]
+        line = self.one_error_line(capsys, argv, "ConfigurationError")
+        assert "%s must be" % field in line
 
     def test_missing_input_file(self, checkpoint, tmp_path, capsys):
         rc = main(

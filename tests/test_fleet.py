@@ -380,20 +380,26 @@ class TestChunkWalk:
             normalization=ScoreNormalization(mu=1.0, sigma=0.5),
         )
 
-    def test_peak_memory_bounded_by_chunk_not_stream(self, checkpoint):
+    def peak(self, checkpoint, frames):
         model, stats = load_checkpoint(checkpoint)
-        spec = self.spec(checkpoint)
+        tracemalloc.start()
+        try:
+            evaluate_stream(self.spec(checkpoint), model, stats, frames)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        def peak(count):
-            frames = make_frames(seed=15, count=count)
-            tracemalloc.start()
-            try:
-                evaluate_stream(spec, model, stats, frames)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_peak_memory_bounded_by_chunk_not_stream(self, checkpoint):
+        block = FrameBlock.of(make_frames(seed=15, count=256))
+        assert self.peak(checkpoint, block) <= 1.2 * self.peak(checkpoint, block[:64])
 
-        assert peak(256) <= 1.2 * peak(64)
+    def test_list_peak_memory_is_one_stacked_copy(self, checkpoint):
+        # a list is stacked once where it comes in; beyond that copy the
+        # walk holds what a block's does
+        frames = make_frames(seed=15, count=256)
+        block = FrameBlock.of(frames)
+        walk = self.peak(checkpoint, block)
+        assert self.peak(checkpoint, frames) <= block.data.nbytes + 1.2 * walk
 
     def test_empty_stream_names_predictor(self, checkpoint):
         model, stats = load_checkpoint(checkpoint)

@@ -1,18 +1,28 @@
-"""Every name a vibanom module imports is used in that module, and every
-private module-level name is used somewhere in the package.
+"""Every name a vibanom module imports is used in that module, every
+private module-level name is used somewhere in the package, and every
+public one somewhere besides its definition: in the package, a bench or
+demo script, or the README.
 
 The package's __init__.py is exempt from the import check: its imports are
-the public re-exports. A name listed in a module's __all__ counts as used.
+the public re-exports. A name listed in a module's __all__ counts as used,
+but a re-export in __init__.py does not count as a use of a public name.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vibanom"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "vibanom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+SCRIPTS = {
+    str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+    for p in sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+}
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def unused_imports(source: str) -> list:
@@ -73,9 +83,10 @@ def _used_names(stmt) -> set:
     return used
 
 
-def unreferenced_private_names(sources: dict) -> list:
-    """(module, line, name) of each private module-level name that no
-    top-level statement of any module uses, besides the one defining it."""
+def _unreferenced(sources: dict, wanted) -> list:
+    """(module, line, name) of each module-level name for which wanted(name)
+    holds and that no top-level statement of any module uses, besides the
+    one defining it."""
     statements = [
         (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
     ]
@@ -83,11 +94,27 @@ def unreferenced_private_names(sources: dict) -> list:
     unused = []
     for k, (module, stmt) in enumerate(statements):
         for name in _bound_names(stmt):
-            if not name.startswith("_") or name.startswith("__"):
-                continue
-            if not any(name in used for j, used in enumerate(uses) if j != k):
+            if wanted(name) and not any(name in used for j, used in enumerate(uses) if j != k):
                 unused.append((module, stmt.lineno, name))
     return unused
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, line, name) of each private module-level name that no
+    top-level statement of any module uses, besides the one defining it."""
+    return _unreferenced(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def unreferenced_public_names(sources: dict, scripts: dict, readme: str) -> list:
+    """(module, line, name) of each public module-level name (function,
+    class or assignment) of a package module that nothing references but
+    its definition: no other statement of the package outside __init__.py,
+    no script, and no word of readme."""
+    outside = set().union(*(_used_names(ast.parse(source)) for source in scripts.values()))
+    modules = {module: source for module, source in sources.items() if module != "__init__.py"}
+    return _unreferenced(modules, lambda name: not (
+        name.startswith("_") or name in outside or re.search(r"\b%s\b" % name, readme)
+    ))
 
 
 def test_no_unreferenced_private_names():
@@ -102,4 +129,23 @@ def test_detects_an_unreferenced_private_name():
     }
     assert unreferenced_private_names(sources) == [
         ("a.py", 2, "_SPARE"), ("a.py", 3, "_loop")
+    ]
+
+
+def test_no_unreferenced_public_names():
+    assert unreferenced_public_names(SOURCES, SCRIPTS, README) == []
+
+
+def test_detects_an_unreferenced_public_name():
+    sources = {
+        "__init__.py": "from .ingest import FrameStream, frame_stream, read_frames\n",
+        "ingest.py": "from typing import Union\nFrameStream = Union[int, str]\n"
+        "def frame_stream(x):\n    return frame_stream(x)\n"
+        "def read_frames(path):\n    return path\ndef write_frames(path):\n    return path\n"
+        "class FrameFile:\n    pass\n",
+        "fleet.py": "from .ingest import write_frames\n",
+    }
+    scripts = {"bench/run.py": "from vibanom import ingest\ningest.read_frames('a')\n"}
+    assert unreferenced_public_names(sources, scripts, "a `FrameFile` opens a file") == [
+        ("ingest.py", 2, "FrameStream"), ("ingest.py", 3, "frame_stream")
     ]

@@ -62,6 +62,12 @@ class TestScoreNormalization:
         with pytest.raises(CalibrationError):
             ScoreNormalization(mu=float("nan"), sigma=1.0)
 
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    def test_rejects_bools(self, field):
+        values = {"mu": 1.0, "sigma": 1.0, field: True}
+        with pytest.raises(ConfigurationError, match="^%s must be a number, got True$" % field):
+            ScoreNormalization(**values)
+
 
 class TestCalibrate:
     def test_worked_example(self):
@@ -160,6 +166,8 @@ class TestAlarmConfig:
             {"window_len": 15},  # smaller than trigger_fresh
             {"window_len": 30.0},  # counts must be integers
             {"trigger_fresh": "16"},
+            {"trigger_sensitized": True},  # a bool is not a count
+            {"level_thresholds": (True, 5.0, 8.0)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
