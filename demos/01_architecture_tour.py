@@ -43,8 +43,8 @@ for name, layer in model.layers.items():
 print()
 
 recon = dcan.reconstruct(model, x)
-report = dcan.reconstruction_report(x, recon)[0]
+per_axis, total = dcan.reconstruction_report(x, recon)
 print("round trip: input %s -> reconstruction %s" % (x.shape, recon.shape))
 print("table walk equals dcan.reconstruct: %s" % np.array_equal(h, recon))
-print("untrained reconstruction MSE per axis: %s" % (report.per_axis_mse,))
-print("untrained total MSE: %.4f (training drives this toward zero)" % report.total_mse)
+print("untrained reconstruction MSE per axis: %s" % (tuple(per_axis[0].tolist()),))
+print("untrained total MSE: %.4f (training drives this toward zero)" % total[0])

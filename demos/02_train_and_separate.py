@@ -62,8 +62,8 @@ def generator_frames(kind, count, seed):
 
 def mean_mse(batch):
     z = standardize(batch, stats)
-    reports = dcan.reconstruction_report(z, dcan.reconstruct(model, z))
-    return float(np.mean([r.total_mse for r in reports]))
+    _, total = dcan.reconstruction_report(z, dcan.reconstruct(model, z))
+    return float(np.mean(total))
 
 
 normal_mse = mean_mse(generator_frames("normal", 50, seed=20))

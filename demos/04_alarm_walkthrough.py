@@ -2,7 +2,7 @@
 """Alarm hysteresis walkthrough: scores, levels and the counting window.
 
 Feeds a hand-written MSE story through calibration, scoring, level
-classification and the 30-slot hysteresis window, printing the alarm
+classification and the 30-sample hysteresis window, printing the alarm
 machinery's view of every step: a healthy phase, a fault burst that trips
 the fresh threshold (17 of 30), a brief recovery, and a relapse that
 re-fires on the sensitized threshold (13 of 30).

@@ -6,7 +6,7 @@ for validation, run-to-failure dataset ingestion, and multi-predictor fleet
 monitoring.
 """
 
-from vibanom.dcan import DcanConfig, ReconstructionReport
+from vibanom.dcan import DcanConfig
 from vibanom.errors import (
     AliasingWarning,
     CalibrationError,
@@ -84,7 +84,6 @@ __all__ = [
     "NormalSignalSpec",
     "ParseError",
     "PredictorSpec",
-    "ReconstructionReport",
     "RoutingError",
     "ScoreNormalization",
     "SignalSpecError",

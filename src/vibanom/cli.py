@@ -57,10 +57,16 @@ from .training import (
 WAVEFORM_CSV_HEADER = b"index,value"
 
 
-def cmd_train(args) -> int:
-    frames = read_frames(args.frames)
+def _read_some_frames(path):
+    """read_frames(path), refusing a file with no frames by its path."""
+    frames = read_frames(path)
     if len(frames) == 0:
-        raise DimensionError("%s: the frame file has no frames" % args.frames)
+        raise DimensionError("%s: the frame file has no frames" % path)
+    return frames
+
+
+def cmd_train(args) -> int:
+    frames = _read_some_frames(args.frames)
     batch = stack_frames(frames)
     stats = fit_standardization(batch)
     model = dcan.build(dcan.DcanConfig(axes=frames.axes), seed=args.seed)
@@ -85,7 +91,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    frames = read_frames(args.frames)
+    frames = _read_some_frames(args.frames)
     norm = calibrate_predictor(args.checkpoint, frames)
     line = '{"mu": %r, "sigma": %r}' % (norm.mu, norm.sigma)
     print(line)
@@ -108,7 +114,7 @@ def _config_spec(args) -> PredictorSpec:
 
 
 def cmd_score(args) -> int:
-    frames = read_frames(args.frames)
+    frames = _read_some_frames(args.frames)
     spec = _config_spec(args) if args.config else None
     model, stats = load_checkpoint(args.checkpoint)
     if spec is not None:

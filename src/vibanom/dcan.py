@@ -3,8 +3,8 @@
 Assembles the fixed three-stage architecture (convolutional feature
 extraction, fully connected auto-encoding, transposed-convolution
 reconstruction) over standardized vibration frames of shape
-(batch, 1, axes, frame_len), and computes per-axis and aggregate
-reconstruction MSE reports.
+(batch, 1, axes, frame_len), and computes each frame's reconstruction
+MSE as two float64 columns: one MSE per axis, and one over the frame.
 
 With the default configuration the encoder maps a 3 x 4096 frame to a
 16 x 1 x 57 feature block (912 values flat), the five fully connected
@@ -32,7 +32,6 @@ __all__ = [
     "ConvSpec",
     "DcanConfig",
     "DcanModel",
-    "ReconstructionReport",
     "build",
     "encode",
     "decode",
@@ -108,9 +107,10 @@ class DcanConfig:
             raise ConfigurationError(f"unsupported axis count {self.axes}; expected 1 or 3")
         if self.frame_len < 1:
             raise ConfigurationError(f"frame_len must be positive, got {self.frame_len}")
-        if not (isinstance(self.leaky_slope, (int, float)) and 0.0 <= self.leaky_slope <= 1.0):
+        slope = self.leaky_slope
+        if isinstance(slope, bool) or not (isinstance(slope, (int, float)) and 0.0 <= slope <= 1.0):
             # nn.leaky_relu is max(x, slope * x), which needs this range
-            raise ConfigurationError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
+            raise ConfigurationError(f"leaky_slope must be a number in [0, 1], got {slope!r}")
         if len(self.conv_specs) != 3:
             raise ConfigurationError(f"expected 3 convolution specs, got {len(self.conv_specs)}")
         if len(self.fc_widths) != 4:
@@ -187,14 +187,6 @@ class DcanModel:
     def astype(self, dtype) -> "DcanModel":
         """Copy of the model with every parameter cast to dtype."""
         return DcanModel(self.config, {n: l.astype(dtype) for n, l in self.layers.items()})
-
-
-@dataclass(frozen=True)
-class ReconstructionReport:
-    """Reconstruction error of one frame: one MSE per axis plus the mean."""
-
-    per_axis_mse: tuple
-    total_mse: float
 
 
 def _zeros(config: DcanConfig) -> DcanModel:
@@ -285,8 +277,10 @@ def _report_scratch(inputs: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_report(inputs: np.ndarray, reconstructions: np.ndarray, *,
-                          _scratch: np.ndarray | None = None) -> list:
-    """One ReconstructionReport per frame of a (B, 1, A, L) batch.
+                          _scratch: np.ndarray | None = None):
+    """Reconstruction MSE of each frame of a (B, 1, A, L) batch, as two
+    float64 columns: per_axis (B, A), each axis's MSE, and total (B,), the
+    MSE over all of a frame's samples.
 
     The squared errors are formed in float64, _REPORT_GROUP frames at a
     time, in one reused buffer. Each frame's means are its own, so the
@@ -301,16 +295,17 @@ def reconstruction_report(inputs: np.ndarray, reconstructions: np.ndarray, *,
     if inputs.ndim != 4 or inputs.shape[1] != 1:
         raise DimensionError(f"expected (B, 1, A, L) tensors, got {inputs.shape}")
     buf = _report_scratch(inputs) if _scratch is None else _scratch
-    per_axis, totals = [], []
+    per_axis = np.empty((len(inputs), inputs.shape[2]))
+    total = np.empty(len(inputs))
     for start in range(0, len(inputs), _REPORT_GROUP):
         part = inputs[start:start + _REPORT_GROUP]
         sq = buf[:len(part)]
         np.copyto(sq, part)
         sq -= reconstructions[start:start + _REPORT_GROUP]
         np.square(sq, out=sq)
-        per_axis += sq[:, 0].mean(axis=2).tolist()
-        totals += sq.reshape(len(sq), -1).mean(axis=1).tolist()
-    return [ReconstructionReport(tuple(a), t) for a, t in zip(per_axis, totals)]
+        per_axis[start:start + len(part)] = sq[:, 0].mean(axis=2)
+        total[start:start + len(part)] = sq.reshape(len(sq), -1).mean(axis=1)
+    return per_axis, total
 
 
 def loss_and_gradients(model: DcanModel, frames: np.ndarray):

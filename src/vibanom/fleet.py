@@ -33,7 +33,6 @@ BLAS keeps its own threads, so the last digits can depend on the cores.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import itertools
 import json
@@ -108,19 +107,13 @@ def _raise_mmap_threshold() -> None:
     are such blocks. Freeing a mapped block raises the threshold to that
     block's size, and the trim threshold to twice that, so later
     temporaries come from a heap that keeps its pages. A 6 x 240-frame
-    monitor call took about 3.0k minor faults with this, against 42k-52k
-    without. The block is never touched, so it adds no resident memory;
-    where malloc is not glibc's, this is a harmless malloc and free.
+    monitor call took about 3.1k minor faults with this, against about 51k
+    without. numpy allocates an empty array's data with malloc and frees it
+    with the array; the block is never touched, so it adds no resident
+    memory, and where malloc is not glibc's it is a harmless malloc and
+    free.
     """
-    try:
-        libc = ctypes.CDLL(None)  # the process's own symbols
-    except (OSError, TypeError):  # TypeError: no such handle on Windows
-        return
-    libc.malloc.restype = ctypes.c_void_p
-    libc.malloc.argtypes = [ctypes.c_size_t]
-    libc.free.restype = None
-    libc.free.argtypes = [ctypes.c_void_p]
-    libc.free(libc.malloc(16 << 20))
+    np.empty(16 << 20, np.uint8)
 
 
 # report lines are space-separated key:value pairs, so these tokens must
@@ -382,8 +375,8 @@ def _task_reports(model, stats, stream: FrameBlock | FrameFile, rows: np.ndarray
 
 
 def _reconstruction_reports(model, stats, stream: FrameBlock | FrameFile, order: np.ndarray):
-    """One ReconstructionReport per frame, taking the frames in order (an
-    index array).
+    """The MSE columns (per_axis, total) of dcan.reconstruction_report for
+    the frames of stream, taken in order (an index array).
 
     The _TASK-frame tasks are taken in order by `workers` threads, the
     calling thread among them. When a task raises, the threads take only
@@ -443,7 +436,8 @@ def _reconstruction_reports(model, stats, stream: FrameBlock | FrameFile, order:
                     thread.join()
     if errors:
         raise errors[min(errors)]
-    return [report for part in results for report in part]
+    per_axis, total = zip(*results)
+    return np.concatenate(per_axis), np.concatenate(total)
 
 
 def _timestamp_order(spec: PredictorSpec, stream: FrameBlock | FrameFile) -> np.ndarray:
@@ -494,8 +488,8 @@ def evaluate_stream(spec: PredictorSpec, model, stats, frames: Frames) -> List[S
         )
     stream = _scorable(model, frames, "predictor %s: " % spec.id)
     order = _timestamp_order(spec, stream)
-    recon = _reconstruction_reports(model, stats, stream, order)
-    return _status_reports(spec, stream.timestamps[order].tolist(), recon)
+    per_axis, total = _reconstruction_reports(model, stats, stream, order)
+    return _status_reports(spec, stream.timestamps[order].tolist(), per_axis, total)
 
 
 def evaluate_self_calibrated(
@@ -508,28 +502,29 @@ def evaluate_self_calibrated(
     """
     stream = _scorable(model, frames, "")
     order = _timestamp_order(spec, stream)
-    recon = _reconstruction_reports(model, stats, stream, order)
-    norm = calibrate([r.total_mse for r in recon])
+    per_axis, total = _reconstruction_reports(model, stats, stream, order)
     return _status_reports(
-        replace(spec, normalization=norm), stream.timestamps[order].tolist(), recon
+        replace(spec, normalization=calibrate(total)),
+        stream.timestamps[order].tolist(), per_axis, total,
     )
 
 
-def _status_reports(spec: PredictorSpec, stamps: List[int], recon) -> List[StatusReport]:
-    """Score reconstructed frames through the predictor's hysteresis window."""
+def _status_reports(
+    spec: PredictorSpec, stamps: List[int], per_axis: np.ndarray, total: np.ndarray
+) -> List[StatusReport]:
+    """Score reconstructed frames, given as the MSE columns of
+    _reconstruction_reports, through the predictor's hysteresis window."""
     state = HysteresisState()
     reports = []
-    for timestamp, rr in zip(stamps, recon):
-        decision, state = evaluate(
-            rr.total_mse, spec.normalization, spec.alarm, state
-        )
+    for timestamp, axis_mse, mse in zip(stamps, per_axis.tolist(), total.tolist()):
+        decision, state = evaluate(mse, spec.normalization, spec.alarm, state)
         reports.append(
             StatusReport(
                 timestamp=timestamp,
                 predictor_id=spec.id,
                 location=spec.location,
-                per_axis_mse=rr.per_axis_mse,
-                total_mse=rr.total_mse,
+                per_axis_mse=axis_mse,
+                total_mse=mse,
                 score=decision.score,
                 level=decision.level,
                 alarm_fired=decision.alarm_fired,
@@ -589,6 +584,6 @@ def calibrate_predictor(checkpoint_path, frames: Frames) -> ScoreNormalization:
     """
     model, stats = load_checkpoint(checkpoint_path)
     stream = _scorable(model, frames, "")
-    reports = _reconstruction_reports(model, stats, stream, np.arange(len(stream)))
-    return calibrate([r.total_mse for r in reports])
+    _, total = _reconstruction_reports(model, stats, stream, np.arange(len(stream)))
+    return calibrate(total)
 

@@ -7,9 +7,11 @@ false positives: a fresh window needs more than 16 anomalous samples out
 of 30 to fire, while a window that already contains a fired alarm stays
 sensitized and refires at more than 12.
 
-All types here are immutable; `hysteresis_step` returns a new state
-rather than mutating its argument, so callers can snapshot and replay
-alarm histories freely.
+The window is two int bit masks, anomalous and fired, with the newest
+sample in bit 0, so a step is a shift, a mask and a bit count. All types
+here are immutable; `hysteresis_step` returns a new state rather than
+mutating its argument, so callers can snapshot and replay alarm histories
+freely.
 """
 
 from __future__ import annotations
@@ -157,22 +159,16 @@ def classify(score_value: float, config: AlarmConfig) -> AlarmLevel:
 
 
 @dataclass(frozen=True)
-class WindowSlot:
-    """One processed sample in the hysteresis window."""
-
-    is_anomalous: bool
-    alarm_fired: bool
-
-
-@dataclass(frozen=True)
 class HysteresisState:
-    """Sliding window of recent samples, oldest first, newest last."""
+    """The samples in the window as two bit masks, newest in bit 0: which
+    were anomalous, and on which the alarm fired."""
 
-    slots: Tuple[WindowSlot, ...] = ()
+    anomalous: int = 0
+    fired: int = 0
 
     @property
     def anomalous_count(self) -> int:
-        return sum(1 for s in self.slots if s.is_anomalous)
+        return self.anomalous.bit_count()
 
 
 def hysteresis_step(
@@ -180,23 +176,17 @@ def hysteresis_step(
 ) -> Tuple[HysteresisState, bool]:
     """Advance the alarm window by one sample.
 
-    The oldest slot is evicted once the window holds window_len samples.
+    The oldest sample is evicted once the window holds window_len samples.
     The anomalous count includes the current sample; the sensitized path
-    applies when any *previous* slot still in the window fired.
+    applies when any *previous* sample still in the window fired.
     """
     is_anomalous = bool(is_anomalous)
-    previous = state.slots
-    if len(previous) >= config.window_len:
-        previous = previous[-(config.window_len - 1):] if config.window_len > 1 else ()
-    count = sum(1 for s in previous if s.is_anomalous) + (1 if is_anomalous else 0)
-    prior_fired = any(s.alarm_fired for s in previous)
-    if prior_fired:
-        fired = is_anomalous and count > config.trigger_sensitized
-    else:
-        fired = is_anomalous and count > config.trigger_fresh
-    new_state = HysteresisState(
-        slots=previous + (WindowSlot(is_anomalous=is_anomalous, alarm_fired=fired),)
-    )
+    kept = (1 << (config.window_len - 1)) - 1  # the previous samples that stay
+    anomalous, prior_fired = state.anomalous & kept, state.fired & kept
+    count = anomalous.bit_count() + is_anomalous
+    trigger = config.trigger_sensitized if prior_fired else config.trigger_fresh
+    fired = is_anomalous and count > trigger
+    new_state = HysteresisState((anomalous << 1) | is_anomalous, (prior_fired << 1) | fired)
     return new_state, fired
 
 

@@ -332,9 +332,11 @@ def load_checkpoint(path):
     """Read a checkpoint back into (model, stats); bit-exact by contract.
 
     Raises CheckpointFormatError on a bad magic tag or malformed content,
-    CheckpointVersionError on an unsupported version, and
-    CheckpointTruncatedError when the file ends early. No partial model is
-    ever returned.
+    naming the tensor for a missing one, one of the wrong shape (the stats
+    need one value per axis of the model), a non-finite value or a
+    stats.std below STD_FLOOR; CheckpointVersionError on an unsupported
+    version; and CheckpointTruncatedError when the file ends early. No
+    partial model is ever returned.
     """
     with open(path, "rb") as fh:
         metadata = _read_header(fh)
@@ -357,17 +359,22 @@ def load_checkpoint(path):
 
     config = _config_from_metadata(metadata.get("config", {}))
     model = dcan._zeros(config)
-    for name, param in model.named_parameters().items():
+    params = model.named_parameters()
+    shapes = {name: param.shape for name, param in params.items()}
+    shapes["stats.mean"] = shapes["stats.std"] = (config.axes,)
+    for name, shape in shapes.items():
         if name not in tensors:
             raise CheckpointFormatError(f"checkpoint is missing tensor '{name}'")
         stored = tensors[name]
-        if stored.shape != param.shape:
+        if stored.shape != shape:
             raise CheckpointFormatError(
-                f"tensor '{name}' has shape {stored.shape}, expected {param.shape}"
+                f"tensor '{name}' has shape {stored.shape}, expected {shape}"
             )
-        param[...] = stored
-    for required in ("stats.mean", "stats.std"):
-        if required not in tensors:
-            raise CheckpointFormatError(f"checkpoint is missing tensor '{required}'")
+        if not np.isfinite(stored).all():
+            raise CheckpointFormatError(f"tensor '{name}' has non-finite values")
+        if name in params:
+            params[name][...] = stored
+    if tensors["stats.std"].min() < STD_FLOOR:
+        raise CheckpointFormatError(f"tensor 'stats.std' has a value below {STD_FLOOR:.0e}")
     stats = StandardizationStats(tensors["stats.mean"], tensors["stats.std"])
     return model, stats

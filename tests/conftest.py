@@ -1,5 +1,6 @@
-"""Shared pytest hooks: one-line summary per acceptance criterion, and a
-guard against a test that leaves OpenBLAS's thread count changed.
+"""Shared pytest hooks: one-line summary per acceptance criterion, a guard
+against a test that leaves OpenBLAS's thread count changed, and fleet's
+malloc primer run once before any test.
 
 Tests marked with @pytest.mark.criterion("A1", "some title") contribute to a
 terminal summary block with one [A1] PASS/FAIL/SKIP line per label.  Several
@@ -11,7 +12,15 @@ from __future__ import annotations
 
 import pytest
 
-from vibanom import blas
+from vibanom import blas, fleet
+
+
+@pytest.fixture(autouse=True, scope="session")
+def malloc_primed():
+    """Run fleet's once-per-process malloc primer before any test. numpy
+    reports its untouched 16 MB block to tracemalloc, so a memory pin whose
+    scoring walk happened to be the process's first would count it."""
+    fleet._raise_mmap_threshold()
 
 
 @pytest.fixture(autouse=True)

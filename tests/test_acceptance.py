@@ -68,8 +68,8 @@ def total_mses(model, stats, batch) -> np.ndarray:
     out = []
     for start in range(0, z.shape[0], 64):
         part = z[start : start + 64]
-        reports = dcan.reconstruction_report(part, dcan.reconstruct(model, part))
-        out.extend(r.total_mse for r in reports)
+        _, total = dcan.reconstruction_report(part, dcan.reconstruct(model, part))
+        out.extend(total.tolist())
     return np.asarray(out)
 
 

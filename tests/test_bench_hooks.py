@@ -6,7 +6,7 @@ that renames or drops one of them would silently drop its per-layer
 metrics from a traced run, so this reads those two tables (as literals,
 without importing the benchmark) and checks each name resolves to a
 function of the named vibanom module. It also checks that monitor reads
-its streams through a name such a swap reaches.
+its streams, and scores each frame, through names such a swap reaches.
 """
 
 import ast
@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vibanom import cli, dcan, ingest
-from vibanom.fleet import FleetConfig, PredictorSpec, save_fleet_config
+from vibanom import cli, dcan, ingest, scoring
+from vibanom.fleet import FleetConfig, PredictorSpec, read_report_log, save_fleet_config
 from vibanom.scoring import ScoreNormalization
 from vibanom.training import StandardizationStats, save_checkpoint
 
@@ -50,40 +50,80 @@ def test_traced_function_exists(module, name):
     assert callable(fn), "vibanom.%s.%s is traced by bench/spans.py" % (module, name)
 
 
-def test_monitor_reads_each_stream_once_through_the_module_name(tmp_path, monkeypatch):
-    # bench/spans.py times the reads by rebinding every vibanom module's
-    # name for ingest.read_frames; monitor must read each stream there, once
+def swap_everywhere(monkeypatch, original, stand_in):
+    """Rebind every vibanom module's name for original, as spans.swapped does."""
+    for name, module in list(sys.modules.items()):
+        if name == "vibanom" or name.startswith("vibanom."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, stand_in)
+
+
+def monitor_fleet(tmp_path, names, frames=3, norm=ScoreNormalization(mu=1.0, sigma=0.5)):
+    """A fleet.json with one untrained predictor per name, a stream of
+    noise frames for all but the last, and the monitor argv over them."""
     ckpt = tmp_path / "m.ckpt"
     stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
     save_checkpoint(dcan.build(dcan.DcanConfig(), seed=0), stats, ckpt)
-    names = ("a", "b", "c")
     specs = tuple(
         PredictorSpec(id=n, location=n, checkpoint=str(ckpt),
-                      normalization=ScoreNormalization(mu=1.0, sigma=0.5))
+                      normalization=norm)
         for n in names
     )
     save_fleet_config(FleetConfig(predictors=specs), tmp_path / "fleet.json")
     streams = tmp_path / "streams"
     streams.mkdir()
     rng = np.random.default_rng(0)
-    for n in names[:2]:  # c has no stream file
+    for n in names[:-1]:
         ingest.write_frames(streams / (n + ".frames"), [
             ingest.Frame(rng.normal(size=(3, ingest.FRAME_LEN)).astype(np.float32), timestamp=t)
-            for t in range(3)
+            for t in range(frames)
         ])
+    return ["monitor", "--config", str(tmp_path / "fleet.json"),
+            "--frames", str(streams), "--out", str(tmp_path / "r.log")]
 
+
+def test_monitor_reads_each_stream_once_through_the_module_name(tmp_path, monkeypatch):
+    # bench/spans.py times the reads by rebinding every vibanom module's
+    # name for ingest.read_frames; monitor must read each stream there, once
+    argv = monitor_fleet(tmp_path, ("a", "b", "c"))  # c has no stream file
+    streams = tmp_path / "streams"
     original, calls = ingest.read_frames, []
 
     def counting(path):
         calls.append(str(path))
         return original(path)
 
-    for name, module in list(sys.modules.items()):
-        if name == "vibanom" or name.startswith("vibanom."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    argv = ["monitor", "--config", str(tmp_path / "fleet.json"),
-            "--frames", str(streams), "--out", str(tmp_path / "r.log")]
+    swap_everywhere(monkeypatch, original, counting)
     assert cli.main(argv) == 0
     assert sorted(calls) == [str(streams / "a.frames"), str(streams / "b.frames")]
+
+
+def test_monitor_scores_each_frame_through_the_module_name(tmp_path, monkeypatch, capsys):
+    # the bench's evaluate-never-fires sabotage rebinds every vibanom
+    # module's name for scoring.evaluate; monitor must score each frame
+    # there, or the sabotage would pass unseen. Scored against mu 0 and
+    # sigma 1e-9, every frame is anomalous, so the real rule fires.
+    argv = monitor_fleet(tmp_path, ("a", "b"), frames=20,
+                         norm=ScoreNormalization(mu=0.0, sigma=1e-9))
+    log = tmp_path / "r.log"
+    assert cli.main(argv) == 0
+    assert any(r.alarm_fired for r in read_report_log(log))
+    log.unlink()
+
+    real, calls = scoring.evaluate, []
+
+    def never_fires(mse, normalization, config, state):
+        decision, new_state = real(mse, normalization, config, state)
+        calls.append(decision.alarm_fired)
+        return scoring.AlarmDecision(
+            score=decision.score, level=decision.level, alarm_fired=False,
+            anomalous_in_window=decision.anomalous_in_window,
+        ), new_state
+
+    swap_everywhere(monkeypatch, real, never_fires)
+    assert cli.main(argv) == 0
+    reports = read_report_log(log)
+    assert len(reports) == len(calls) == 20
+    assert any(calls) and not any(r.alarm_fired for r in reports)
+    assert "a: 20 frames, 0 alarms" in capsys.readouterr().out

@@ -99,6 +99,15 @@ class TestCalibrate:
         assert rc == 1
         assert "error: CalibrationError:" in capsys.readouterr().err
 
+    def test_header_only_frame_file_names_the_file(self, checkpoint, tmp_path, capsys):
+        frames = tmp_path / "empty.frames"
+        frames.write_bytes(b"FRME" + struct.pack("<IBI", 1, 3, FRAME_LEN))
+        rc = main(["calibrate", "--checkpoint", checkpoint, "--frames", str(frames)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: DimensionError: %s: the frame file has no frames\n" % frames
+
 
 class TestScore:
     def test_adhoc_self_calibration_scores_none(self, checkpoint, tmp_path, capsys):
@@ -185,10 +194,12 @@ class TestScore:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: DimensionError:" in captured.err
+        assert captured.err == "error: DimensionError: %s: the frame file has no frames\n" % frames
 
     @pytest.mark.parametrize(
         "field, value",
-        [("frame_len", "4096"), ("axes", 3.0), ("fc_widths", (200, "200", 200, 200))],
+        [("frame_len", "4096"), ("axes", 3.0), ("fc_widths", (200, "200", 200, 200)),
+         ("leaky_slope", True)],
     )
     def test_mistyped_checkpoint_metadata_fails_cleanly(self, tmp_path, capsys, field, value):
         model = dcan.build(dcan.DcanConfig(), seed=21)
@@ -204,7 +215,8 @@ class TestScore:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ConfigurationError: ")
-        assert field in lines[0] and "must be an int" in lines[0]
+        message = "must be a number" if field == "leaky_slope" else "must be an int"
+        assert field in lines[0] and message in lines[0]
 
     def test_config_without_matching_checkpoint(self, checkpoint, tmp_path, capsys):
         frames = frames_file(tmp_path / "score3.frames", seed=6, count=3)
@@ -719,6 +731,43 @@ class TestErrorSurface:
             "CheckpointFormatError",
         )
         assert message in line
+
+    @pytest.mark.parametrize(
+        "tensor, index, value, message",
+        [("fc2.weight", 7, np.nan, "non-finite"),
+         ("deconv3.bias", 0, np.inf, "non-finite"),
+         ("stats.mean", 1, np.nan, "non-finite"),
+         ("stats.std", 2, 0.0, "below 1e-08"),
+         ("stats.std", 0, np.inf, "non-finite"),
+         ("stats.std", 1, np.nan, "non-finite"),
+         ("stats.mean", None, None, "has shape (1,), expected (3,)")],
+        ids=["nan-weight", "inf-bias", "nan-mean", "zero-std", "inf-std", "nan-std",
+             "stats-axes"],
+    )
+    def test_monitor_refuses_bad_checkpoint_contents(
+        self, tmp_path, capsys, tensor, index, value, message
+    ):
+        # each of these once scored every frame as nan and never alarmed
+        model = dcan.build(dcan.DcanConfig(), seed=21)
+        mean, std = np.zeros(3, np.float32), np.ones(3, np.float32)
+        arrays = {**model.named_parameters(), "stats.mean": mean, "stats.std": std}
+        if index is None:  # one-axis stats for a three-axis model
+            mean, std = mean[:1], std[:1]
+        else:
+            arrays[tensor].reshape(-1)[index] = value
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(model, StandardizationStats(mean, std), ckpt)
+        spec = PredictorSpec(id="a", location="a", checkpoint=str(ckpt),
+                             normalization=ScoreNormalization(mu=1.0, sigma=0.5))
+        save_fleet_config(FleetConfig(predictors=(spec,)), tmp_path / "fleet.json")
+        (tmp_path / "streams").mkdir()
+        frames_file(tmp_path / "streams" / "a.frames", seed=6, count=3)
+        log = tmp_path / "out.log"
+        argv = ["monitor", "--config", str(tmp_path / "fleet.json"),
+                "--frames", str(tmp_path / "streams"), "--out", str(log)]
+        line = self.one_error_line(capsys, argv, "CheckpointFormatError")
+        assert "tensor '%s'" % tensor in line and message in line
+        assert not log.exists()
 
     def test_train_on_header_only_frame_file(self, tmp_path, capsys):
         frames = tmp_path / "empty.frames"

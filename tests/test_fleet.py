@@ -85,8 +85,8 @@ def total_mses(checkpoint_path, frames):
     """Recompute standardized-space MSEs through the public API."""
     model, stats = load_checkpoint(checkpoint_path)
     batch = standardize(stack_frames(frames), stats)
-    reports = dcan.reconstruction_report(batch, dcan.reconstruct(model, batch))
-    return [r.total_mse for r in reports]
+    _, total = dcan.reconstruction_report(batch, dcan.reconstruct(model, batch))
+    return total.tolist()
 
 
 class TestPredictorSpec:
@@ -357,7 +357,7 @@ class TestBatchInvariance:
         frames = standardize(stack_frames(make_frames(seed=9, count=70)), stats)
 
         def scores(batch):
-            return [r.total_mse for r in dcan.reconstruction_report(batch, dcan.reconstruct(model, batch))]
+            return dcan.reconstruction_report(batch, dcan.reconstruct(model, batch))[1].tolist()
 
         alone = np.array([scores(frames[i : i + 1])[0] for i in range(len(frames))])
         for shift in sorted({0, 1, batch_size // 2, batch_size - 1}):

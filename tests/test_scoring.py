@@ -2,7 +2,7 @@
 
 Oracle: reference_alarm_replay in helpers keeps the whole stream history
 and recomputes every decision from the rule definition by slicing; the
-library's bounded 30-slot state machine must match it step for step.
+library's bounded 30-bit state machine must match it step for step.
 """
 
 import itertools
@@ -18,7 +18,6 @@ from vibanom.scoring import (
     AlarmLevel,
     HysteresisState,
     ScoreNormalization,
-    WindowSlot,
     calibrate,
     classify,
     evaluate,
@@ -235,7 +234,7 @@ class TestHysteresisTruthTable:
         fired, state = run_stream([False] * 1000, config)
         assert not any(fired)
         assert state.anomalous_count == 0
-        assert len(state.slots) == 30
+        assert state.anomalous == 0 and state.fired == 0  # the window holds no mark
 
     def test_current_normal_sample_never_fires(self):
         # 20 anomalous in the window, but the current sample is normal
@@ -252,8 +251,15 @@ class TestHysteresisTruthTable:
     def test_window_is_bounded(self):
         config = AlarmConfig()
         _, state = run_stream([True] * 100, config)
-        assert len(state.slots) == 30
+        assert state.anomalous == (1 << 30) - 1  # exactly the last 30 samples
+        assert state.fired.bit_length() <= 30
         assert state.anomalous_count == 30
+
+    def test_newest_sample_is_bit_0(self):
+        config = AlarmConfig()
+        _, state = run_stream([True] * 17 + [False, False], config)
+        assert state.anomalous == ((1 << 17) - 1) << 2
+        assert state.fired == 0b100  # the 17th sample fired
 
     def test_fired_flag_is_state_not_input(self):
         # sensitized behavior cannot be recovered from the last 30 raw
@@ -267,10 +273,10 @@ class TestHysteresisTruthTable:
 
     def test_step_does_not_mutate_input_state(self):
         config = AlarmConfig()
-        state = HysteresisState(slots=(WindowSlot(True, False),))
-        before = state.slots
+        state = HysteresisState(anomalous=0b1, fired=0b0)
+        before = (state.anomalous, state.fired)
         hysteresis_step(state, True, config)
-        assert state.slots == before
+        assert (state.anomalous, state.fired) == before
 
     def test_step_is_deterministic(self):
         config = AlarmConfig()
