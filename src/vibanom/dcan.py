@@ -13,10 +13,14 @@ restores the original frame size exactly. Inference never mutates the
 model, so concurrent reconstruct calls on a shared model are safe;
 training updates parameters in place and needs exclusive access.
 
+Every convolution kernel spans its input's full height (DcanConfig.validate
+refuses any other): the first covers all the axes, so each encoder
+convolution outputs one row, and each transposed convolution reads one.
+
 The model is one table of its eleven layers in forward order. One walker
-runs any slice of it for encode, decode and reconstruct; for training it
-records each layer's input and pre-activation on a tape, and one loop over
-the reversed tape turns the loss gradient into every parameter gradient.
+runs it for reconstruct; for training it records each layer's input and
+pre-activation on a tape, and one loop over the reversed tape turns the
+loss gradient into every parameter gradient.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ __all__ = [
     "DcanConfig",
     "DcanModel",
     "build",
-    "encode",
-    "decode",
     "reconstruct",
     "reconstruction_report",
     "loss_and_gradients",
@@ -126,29 +128,32 @@ class DcanConfig:
                     f"conv{i} expects {spec.in_channels} channels but conv{i - 1} "
                     f"produces {self.conv_specs[i - 2].out_channels}"
                 )
+            if min(*spec.kernel, *spec.stride) < 1:
+                raise ConfigurationError(
+                    f"conv{i} kernel {spec.kernel} and stride {spec.stride} must be >= 1"
+                )
             kh, kw = spec.kernel
-            sh, sw = spec.stride
-            if kh > h or kw > w:
+            if kh != h:
+                raise ConfigurationError(
+                    f"conv{i} kernel height {kh} differs from its input height {h}; "
+                    "every kernel spans its input's full height"
+                )
+            if kw > w:
                 raise ConfigurationError(f"conv{i} kernel {spec.kernel} exceeds input {h}x{w}")
-            if (h - kh) % sh != 0 or (w - kw) % sw != 0:
+            if (w - kw) % spec.stride[1] != 0:
                 raise ConfigurationError(
                     f"conv{i} stride {spec.stride} does not tile input {h}x{w}; "
                     "the decoder could not restore the frame size"
                 )
             h, w = nn.conv_output_hw(h, w, spec.kernel, spec.stride)
 
-    def conv_shape_chain(self) -> list[tuple[int, int, int]]:
-        """(channels, height, width) after each encoder convolution."""
-        chain = []
+    @property
+    def latent_shape(self) -> tuple[int, int, int]:
+        """(channels, height, width) after the last encoder convolution."""
         h, w = self.axes, self.frame_len
         for spec in self.conv_specs:
             h, w = nn.conv_output_hw(h, w, spec.kernel, spec.stride)
-            chain.append((spec.out_channels, h, w))
-        return chain
-
-    @property
-    def latent_shape(self) -> tuple[int, int, int]:
-        return self.conv_shape_chain()[-1]
+        return self.conv_specs[-1].out_channels, h, w
 
     @property
     def flat_size(self) -> int:
@@ -189,20 +194,34 @@ class DcanModel:
         return DcanModel(self.config, {n: l.astype(dtype) for n, l in self.layers.items()})
 
 
+def _layer_sizes(config: DcanConfig) -> list:
+    """(name, layer class, sizes) of each of the eleven layers in forward
+    order; raises ConfigurationError unless config validates."""
+    config.validate()
+    specs = config.conv_specs
+    widths = [config.flat_size, *config.fc_widths, config.flat_size]
+    return (
+        [(f"conv{i}", nn.Conv2dLayer, (s.in_channels, s.out_channels, s.kernel, s.stride))
+         for i, s in enumerate(specs, start=1)]
+        + [(f"fc{i}", nn.DenseLayer, (widths[i - 1], widths[i])) for i in range(1, len(widths))]
+        + [(f"deconv{i}", nn.ConvTranspose2dLayer,
+            (s.out_channels, s.in_channels, s.kernel, s.stride))
+           for i, s in enumerate(reversed(specs), start=1)]
+    )
+
+
 def _zeros(config: DcanConfig) -> DcanModel:
     """A validated model of the configured shape with every parameter zero."""
-    config.validate()
-    layers = {}
-    for i, s in enumerate(config.conv_specs, start=1):
-        layers[f"conv{i}"] = nn.Conv2dLayer.zeros(s.in_channels, s.out_channels, s.kernel, s.stride)
-    widths = [config.flat_size, *config.fc_widths, config.flat_size]
-    for i in range(1, len(widths)):
-        layers[f"fc{i}"] = nn.DenseLayer.zeros(widths[i - 1], widths[i])
-    for i, s in enumerate(reversed(config.conv_specs), start=1):
-        layers[f"deconv{i}"] = nn.ConvTranspose2dLayer.zeros(
-            s.out_channels, s.in_channels, s.kernel, s.stride
-        )
-    return DcanModel(config, layers)
+    return DcanModel(config, {name: cls.zeros(*sizes) for name, cls, sizes in _layer_sizes(config)})
+
+
+def _parameter_shapes(config: DcanConfig) -> dict:
+    """The shape of every parameter of a model of config, keyed like
+    named_parameters, worked out without allocating any of them."""
+    shapes = {}
+    for name, cls, sizes in _layer_sizes(config):
+        shapes[f"{name}.weight"], shapes[f"{name}.bias"] = cls._shapes(*sizes)
+    return shapes
 
 
 def build(config: DcanConfig, seed) -> DcanModel:
@@ -226,16 +245,15 @@ def _check_frames(model: DcanModel, frames: np.ndarray) -> None:
         )
 
 
-def _walk(model: DcanModel, h: np.ndarray, start: int = 0, stop: int | None = None,
-          tape: list | None = None) -> np.ndarray:
-    """Run layers[start:stop] of the table over h.
+def _walk(model: DcanModel, h: np.ndarray, tape: list | None = None) -> np.ndarray:
+    """Run the layer table over h.
 
     A dense layer gets its input flattened to (B, features); a transposed
     convolution fed flat features gets them reshaped to the latent block.
     With a tape, each layer appends (name, input, pre-activation) to it.
     """
     cfg = model.config
-    for name, layer in list(model.layers.items())[start:stop]:
+    for name, layer in model.layers.items():
         if isinstance(layer, nn.DenseLayer):
             h = h.reshape(h.shape[0], -1)
         elif h.ndim == 2:
@@ -245,23 +263,6 @@ def _walk(model: DcanModel, h: np.ndarray, start: int = 0, stop: int | None = No
             tape.append((name, h, pre))
         h = pre if name in _LINEAR else nn.leaky_relu(pre, cfg.leaky_slope)
     return h
-
-
-def encode(model: DcanModel, frames: np.ndarray) -> np.ndarray:
-    """Flattened post-convolution features, shape (B, flat_size)."""
-    _check_frames(model, frames)
-    h = _walk(model, frames, stop=len(model.config.conv_specs))
-    return h.reshape(h.shape[0], -1)
-
-
-def decode(model: DcanModel, features: np.ndarray) -> np.ndarray:
-    """Remaining pipeline after encode: FC stack, reshape, deconv stack."""
-    cfg = model.config
-    if features.ndim != 2 or features.shape[1] != cfg.flat_size:
-        raise DimensionError(
-            f"features must have shape (B, {cfg.flat_size}), got {features.shape}"
-        )
-    return _walk(model, features, start=len(cfg.conv_specs))
 
 
 def reconstruct(model: DcanModel, frames: np.ndarray) -> np.ndarray:

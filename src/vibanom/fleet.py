@@ -334,13 +334,13 @@ def fleet_config_from_dict(data: dict) -> FleetConfig:
     """The inverse of save_fleet_config: the same fields, no others.
 
     An absent or null alarm gives the default AlarmConfig; a null
-    normalization stays None. Unknown, missing or mistyped fields raise
-    ConfigurationError.
+    normalization stays None. Unknown, missing or mistyped fields, and
+    numbers too large for a float, raise ConfigurationError.
     """
     try:
         predictors = tuple(_predictor_from_dict(e) for e in data["predictors"])
         return FleetConfig(**{**data, "predictors": predictors})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError("malformed fleet config: %s" % exc) from exc
 
 

@@ -16,27 +16,30 @@ never mutate their arguments except ``adam_step``, which updates parameters
 and optimizer moments in place for its single owning training loop; all other
 operations are pure and safe to call concurrently.
 
+Every convolution kernel spans its input's full height, as the network's
+first kernel spans all the vibration axes, so a convolution's output and a
+transposed convolution's input are one row high (DimensionError otherwise).
 All four convolution kernels share one stride-block scheme. With
 q = ceil(kw / sw), the kernel width is zero-padded to q * sw, so a window
 that starts at block j covers the whole blocks j ... j + q - 1 of sw
 samples each. The fine-resolution map (a convolution's input, or a
 transposed convolution's output and its gradient) is read as stride blocks
-once: _blocks gives a (B * Ho * nb, C * kh * sw) matrix whose row
-(b, i, n) is block n of the kh input rows under output row i, so nothing is
-repeated along the width. Only the small coarse map is shifted: _shift
-writes q copies of it, copy a moved a blocks to the right, as one
-(q * R, B * Ho * nb) matrix. With K the (q * R, C * kh * sw) kernel matrix,
+once: _blocks gives a (B * nb, C * H * sw) matrix whose row (b, n) is
+block n of all H input rows, so nothing is repeated along the width. Only
+the small one-row coarse map is shifted: _shift writes q copies of it,
+copy a moved a blocks to the right, as one (q * R, B * nb) matrix. With K
+the (q * R, C * H * sw) kernel matrix,
 
 - convolution forward is _unshift(K @ _blocks(x)^T), q shifted adds;
 - its weight gradient is _shift(g) @ _blocks(x);
-- its input gradient is _fold(_shift(g)^T @ K), where _fold, the adjoint of
-  _blocks, writes the kh height slices back into place;
+- its input gradient is _fold(_shift(g)^T @ K), where _fold, the adjoint
+  of _blocks, puts the blocks back in place;
 - the transposed convolution uses the same pieces mirrored: forward is
   _fold(_shift(x)^T @ K), the input gradient _unshift(K @ _blocks(g)^T)
   and the weight gradient _shift(x) @ _blocks(g).
 
-The zero padding makes the same code exact for every kernel, stride and
-input size. conv2d_backward can skip the input gradient, which the first
+The zero padding makes the same code exact for every kernel width, stride
+and input width. conv2d_backward can skip the input gradient, which the first
 layer of a network never needs. The test suite pins the kernels against a
 naive quadruple-loop reference to within 1e-6 relative error.
 """
@@ -47,7 +50,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DimensionError, TrainingError
 
@@ -91,7 +93,23 @@ def conv_transpose_output_hw(h: int, w: int, kernel: tuple[int, int], stride: tu
 
 
 class _Layer:
-    """What every layer shares: a copy with its parameters cast to a dtype."""
+    """What every layer shares: parameter shapes and zeros of given sizes,
+    and a copy with its parameters cast to a dtype.
+
+    A layer's sizes are its first fields: in and out channels (or
+    features), then for a convolution its kernel and stride.
+    """
+
+    @classmethod
+    def _shapes(cls, *sizes) -> tuple:
+        """(weight shape, bias shape) of a layer of these sizes."""
+        return cls._weight_shape(*sizes[:3]), (sizes[1],)
+
+    @classmethod
+    def zeros(cls, *sizes, dtype=np.float32):
+        """A layer of these sizes with every parameter zero."""
+        weight, bias = cls._shapes(*sizes)
+        return cls(*sizes, np.zeros(weight, dtype), np.zeros(bias, dtype))
 
     def astype(self, dtype):
         return replace(self, weight=self.weight.astype(dtype), bias=self.bias.astype(dtype))
@@ -99,7 +117,7 @@ class _Layer:
 
 @dataclass
 class _ConvLayer(_Layer):
-    """Fields, validation and zeros of both convolution layers.
+    """Fields and validation of both convolution layers.
 
     The two differ only in the order of the channel axes of weight, which
     each gives in _weight_shape; bias always has shape (out_channels,).
@@ -113,6 +131,7 @@ class _ConvLayer(_Layer):
     bias: np.ndarray
 
     def __post_init__(self):
+        self.kernel, self.stride = tuple(self.kernel), tuple(self.stride)
         expected = self._weight_shape(self.in_channels, self.out_channels, self.kernel)
         if self.weight.shape != expected:
             raise ConfigurationError(
@@ -124,18 +143,6 @@ class _ConvLayer(_Layer):
             )
         if min(self.kernel) < 1 or min(self.stride) < 1:
             raise ConfigurationError("kernel and stride sizes must be >= 1")
-
-    @classmethod
-    def zeros(cls, in_channels, out_channels, kernel, stride, dtype=np.float32):
-        kernel = tuple(kernel)
-        return cls(
-            in_channels,
-            out_channels,
-            kernel,
-            tuple(stride),
-            np.zeros(cls._weight_shape(in_channels, out_channels, kernel), dtype),
-            np.zeros(out_channels, dtype),
-        )
 
 
 class Conv2dLayer(_ConvLayer):
@@ -191,14 +198,9 @@ class DenseLayer(_Layer):
         if self.bias.shape != (self.out_features,):
             raise ConfigurationError(f"dense bias shape {self.bias.shape} != ({self.out_features},)")
 
-    @classmethod
-    def zeros(cls, in_features, out_features, dtype=np.float32):
-        return cls(
-            in_features,
-            out_features,
-            np.zeros((out_features, in_features), dtype),
-            np.zeros(out_features, dtype),
-        )
+    @staticmethod
+    def _weight_shape(in_features, out_features):
+        return (out_features, in_features)
 
     def forward(self, x):
         return dense_forward(x, self)
@@ -207,9 +209,19 @@ class DenseLayer(_Layer):
         return dense_backward(x, self, upstream)
 
 
-def _check_4d(x: np.ndarray, what: str) -> None:
+def _check_input(x: np.ndarray, layer: _ConvLayer, what: str, height: int) -> None:
+    """x is a 4-D map with the layer's input channels, height rows high."""
     if x.ndim != 4:
-        raise DimensionError(f"{what} must be 4-D (batch, channels, height, width), got {x.ndim}-D")
+        raise DimensionError(f"{what} input must be 4-D (batch, channels, height, width), got {x.ndim}-D")
+    if x.shape[1] != layer.in_channels:
+        raise DimensionError(
+            f"{what} input has {x.shape[1]} channels, layer expects {layer.in_channels} (axis 1)"
+        )
+    if x.shape[2] != height:
+        raise DimensionError(
+            f"{what} input has height {x.shape[2]}, expected {height}: every kernel "
+            f"spans its input's full height (axis 2)"
+        )
 
 
 def _kernel_blocks(kw: int, sw: int) -> int:
@@ -236,28 +248,25 @@ def _kernel_grad(grad: np.ndarray, weight_shape: tuple[int, ...], sw: int) -> np
     return np.ascontiguousarray(g[..., :kw])
 
 
-def _blocks(x: np.ndarray, kh: int, stride: tuple[int, int], nb: int) -> np.ndarray:
-    """(B * Ho * nb, C * kh * sw) matrix of the input read as stride blocks.
+def _blocks(x: np.ndarray, nb: int, sw: int) -> np.ndarray:
+    """(B * nb, C * H * sw) matrix of the input read as stride blocks.
 
-    Row (b, i, n) holds block n (samples n * sw ... n * sw + sw - 1) of the
-    kh input rows under output row i. The width is zero-padded (or cut) to
-    nb * sw samples; nothing is duplicated along it.
+    Row (b, n) holds block n (samples n * sw ... n * sw + sw - 1) of all H
+    input rows. The width is zero-padded (or cut) to nb * sw samples;
+    nothing is duplicated along it.
     """
     b, c, h, w = x.shape
-    sh, sw = stride
     if w != nb * sw:
         fitted = np.zeros((b, c, h, nb * sw), dtype=x.dtype)
         fitted[..., : min(w, nb * sw)] = x[..., : nb * sw]
         x = fitted
-    win = sliding_window_view(x.reshape(b, c, h, nb, sw), kh, axis=2)[:, :, ::sh]
-    # (B, C, Ho, nb, sw, kh) -> (B, Ho, nb, C, kh, sw)
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 5, 4)).reshape(-1, c * kh * sw)
+    return x.reshape(b, c, h, nb, sw).transpose(0, 3, 1, 2, 4).reshape(b * nb, c * h * sw)
 
 
 def _shift(y: np.ndarray, q: int) -> np.ndarray:
-    """(q * R, B * Ho * nb) matrix S[(a, r), (b, i, n)] = y[b, r, i, n - a].
+    """(q * R, B * nb) matrix S[(a, r), (b, n)] = y[b, r, 0, n - a].
 
-    y is a (B, R, Ho, Wo) map and nb = Wo - 1 + q; entries with n - a
+    y is a (B, R, 1, Wo) map and nb = Wo - 1 + q; entries with n - a
     outside [0, Wo) are zero. Slot a is y moved a blocks to the right.
     """
     b, r, ho, wo = y.shape
@@ -277,43 +286,30 @@ def _unshift(z: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
     return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
 
 
-def _fold(m: np.ndarray, shape: tuple[int, int, int, int], kh: int,
-          stride: tuple[int, int]) -> np.ndarray:
-    """Adjoint of _blocks: sum a (B * Ho * nb, C * kh * sw) block matrix into a (B, C, H, W) map.
+def _fold(m: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
+    """Adjoint of _blocks: the (B, C, H, W) map whose block n is row (b, n)
+    of the (B * nb, C * H * sw) block matrix m.
 
-    Each of the kh height slices is written to its output rows in one
-    strided pass; a slice adds only where an earlier window wrote the rows.
+    Columns past the last block are zero and samples past W are cut, so
+    when nb * sw = W this is the inverse of _blocks.
     """
     b, c, h, w = shape
-    sh, sw = stride
-    ho = (h - kh) // sh + 1
-    nb = m.shape[0] // (b * ho)
-    m = m.reshape(b, ho, nb, c, kh, sw)
-    out = np.zeros((b, c, h, max(w, nb * sw)), dtype=m.dtype)
-    out_blocks = out[..., : nb * sw].reshape(b, c, h, nb, sw)
-    for u in range(kh):
-        rows = out_blocks[:, :, u : u + (ho - 1) * sh + 1 : sh]
-        part = m[:, :, :, :, u].transpose(0, 3, 1, 2, 4)
-        if ho > 1 and u >= sh:  # window u - sh already wrote these rows
-            rows += part
-        else:
-            rows[...] = part
+    blocks = m.reshape(b, -1, c, h, m.shape[1] // (c * h)).transpose(0, 2, 3, 1, 4)
+    out = blocks.reshape(b, c, h, -1)
+    if out.shape[3] < w:
+        out = np.concatenate((out, np.zeros((b, c, h, w - out.shape[3]), out.dtype)), axis=3)
     return np.ascontiguousarray(out[..., :w])
 
 
 def conv2d_forward(x: np.ndarray, layer: Conv2dLayer) -> np.ndarray:
-    """Valid cross-correlation with stride; output (B, out_channels, Ho, Wo).
+    """Valid cross-correlation with stride; output (B, out_channels, 1, Wo).
 
     One GEMM of the kernel with the input's stride blocks, then q shifted adds.
     """
-    _check_4d(x, "conv2d input")
-    if x.shape[1] != layer.in_channels:
-        raise DimensionError(
-            f"conv2d input has {x.shape[1]} channels, layer expects {layer.in_channels} (axis 1)"
-        )
-    (kh, kw), (_, sw) = layer.kernel, layer.stride
+    _check_input(x, layer, "conv2d", layer.kernel[0])
+    kw, sw = layer.kernel[1], layer.stride[1]
     ho, wo = conv_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
-    blocks = _blocks(x, kh, layer.stride, wo - 1 + _kernel_blocks(kw, sw))
+    blocks = _blocks(x, wo - 1 + _kernel_blocks(kw, sw), sw)
     out = _unshift(_kernel_rows(layer.weight, sw) @ blocks.T, (x.shape[0], layer.out_channels, ho, wo))
     out += layer.bias[None, :, None, None]
     return out
@@ -329,41 +325,36 @@ def conv2d_backward(
     input_grad=False the input gradient is not computed and None is
     returned in its place.
     """
-    _check_4d(x, "conv2d input")
-    _check_4d(upstream, "conv2d upstream gradient")
+    _check_input(x, layer, "conv2d", layer.kernel[0])
     ho, wo = conv_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
     expected = (x.shape[0], layer.out_channels, ho, wo)
     if upstream.shape != expected:
         raise DimensionError(f"upstream gradient shape {upstream.shape} != {expected}")
 
-    (kh, kw), (_, sw) = layer.kernel, layer.stride
+    kw, sw = layer.kernel[1], layer.stride[1]
     q = _kernel_blocks(kw, sw)
     grad_bias = upstream.sum(axis=(0, 2, 3))
     shifted = _shift(upstream, q)
-    blocks = _blocks(x, kh, layer.stride, wo - 1 + q)
+    blocks = _blocks(x, wo - 1 + q, sw)
     grad_weight = _kernel_grad(shifted @ blocks, layer.weight.shape, sw)
     grad_input = None
     if input_grad:
-        grad_input = _fold(shifted.T @ _kernel_rows(layer.weight, sw), x.shape, kh, layer.stride)
+        grad_input = _fold(shifted.T @ _kernel_rows(layer.weight, sw), x.shape)
     return grad_input, grad_weight, grad_bias
 
 
 def conv_transpose2d_forward(x: np.ndarray, layer: ConvTranspose2dLayer) -> np.ndarray:
     """Strided scatter-add upsampling; the adjoint of conv2d_forward.
 
-    Output spatial size is (H - 1) * sh + kh by (W - 1) * sw + kw: the
+    The input is one row high; the output is kh by (W - 1) * sw + kw: the
     input shifted into q slots, folded back through the kernel.
     """
-    _check_4d(x, "transposed-conv input")
-    if x.shape[1] != layer.in_channels:
-        raise DimensionError(
-            f"transposed-conv input has {x.shape[1]} channels, layer expects {layer.in_channels} (axis 1)"
-        )
+    _check_input(x, layer, "transposed-conv", 1)
     b, _, h, w = x.shape
     ho, wo = conv_transpose_output_hw(h, w, layer.kernel, layer.stride)
-    (kh, kw), (_, sw) = layer.kernel, layer.stride
-    m = _shift(x, _kernel_blocks(kw, sw)).T @ _kernel_rows(layer.weight, sw)
-    out = _fold(m, (b, layer.out_channels, ho, wo), kh, layer.stride)
+    sw = layer.stride[1]
+    m = _shift(x, _kernel_blocks(layer.kernel[1], sw)).T @ _kernel_rows(layer.weight, sw)
+    out = _fold(m, (b, layer.out_channels, ho, wo))
     out += layer.bias[None, :, None, None]
     return out
 
@@ -377,18 +368,17 @@ def conv_transpose2d_backward(
     and q shifted adds give the input gradient, one GEMM with the shifted
     input the weight gradient.
     """
-    _check_4d(x, "transposed-conv input")
-    _check_4d(upstream, "transposed-conv upstream gradient")
+    _check_input(x, layer, "transposed-conv", 1)
     b, _, h, w = x.shape
     ho, wo = conv_transpose_output_hw(h, w, layer.kernel, layer.stride)
     expected = (b, layer.out_channels, ho, wo)
     if upstream.shape != expected:
         raise DimensionError(f"upstream gradient shape {upstream.shape} != {expected}")
 
-    (kh, kw), (_, sw) = layer.kernel, layer.stride
-    q = _kernel_blocks(kw, sw)
+    sw = layer.stride[1]
+    q = _kernel_blocks(layer.kernel[1], sw)
     grad_bias = upstream.sum(axis=(0, 2, 3))
-    blocks = _blocks(upstream, kh, layer.stride, w - 1 + q)
+    blocks = _blocks(upstream, w - 1 + q, sw)
     grad_input = _unshift(_kernel_rows(layer.weight, sw) @ blocks.T, x.shape)
     grad_weight = _kernel_grad(_shift(x, q) @ blocks, layer.weight.shape, sw)
     return grad_input, grad_weight, grad_bias

@@ -8,10 +8,11 @@ of 30 to fire, while a window that already contains a fired alarm stays
 sensitized and refires at more than 12.
 
 The window is two int bit masks, anomalous and fired, with the newest
-sample in bit 0, so a step is a shift, a mask and a bit count. All types
-here are immutable; `hysteresis_step` returns a new state rather than
-mutating its argument, so callers can snapshot and replay alarm histories
-freely.
+sample in bit 0, so a step is a shift, a bit count and, when a marked
+sample leaves the window, a mask: its cost follows the samples held, not
+window_len. All types here are immutable; `hysteresis_step` returns a
+new state rather than mutating its argument, so callers can snapshot and
+replay alarm histories freely.
 """
 
 from __future__ import annotations
@@ -181,8 +182,11 @@ def hysteresis_step(
     applies when any *previous* sample still in the window fired.
     """
     is_anomalous = bool(is_anomalous)
-    kept = (1 << (config.window_len - 1)) - 1  # the previous samples that stay
-    anomalous, prior_fired = state.anomalous & kept, state.fired & kept
+    anomalous, prior_fired = state.anomalous, state.fired
+    keep = config.window_len - 1  # the previous samples that stay
+    if max(anomalous.bit_length(), prior_fired.bit_length()) > keep:  # one is evicted
+        kept = (1 << keep) - 1
+        anomalous, prior_fired = anomalous & kept, prior_fired & kept
     count = anomalous.bit_count() + is_anomalous
     trigger = config.trigger_sensitized if prior_fired else config.trigger_fresh
     fired = is_anomalous and count > trigger

@@ -358,9 +358,9 @@ def load_checkpoint(path):
             raise CheckpointFormatError("trailing bytes after the last tensor")
 
     config = _config_from_metadata(metadata.get("config", {}))
-    model = dcan._zeros(config)
-    params = model.named_parameters()
-    shapes = {name: param.shape for name, param in params.items()}
+    # every stored shape is checked before any model array exists, so
+    # metadata naming a vast architecture allocates nothing
+    shapes = dcan._parameter_shapes(config)
     shapes["stats.mean"] = shapes["stats.std"] = (config.axes,)
     for name, shape in shapes.items():
         if name not in tensors:
@@ -372,9 +372,10 @@ def load_checkpoint(path):
             )
         if not np.isfinite(stored).all():
             raise CheckpointFormatError(f"tensor '{name}' has non-finite values")
-        if name in params:
-            params[name][...] = stored
     if tensors["stats.std"].min() < STD_FLOOR:
         raise CheckpointFormatError(f"tensor 'stats.std' has a value below {STD_FLOOR:.0e}")
+    model = dcan._zeros(config)
+    for name, param in model.named_parameters().items():
+        param[...] = tensors[name]
     stats = StandardizationStats(tensors["stats.mean"], tensors["stats.std"])
     return model, stats

@@ -80,14 +80,23 @@ class TestA1:
         t0 = time.perf_counter()
         model = dcan.build(dcan.DcanConfig(), seed=1)
         x = np.random.default_rng(2).standard_normal((2, 1, 3, 4096)).astype(np.float32)
+        slope = model.config.leaky_slope
         h = x
         for name in ("conv1", "conv2", "conv3"):
-            h = nn.leaky_relu(nn.conv2d_forward(h, model.layers[name]), model.config.leaky_slope)
-        assert h.shape == (2, 16, 1, 57)
-        features = dcan.encode(model, x)
-        assert features.shape == (2, 912)
-        recon = dcan.decode(model, features)
-        assert recon.shape == (2, 1, 3, 4096)
+            h = nn.leaky_relu(model.layers[name].forward(h), slope)
+        assert h.shape == (2, 16, 1, 57) and model.config.latent_shape == (16, 1, 57)
+        h = h.reshape(2, -1)
+        assert h.shape == (2, 912)
+        for name in ("fc1", "fc2", "fc3", "fc4", "fc5"):
+            h = model.layers[name].forward(h)
+            h = h if name == "fc5" else nn.leaky_relu(h, slope)
+        assert h.shape == (2, 912)
+        h = h.reshape(2, *model.config.latent_shape)
+        for name in ("deconv1", "deconv2", "deconv3"):
+            h = model.layers[name].forward(h)
+            h = h if name == "deconv3" else nn.leaky_relu(h, slope)
+        assert h.shape == (2, 1, 3, 4096)
+        assert np.array_equal(dcan.reconstruct(model, x), h)
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -112,10 +121,10 @@ class TestA2:
 
     def test_conv2d_layer_gradients(self):
         rng = np.random.default_rng(30)
-        layer = nn.Conv2dLayer.zeros(3, 4, (2, 3), (2, 2), dtype=np.float64)
+        layer = nn.Conv2dLayer.zeros(3, 4, (3, 3), (2, 2), dtype=np.float64)
         layer.weight[:] = rng.standard_normal(layer.weight.shape)
         layer.bias[:] = rng.standard_normal(layer.bias.shape)
-        x = rng.standard_normal((2, 3, 5, 9))
+        x = rng.standard_normal((2, 3, 3, 9))
         upstream = rng.standard_normal(nn.conv2d_forward(x, layer).shape)
 
         gx, gw, gb = nn.conv2d_backward(x, layer, upstream)
@@ -124,11 +133,11 @@ class TestA2:
             return float(np.sum(nn.conv2d_forward(xx, layer) * upstream))
 
         def loss_of_w(ww):
-            probe = nn.Conv2dLayer(3, 4, (2, 3), (2, 2), ww, layer.bias)
+            probe = nn.Conv2dLayer(3, 4, (3, 3), (2, 2), ww, layer.bias)
             return float(np.sum(nn.conv2d_forward(x, probe) * upstream))
 
         def loss_of_b(bb):
-            probe = nn.Conv2dLayer(3, 4, (2, 3), (2, 2), layer.weight, bb)
+            probe = nn.Conv2dLayer(3, 4, (3, 3), (2, 2), layer.weight, bb)
             return float(np.sum(nn.conv2d_forward(x, probe) * upstream))
 
         assert rel_err(gx, numeric_grad(loss_of_x, x)) <= 1e-4
@@ -137,10 +146,10 @@ class TestA2:
 
     def test_conv_transpose2d_layer_gradients(self):
         rng = np.random.default_rng(31)
-        layer = nn.ConvTranspose2dLayer.zeros(4, 3, (2, 3), (2, 2), dtype=np.float64)
+        layer = nn.ConvTranspose2dLayer.zeros(4, 3, (3, 3), (2, 2), dtype=np.float64)
         layer.weight[:] = rng.standard_normal(layer.weight.shape)
         layer.bias[:] = rng.standard_normal(layer.bias.shape)
-        x = rng.standard_normal((2, 4, 3, 5))
+        x = rng.standard_normal((2, 4, 1, 5))
         upstream = rng.standard_normal(nn.conv_transpose2d_forward(x, layer).shape)
 
         gx, gw, gb = nn.conv_transpose2d_backward(x, layer, upstream)
@@ -149,11 +158,11 @@ class TestA2:
             return float(np.sum(nn.conv_transpose2d_forward(xx, layer) * upstream))
 
         def loss_of_w(ww):
-            probe = nn.ConvTranspose2dLayer(4, 3, (2, 3), (2, 2), ww, layer.bias)
+            probe = nn.ConvTranspose2dLayer(4, 3, (3, 3), (2, 2), ww, layer.bias)
             return float(np.sum(nn.conv_transpose2d_forward(x, probe) * upstream))
 
         def loss_of_b(bb):
-            probe = nn.ConvTranspose2dLayer(4, 3, (2, 3), (2, 2), layer.weight, bb)
+            probe = nn.ConvTranspose2dLayer(4, 3, (3, 3), (2, 2), layer.weight, bb)
             return float(np.sum(nn.conv_transpose2d_forward(x, probe) * upstream))
 
         assert rel_err(gx, numeric_grad(loss_of_x, x)) <= 1e-4

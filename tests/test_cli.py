@@ -769,6 +769,59 @@ class TestErrorSurface:
         assert "tensor '%s'" % tensor in line and message in line
         assert not log.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, kind, message",
+        [("frame_len", 16 * 10**13 + 64, "CheckpointFormatError",
+          "tensor 'fc1.weight' has shape (200, 912), expected (200, 39999999999904)"),
+         ("conv1", (2, 64), "ConfigurationError", "conv1 kernel height 2 differs"),
+         ("conv2", (3, 13), "ConfigurationError", "conv2 kernel height 3 differs"),
+         ("conv1", (3, 0), "ConfigurationError", "conv1 kernel (3, 0) and stride")],
+        ids=["vast-frame-len", "conv1-short-kernel", "conv2-tall-kernel", "zero-width-kernel"],
+    )
+    def test_calibrate_refuses_checkpoint_architecture(
+        self, tmp_path, capsys, field, value, kind, message
+    ):
+        # the tensors of the default 3-axis model under other metadata; a
+        # vast frame_len once made load_checkpoint try to allocate 28.4 PiB
+        model = dcan.build(dcan.DcanConfig(), seed=21)
+        if field == "frame_len":
+            model.config = replace(model.config, frame_len=value)
+        else:
+            specs = list(model.config.conv_specs)
+            i = int(field[-1]) - 1
+            specs[i] = replace(specs[i], kernel=value)
+            model.config = replace(model.config, conv_specs=tuple(specs))
+        ckpt = tmp_path / "bad.ckpt"
+        stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
+        save_checkpoint(model, stats, ckpt)
+        frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
+        out = tmp_path / "norm.json"
+        line = self.one_error_line(
+            capsys, ["calibrate", "--checkpoint", str(ckpt), "--frames", frames,
+                     "--out", str(out)], kind,
+        )
+        assert message in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "part, field",
+        [("normalization", "mu"), ("normalization", "sigma"), ("alarm", "level_thresholds")],
+    )
+    def test_monitor_config_with_an_over_large_integer(
+        self, checkpoint, tmp_path, capsys, part, field
+    ):
+        entry = {"id": "a", "location": "a", "checkpoint": checkpoint,
+                 "normalization": {"mu": 1.0, "sigma": 0.5}, "alarm": {}}
+        huge = 10**400
+        entry[part][field] = [3.0, 5.0, huge] if field == "level_thresholds" else huge
+        config = tmp_path / "fleet.json"
+        config.write_text(json.dumps({"predictors": [entry]}))
+        (tmp_path / "streams").mkdir()
+        argv = ["monitor", "--config", str(config), "--frames", str(tmp_path / "streams"),
+                "--out", str(tmp_path / "out.log")]
+        line = self.one_error_line(capsys, argv, "ConfigurationError")
+        assert "too large" in line
+
     def test_train_on_header_only_frame_file(self, tmp_path, capsys):
         frames = tmp_path / "empty.frames"
         frames.write_bytes(b"FRME" + struct.pack("<IBI", 1, 3, FRAME_LEN))

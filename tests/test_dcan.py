@@ -64,13 +64,14 @@ class TestShapeChain:
     def test_encode_width_and_reconstruction_shape(self):
         model = dcan.build(dcan.DcanConfig(axes=3), seed=0)
         x = np.random.default_rng(3).standard_normal((4, 1, 3, 4096)).astype(np.float32)
-        assert dcan.encode(model, x).shape == (4, 912)
+        assert model.config.flat_size == model.layers["fc1"].in_features == 912
         assert dcan.reconstruct(model, x).shape == x.shape
 
     def test_single_axis_mode(self):
         model = dcan.build(dcan.DcanConfig(axes=1), seed=0)
         x = np.random.default_rng(4).standard_normal((2, 1, 1, 4096)).astype(np.float32)
-        assert dcan.encode(model, x).shape == (2, 912)
+        assert model.config.latent_shape == (16, 1, 57)
+        assert model.layers["conv1"].kernel == (1, 64)
         assert dcan.reconstruct(model, x).shape == (2, 1, 1, 4096)
 
 
@@ -105,6 +106,22 @@ class TestParameters:
         with pytest.raises(ConfigurationError):
             dcan.build(dcan.DcanConfig(axes=2), seed=0)
 
+    @pytest.mark.parametrize("i, kernel", [(1, (2, 8)), (1, (1, 8)), (2, (3, 5)), (3, (2, 3))])
+    def test_kernel_must_span_its_input_height(self, i, kernel):
+        specs = list(tiny_config().conv_specs)
+        specs[i - 1] = replace(specs[i - 1], kernel=kernel)
+        with pytest.raises(ConfigurationError, match=f"conv{i} kernel height {kernel[0]} differs"):
+            dcan.build(replace(tiny_config(), conv_specs=tuple(specs)), seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("stride", (1, 0)), ("stride", (0, 2)), ("kernel", (3, 0))]
+    )
+    def test_kernel_and_stride_sizes_must_be_positive(self, field, value):
+        specs = list(tiny_config().conv_specs)
+        specs[0] = replace(specs[0], **{field: value})
+        with pytest.raises(ConfigurationError, match="conv1 kernel .* must be >= 1"):
+            dcan.build(replace(tiny_config(), conv_specs=tuple(specs)), seed=0)
+
     @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan"), "0.01"])
     def test_leaky_slope_outside_unit_interval(self, slope):
         with pytest.raises(ConfigurationError, match="leaky_slope"):
@@ -117,17 +134,14 @@ class TestForward:
         x = np.random.default_rng(6).standard_normal((3, 1, 3, 64)).astype(np.float32)
         assert np.array_equal(dcan.reconstruct(model, x), dcan.reconstruct(model, x))
 
-    def test_encode_then_decode_equals_reconstruct(self):
-        model = dcan.build(tiny_config(), seed=7)
-        x = np.random.default_rng(8).standard_normal((2, 1, 3, 64)).astype(np.float32)
-        assert np.array_equal(dcan.decode(model, dcan.encode(model, x)), dcan.reconstruct(model, x))
-
     def test_zero_input_zero_bias_gives_zero_features(self):
         model = dcan.build(tiny_config(), seed=9)
         for conv in (model.layers["conv1"], model.layers["conv2"], model.layers["conv3"]):
             conv.bias[...] = 0
-        x = np.zeros((1, 1, 3, 64), dtype=np.float32)
-        assert np.all(dcan.encode(model, x) == 0)
+        h = np.zeros((1, 1, 3, 64), dtype=np.float32)
+        for name in ("conv1", "conv2", "conv3"):
+            h = nn.leaky_relu(model.layers[name].forward(h))
+        assert h.shape == (1, *model.config.latent_shape) and np.all(h == 0)
 
     def test_untrained_model_has_positive_error(self):
         model = dcan.build(tiny_config(), seed=10)
@@ -140,9 +154,9 @@ class TestForward:
         with pytest.raises(DimensionError):
             dcan.reconstruct(model, np.zeros((2, 1, 3, 65), dtype=np.float32))
         with pytest.raises(DimensionError):
-            dcan.encode(model, np.zeros((2, 3, 64), dtype=np.float32))
+            dcan.reconstruct(model, np.zeros((2, 3, 64), dtype=np.float32))
         with pytest.raises(DimensionError):
-            dcan.decode(model, np.zeros((2, 89), dtype=np.float32))
+            dcan.loss_and_gradients(model, np.zeros((2, 1, 1, 64), dtype=np.float32))
 
 
 class TestReport:

@@ -6,6 +6,8 @@ demo script, or the README.
 The package's __init__.py is exempt from the import check: its imports are
 the public re-exports. A name listed in a module's __all__ counts as used,
 but a re-export in __init__.py does not count as a use of a public name.
+An attribute x.name counts as a use of name only when x is a vibanom
+module, so a homonym such as str.encode is not a use of dcan.encode.
 """
 
 import ast
@@ -71,38 +73,78 @@ def _bound_names(stmt) -> list:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def _used_names(stmt) -> set:
+def _module_names(tree, modules: set) -> set:
+    """The names tree binds to the vibanom package or to one of its
+    modules (the module file stems in modules), however imported."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "vibanom":
+                    names.add(alias.asname or "vibanom")
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.level and node.module is None) or (not node.level and node.module == "vibanom")
+        ):
+            names.update(a.asname or a.name for a in node.names if a.name in modules)
+    return names
+
+
+def _is_module(node, names: set, modules: set) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in names
+    return isinstance(node, ast.Attribute) and node.attr in modules and _is_module(
+        node.value, names, modules
+    )
+
+
+def _used_names(stmt, names: set, modules: set) -> set:
+    """Names stmt uses: bare names, imported names, and attributes of the
+    vibanom modules bound to names."""
     used = set()
     for node in ast.walk(stmt):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and _is_module(node.value, names, modules):
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
     return used
 
 
-def _unreferenced(sources: dict, wanted) -> list:
+def _uses(source: str, modules: set) -> list:
+    """The names each top-level statement of source uses, in order."""
+    tree = ast.parse(source)
+    names = _module_names(tree, modules)
+    return [(stmt, _used_names(stmt, names, modules)) for stmt in tree.body]
+
+
+def _unreferenced(sources: dict, wanted, modules: set) -> list:
     """(module, line, name) of each module-level name for which wanted(name)
     holds and that no top-level statement of any module uses, besides the
     one defining it."""
     statements = [
-        (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
+        (module, stmt, used) for module, source in sources.items()
+        for stmt, used in _uses(source, modules)
     ]
-    uses = [_used_names(stmt) for _, stmt in statements]
+    uses = [used for _, _, used in statements]
     unused = []
-    for k, (module, stmt) in enumerate(statements):
+    for k, (module, stmt, _) in enumerate(statements):
         for name in _bound_names(stmt):
             if wanted(name) and not any(name in used for j, used in enumerate(uses) if j != k):
                 unused.append((module, stmt.lineno, name))
     return unused
 
 
+def _stems(sources: dict) -> set:
+    """The package's module names, from its file names."""
+    return {Path(module).stem for module in sources} - {"__init__"}
+
+
 def unreferenced_private_names(sources: dict) -> list:
     """(module, line, name) of each private module-level name that no
     top-level statement of any module uses, besides the one defining it."""
-    return _unreferenced(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+    return _unreferenced(sources, lambda name: name.startswith("_") and not name.startswith("__"),
+                         _stems(sources))
 
 
 def unreferenced_public_names(sources: dict, scripts: dict, readme: str) -> list:
@@ -110,11 +152,14 @@ def unreferenced_public_names(sources: dict, scripts: dict, readme: str) -> list
     class or assignment) of a package module that nothing references but
     its definition: no other statement of the package outside __init__.py,
     no script, and no word of readme."""
-    outside = set().union(*(_used_names(ast.parse(source)) for source in scripts.values()))
+    stems = _stems(sources)
+    outside = set().union(
+        *(used for source in scripts.values() for _, used in _uses(source, stems))
+    )
     modules = {module: source for module, source in sources.items() if module != "__init__.py"}
     return _unreferenced(modules, lambda name: not (
         name.startswith("_") or name in outside or re.search(r"\b%s\b" % name, readme)
-    ))
+    ), stems)
 
 
 def test_no_unreferenced_private_names():
@@ -149,3 +194,16 @@ def test_detects_an_unreferenced_public_name():
     assert unreferenced_public_names(sources, scripts, "a `FrameFile` opens a file") == [
         ("ingest.py", 2, "FrameStream"), ("ingest.py", 3, "frame_stream")
     ]
+
+
+def test_a_homonym_attribute_is_not_a_use():
+    sources = {
+        "dcan.py": "def encode(x):\n    return x\ndef reconstruct(x):\n    return x\n"
+        "def build(x):\n    return x\n",
+        "training.py": "from . import dcan\ndef _load():\n    return 'a'.encode(), dcan.build(1)\n",
+    }
+    scripts = {"bench/run.py": "import vibanom.dcan as d\nimport numpy as np\n"
+               "np.reconstruct(d.encode)\n"}
+    assert unreferenced_public_names(sources, scripts, "") == [("dcan.py", 3, "reconstruct")]
+    scripts = {"bench/run.py": "import vibanom\nvibanom.dcan.reconstruct(1)\n"}
+    assert unreferenced_public_names(sources, scripts, "") == [("dcan.py", 1, "encode")]

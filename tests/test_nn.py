@@ -77,8 +77,8 @@ class TestConv2d:
         assert out[0, 0, 0, 0] == pytest.approx(5.0)
 
     def test_bias_is_added_per_channel(self):
-        x = np.zeros((2, 1, 4, 4), dtype=np.float64)
-        layer = nn.Conv2dLayer.zeros(1, 3, (2, 2), (1, 1), dtype=np.float64)
+        x = np.zeros((2, 1, 3, 4), dtype=np.float64)
+        layer = nn.Conv2dLayer.zeros(1, 3, (3, 2), (1, 1), dtype=np.float64)
         layer.bias[...] = [1.0, -2.0, 0.5]
         out = nn.conv2d_forward(x, layer)
         for f, expect in enumerate([1.0, -2.0, 0.5]):
@@ -88,14 +88,15 @@ class TestConv2d:
         "b,in_c,out_c,h,w,kernel,stride",
         [
             (2, 1, 4, 3, 40, (3, 8), (1, 4)),
-            (1, 3, 2, 7, 9, (2, 3), (2, 2)),
+            # A height stride, which a one-row output never takes.
+            (1, 3, 2, 3, 9, (3, 3), (2, 2)),
             (3, 2, 5, 5, 5, (5, 5), (1, 1)),
-            (2, 4, 1, 6, 11, (1, 4), (1, 3)),
+            (2, 4, 1, 1, 11, (1, 4), (1, 3)),
             # conv1 and conv2 of the model at their real input sizes.
             (2, 1, 8, 3, 4096, (3, 64), (1, 16)),
             (2, 8, 16, 1, 253, (1, 13), (1, 4)),
-            # Overlapping height windows: kh > sh with several output rows.
-            (2, 2, 3, 6, 21, (3, 5), (1, 2)),
+            # Overlapping width windows, the last column reached by none.
+            (2, 2, 3, 3, 22, (3, 5), (1, 2)),
         ],
     )
     def test_matches_naive_oracle(self, b, in_c, out_c, h, w, kernel, stride):
@@ -110,7 +111,7 @@ class TestConv2d:
     def test_channel_mismatch_raises(self):
         layer = nn.Conv2dLayer.zeros(2, 4, (2, 2), (1, 1))
         with pytest.raises(DimensionError, match="axis 1"):
-            nn.conv2d_forward(np.zeros((1, 3, 4, 4), dtype=np.float32), layer)
+            nn.conv2d_forward(np.zeros((1, 3, 2, 4), dtype=np.float32), layer)
 
     def test_non_4d_input_raises(self):
         layer = nn.Conv2dLayer.zeros(1, 1, (2, 2), (1, 1))
@@ -120,12 +121,12 @@ class TestConv2d:
     @pytest.mark.parametrize(
         "in_c,out_c,h,w,kernel,stride",
         [
-            (1, 2, 4, 10, (2, 3), (1, 2)),
-            (2, 3, 5, 6, (3, 2), (2, 2)),
-            (3, 1, 3, 7, (1, 4), (1, 3)),
-            # Height stride 2, width stride not dividing the kernel, and a
-            # trailing row and two trailing columns that no window reaches.
-            (2, 2, 5, 13, (2, 5), (2, 3)),
+            (1, 2, 1, 10, (1, 3), (1, 2)),
+            (2, 3, 3, 6, (3, 2), (2, 2)),
+            (3, 1, 1, 7, (1, 4), (1, 3)),
+            # Height stride 2, width stride not dividing the kernel, and two
+            # trailing columns that no window reaches.
+            (2, 2, 3, 13, (3, 5), (2, 3)),
         ],
     )
     def test_gradients_match_finite_differences(self, in_c, out_c, h, w, kernel, stride):
@@ -151,16 +152,27 @@ class TestConv2d:
 
         assert rel_err(gb, numeric_grad(loss_of_bias, layer.bias, FD_EPS)) <= GRAD_TOL
 
+    @pytest.mark.parametrize("h", [1, 4])
+    def test_input_height_other_than_the_kernel_raises(self, h):
+        # a kernel spans its input's full height: (2, 3) needs 2 rows
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 1, h, 8))
+        layer = random_conv(rng, 1, 2, (2, 3), (1, 1))
+        with pytest.raises(DimensionError, match="axis 2"):
+            nn.conv2d_forward(x, layer)
+        with pytest.raises(DimensionError, match="axis 2"):
+            nn.conv2d_backward(x, layer, np.zeros((2, 2, 1, 6)))
+
     def test_backward_rejects_wrong_upstream_shape(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((1, 1, 4, 8))
+        x = rng.standard_normal((1, 1, 2, 8))
         layer = random_conv(rng, 1, 2, (2, 2), (1, 2))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="upstream"):
             nn.conv2d_backward(x, layer, np.zeros((1, 2, 3, 3)))
 
     @pytest.mark.parametrize(
         "in_c,out_c,h,w,kernel,stride",
-        [(1, 8, 3, 4096, (3, 64), (1, 16)), (2, 2, 5, 13, (2, 5), (2, 3))],
+        [(1, 8, 3, 4096, (3, 64), (1, 16)), (2, 2, 3, 13, (3, 5), (2, 3))],
     )
     def test_backward_can_skip_input_gradient(self, in_c, out_c, h, w, kernel, stride):
         rng = np.random.default_rng(5)
@@ -178,13 +190,14 @@ class TestConvTranspose2d:
         "b,in_c,out_c,h,w,kernel,stride",
         [
             (2, 4, 1, 1, 13, (3, 8), (1, 4)),
-            (1, 2, 3, 4, 5, (2, 3), (2, 2)),
+            # A height stride, which a one-row input never takes.
+            (1, 2, 3, 1, 5, (2, 3), (2, 2)),
             (3, 5, 2, 1, 9, (1, 5), (1, 1)),
             # deconv3 and deconv2 of the model at their real input sizes.
             (2, 8, 1, 1, 253, (3, 64), (1, 16)),
             (2, 16, 8, 1, 61, (1, 13), (1, 4)),
-            # Overlapping height windows: kh > sh with several input rows.
-            (2, 3, 2, 4, 9, (3, 5), (1, 2)),
+            # Overlapping width windows.
+            (2, 3, 2, 1, 9, (3, 5), (1, 2)),
         ],
     )
     def test_matches_naive_oracle(self, b, in_c, out_c, h, w, kernel, stride):
@@ -201,7 +214,7 @@ class TestConvTranspose2d:
         rng = np.random.default_rng(31)
         for in_c, out_c, h, w, kernel, stride in [
             (1, 8, 3, 128, (3, 16), (1, 8)),
-            (2, 3, 6, 10, (2, 4), (2, 3)),
+            (2, 3, 3, 10, (3, 4), (2, 3)),
             (4, 4, 1, 61, (1, 5), (1, 1)),
             (1, 8, 3, 4096, (3, 64), (1, 16)),
             (8, 16, 1, 253, (1, 13), (1, 4)),
@@ -221,10 +234,10 @@ class TestConvTranspose2d:
         "in_c,out_c,h,w,kernel,stride",
         [
             (2, 1, 1, 7, (2, 3), (1, 2)),
-            (1, 3, 3, 4, (2, 2), (2, 2)),
+            (1, 3, 1, 4, (2, 2), (2, 2)),
             (3, 2, 1, 11, (1, 5), (1, 1)),
             # Height stride 2 and a width stride that does not divide the kernel.
-            (2, 2, 2, 3, (2, 5), (2, 3)),
+            (2, 2, 1, 3, (3, 5), (2, 3)),
         ],
     )
     def test_gradients_match_finite_differences(self, in_c, out_c, h, w, kernel, stride):
@@ -251,6 +264,15 @@ class TestConvTranspose2d:
             return np.sum(nn.conv_transpose2d_forward(x, trial) * proj)
 
         assert rel_err(gb, numeric_grad(loss_of_bias, layer.bias, FD_EPS)) <= GRAD_TOL
+
+    def test_input_of_more_than_one_row_raises(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 2, 2, 5))
+        layer = random_conv(rng, 2, 1, (2, 3), (1, 2), transpose=True)
+        with pytest.raises(DimensionError, match="axis 2"):
+            nn.conv_transpose2d_forward(x, layer)
+        with pytest.raises(DimensionError, match="axis 2"):
+            nn.conv_transpose2d_backward(x, layer, np.zeros((2, 1, 3, 11)))
 
     def test_channel_mismatch_raises(self):
         layer = nn.ConvTranspose2dLayer.zeros(4, 2, (1, 3), (1, 2))

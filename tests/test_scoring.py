@@ -7,6 +7,7 @@ library's bounded 30-bit state machine must match it step for step.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,21 @@ class TestHysteresisTruthTable:
         assert state.fired.bit_length() <= 30
         assert state.anomalous_count == 30
 
+    def test_step_cost_follows_the_samples_held(self):
+        # a window of 10**8 samples, of which 100 are held: no step may
+        # build a mask as wide as the window (12.5 MB)
+        config = AlarmConfig(window_len=10**8)
+        state = HysteresisState()
+        tracemalloc.start()
+        try:
+            for k in range(100):
+                state, _ = hysteresis_step(state, k % 3 == 0, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert state.anomalous_count == 34
+
     def test_newest_sample_is_bit_0(self):
         config = AlarmConfig()
         _, state = run_stream([True] * 17 + [False, False], config)
@@ -310,6 +326,14 @@ class TestHysteresisReplayEquivalence:
             assert state.anomalous_count == sum(flags[-30:])
             fired_anywhere = fired_anywhere or any(fired)
         assert fired_anywhere  # the comparison must exercise real fires
+
+    def test_window_longer_than_the_stream(self):
+        config = AlarmConfig(window_len=10**8)
+        flags = (np.random.default_rng(778).random(300) < 0.5).tolist()
+        fired, state = run_stream(flags, config)
+        assert fired == reference_alarm_replay(flags, window_len=10**8)
+        assert state.anomalous_count == sum(flags)
+        assert any(fired)
 
 
 class TestEvaluate:
