@@ -1,9 +1,11 @@
 """The OpenBLAS thread count, read and pinned through ctypes.
 
 numpy's wheels bundle OpenBLAS, whose threads split each large GEMM. The
-scoring walk in fleet runs worker threads of its own instead, so while it
-runs it pins OpenBLAS to one thread (one_thread) and restores the previous
-count afterwards. Training and the other callers keep the library default.
+task runner (vibanom.parallel), which scoring and training share, runs
+worker threads of its own instead, so while it runs it pins OpenBLAS to
+one thread (one_thread) and restores the previous count afterwards;
+training holds the pin while its epochs run. Other callers keep the
+library default.
 
 The library is the one the loader mapped: the line of /proc/self/maps that
 names an openblas shared object, looked up on first use (numpy is loaded
@@ -21,8 +23,9 @@ import functools
 import threading
 
 # serializes pinned sections, so two concurrent ones cannot leave the pin
-# behind by restoring each other's count
-_PIN_LOCK = threading.Lock()
+# behind by restoring each other's count; reentrant, so a pinned block may
+# enter another (training's run holds the pin around each runner call)
+_PIN_LOCK = threading.RLock()
 
 
 @functools.cache
@@ -71,7 +74,9 @@ def set_thread_count(count: int) -> None:
 @contextlib.contextmanager
 def one_thread():
     """Pin OpenBLAS to one thread for the block, then restore its count,
-    also when the block raises. Pinned blocks run one at a time."""
+    also when the block raises. Pinned blocks of different threads run one
+    at a time; a thread may nest them, and the outermost restores the
+    count it found."""
     if _functions() is None:
         yield
         return

@@ -14,32 +14,29 @@ and opens it with read_frames. A stream is ordered by one stable argsort
 of its timestamps and cut into fixed _TASK-frame slices of that order.
 Each slice is one task: gather (for a FrameFile, read and check those
 records from the file), standardize, reconstruct and report its frames.
-The tasks are taken in order by one thread per usable CPU
-(_worker_count), the caller included, and their reports are joined in
-task order, so the reports, and the first error in that order, are those
-of a sequential walk. At most _IN_FLIGHT frames are being worked on at
-once. So the working memory is bounded by that however long the stream,
-and for a FrameFile nothing else of the stream is held but its timestamp
-column and the reports, about 0.4 KB per frame.
+The tasks run on the task runner that training shares
+(parallel.run_in_order): one thread per usable CPU, the caller included,
+takes them in order, and their reports are joined in task order, so the
+reports, and the first error in that order, are those of a sequential
+walk. At most parallel._MAX_WORKERS tasks, 64 frames, are being worked on
+at once. So the working memory is bounded by that however long the
+stream, and for a FrameFile nothing else of the stream is held but its
+timestamp column and the reports, about 0.4 KB per frame.
 
-While the tasks run, OpenBLAS is pinned to one thread (vibanom.blas) and
-its count is restored afterwards. The workers then share the cores
-without BLAS threads competing for them, and since the GEMM shapes are
-fixed by _TASK alone, the report bits are the same for any worker count.
-They are the same for any number of cores only where OpenBLAS is found
-and pinned: with another BLAS (or no /proc) there is one worker and the
-BLAS keeps its own threads, so the last digits can depend on the cores.
+While the tasks run, the runner pins OpenBLAS to one thread
+(vibanom.blas), and since the GEMM shapes are fixed by _TASK alone, the
+report bits are the same for any worker count. They are the same for any
+number of cores only where OpenBLAS is found and pinned: with another
+BLAS (or no /proc) there is one worker and the BLAS keeps its own
+threads, so the last digits can depend on the cores.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import mmap
 import os
 import re
-import threading
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -47,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import blas, dcan
+from . import dcan, parallel
 from .errors import (
     ConfigurationError,
     DataWarning,
@@ -78,42 +75,6 @@ DEFAULT_LOCATIONS = (
 # frames per scoring task; a constant, so the GEMM shapes, and with them
 # the report bits, do not depend on the worker count
 _TASK = 16
-# frames being scored at once, at most, whatever the machine
-_IN_FLIGHT = 64
-
-
-def _worker_count() -> int:
-    """One scoring worker per usable CPU, up to _IN_FLIGHT // _TASK.
-
-    Without an OpenBLAS to pin, the workers' GEMMs would compete with
-    BLAS threads for the cores, which measured slower than one worker.
-    """
-    if blas.thread_count() is None:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _IN_FLIGHT // _TASK)
-
-
-@functools.cache
-def _raise_mmap_threshold() -> None:
-    """Free one untouched 16 MB malloc block, once per process.
-
-    glibc's malloc maps each block above its mmap threshold (128 KB at
-    start) afresh and unmaps it on free, so every first touch of its pages
-    faults; a scoring task's temporaries (786 KB for 16 three-axis frames)
-    are such blocks. Freeing a mapped block raises the threshold to that
-    block's size, and the trim threshold to twice that, so later
-    temporaries come from a heap that keeps its pages. A 6 x 240-frame
-    monitor call took about 3.1k minor faults with this, against about 51k
-    without. numpy allocates an empty array's data with malloc and frees it
-    with the array; the block is never touched, so it adds no resident
-    memory, and where malloc is not glibc's it is a harmless malloc and
-    free.
-    """
-    np.empty(16 << 20, np.uint8)
 
 
 # report lines are space-separated key:value pairs, so these tokens must
@@ -340,7 +301,7 @@ def fleet_config_from_dict(data: dict) -> FleetConfig:
     try:
         predictors = tuple(_predictor_from_dict(e) for e in data["predictors"])
         return FleetConfig(**{**data, "predictors": predictors})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError("malformed fleet config: %s" % exc) from exc
 
 
@@ -378,64 +339,17 @@ def _reconstruction_reports(model, stats, stream: FrameBlock | FrameFile, order:
     """The MSE columns (per_axis, total) of dcan.reconstruction_report for
     the frames of stream, taken in order (an index array).
 
-    The _TASK-frame tasks are taken in order by `workers` threads, the
-    calling thread among them. When a task raises, the threads take only
-    tasks before the first failing one. Tasks are taken in order, so every
-    task a sequential walk would run before its error runs, and the error
-    raised, the first in task order, is the one it would raise.
-
-    The first task of each thread waits at a barrier once it holds its
-    report working set (standardized frames, reconstruction, report
-    buffer), so every walk reaches `workers` such sets at once. This is
-    for the peak memory's sake, not speed: without it the peak of a short
-    walk depends on whether the threads' peaks happen to overlap. Later
-    tasks do not wait for each other.
+    Each _TASK-frame slice of order is one task of parallel.run_in_order,
+    so the columns, and the first error in task order, are those of a
+    sequential walk. Each thread's first task meets the others once it
+    holds its report working set (standardized frames, reconstruction,
+    report buffer), so every walk reaches that many such sets at once.
     """
-    _raise_mmap_threshold()
     tasks = [order[start:start + _TASK] for start in range(0, len(order), _TASK)]
-    workers = min(_worker_count(), len(tasks))
-    results: list = [None] * len(tasks)
-    errors = {}  # task index -> its exception, under lock
-    lock = threading.Lock()
-    taken = itertools.count()
-    first_round = threading.Barrier(workers)
-
-    def meet():
-        try:
-            first_round.wait()
-        except threading.BrokenBarrierError:
-            pass  # a task failed: go on alone
-
-    def work():
-        while True:
-            k = next(taken)
-            with lock:
-                if k >= len(tasks) or (errors and k > min(errors)):
-                    return
-            try:
-                results[k] = _task_reports(
-                    model, stats, stream, tasks[k], meet if k < workers else None
-                )
-            except BaseException as exc:
-                with lock:
-                    errors[k] = exc
-                first_round.abort()
-
-    with blas.one_thread():
-        threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-        try:
-            for thread in threads:
-                thread.start()
-            work()
-        finally:
-            # frees a thread still waiting, which only a caller that
-            # failed outside a task can leave behind
-            first_round.abort()
-            for thread in threads:
-                if thread.ident is not None:  # started
-                    thread.join()
-    if errors:
-        raise errors[min(errors)]
+    results = parallel.run_in_order(
+        lambda k, meet: _task_reports(model, stats, stream, tasks[k], meet),
+        len(tasks), first_round=True,
+    )
     per_axis, total = zip(*results)
     return np.concatenate(per_axis), np.concatenate(total)
 

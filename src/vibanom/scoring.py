@@ -36,6 +36,16 @@ class AlarmLevel(IntEnum):
     HIGH = 3
 
 
+def _check_float_range(name: str, value) -> None:
+    """Refuse an int too large for a float, naming the field, where float()
+    and math.isfinite would raise a bare OverflowError."""
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigurationError("%s is too large for a float" % name) from None
+
+
 @dataclass(frozen=True)
 class ScoreNormalization:
     """Location/scale of the calibration MSE distribution."""
@@ -47,6 +57,7 @@ class ScoreNormalization:
         for name, value in (("mu", self.mu), ("sigma", self.sigma)):
             if isinstance(value, bool):
                 raise ConfigurationError("%s must be a number, got %r" % (name, value))
+            _check_float_range(name, value)
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise CalibrationError("normalization parameters must be finite")
         if self.sigma <= 0.0:
@@ -109,6 +120,8 @@ class AlarmConfig:
     def __post_init__(self):
         if any(isinstance(t, bool) for t in self.level_thresholds):
             raise ConfigurationError("level_thresholds must be numbers, not bools")
+        for t in self.level_thresholds:
+            _check_float_range("level_thresholds", t)
         thresholds = tuple(float(t) for t in self.level_thresholds)
         if len(thresholds) != 3:
             raise ConfigurationError(

@@ -6,6 +6,16 @@ and monitoring can reuse the exact same transform later. Training is plain
 shuffled mini-batch Adam on the reconstruction MSE with early stopping on a
 held-out validation split; it is deterministic for a fixed seed.
 
+Each step runs on the task runner that scoring shares (vibanom.parallel):
+the batch is cut into fixed _MICRO_BATCH-frame tasks, each one call of
+dcan.loss_and_gradients, and the step's loss and gradients are the task
+results weighted by each task's share of the frames, summed in task order.
+train holds OpenBLAS pinned to one thread (blas.one_thread) while its
+epochs run, validation included. So the GEMM shapes and the order of every sum
+are fixed by the batch alone: the loss history and the trained parameters
+are the same bits for any worker count, and, where OpenBLAS is found and
+pinned, for any number of cores.
+
 Checkpoints are a portable little-endian binary format: a magic tag and
 format version, a JSON metadata block (architecture and training summary),
 then named float32 tensors with explicit shapes. Round trips are bit-exact.
@@ -14,13 +24,16 @@ then named float32 tensors with explicit shapes. Round trips are bit-exact.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dcan, nn
+from . import blas, dcan, nn, parallel
 from .errors import (
     CalibrationError,
     CheckpointError,
@@ -50,6 +63,10 @@ CHECKPOINT_VERSION = 1
 STD_FLOOR = 1e-8
 # validation frames reconstructed per step, so memory stays bounded
 _MSE_CHUNK = 256
+# frames per training task; a constant, so the GEMM shapes, and with them
+# the bits of a step, do not depend on the worker count (8 and 16 frames
+# measured slower)
+_MICRO_BATCH = 32
 
 
 @dataclass
@@ -167,6 +184,29 @@ def batched_mse(model: dcan.DcanModel, frames: np.ndarray) -> float:
     return total / frames.shape[0]
 
 
+def _loss_and_gradients(model: dcan.DcanModel, batch: np.ndarray):
+    """dcan.loss_and_gradients of batch, as _MICRO_BATCH-frame tasks on the
+    task runner, joined by each task's share of the frames in task order."""
+    n = batch.shape[0]
+    parts = parallel.run_in_order(
+        lambda k, meet: dcan.loss_and_gradients(
+            model, batch[k * _MICRO_BATCH : (k + 1) * _MICRO_BATCH]
+        ),
+        -(-n // _MICRO_BATCH),
+    )
+    loss, grads = 0.0, {}
+    for k, (part_loss, part_grads) in enumerate(parts):
+        share = min(_MICRO_BATCH, n - k * _MICRO_BATCH) / n
+        loss += part_loss * share
+        for name, g in part_grads.items():
+            g *= share
+            if k == 0:
+                grads[name] = g
+            else:
+                grads[name] += g
+    return loss, grads
+
+
 def train(
     model: dcan.DcanModel,
     frames: np.ndarray,
@@ -182,7 +222,8 @@ def train(
     generator. Training stops early when the validation loss has not
     improved for config.patience epochs. The optional on_batch callback
     receives (epoch, batch_index, batch) before each gradient step, which
-    is how the tests prove validation frames never feed a gradient.
+    is how the tests prove validation frames never feed a gradient. It is
+    called in the calling thread, once per batch.
     """
     config.validate()
     _check_frame_stack(frames)
@@ -203,25 +244,26 @@ def train(
     state = nn.AdamState.for_params(params, lr=config.lr)
     history = []
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n_train)
-        total = 0.0
-        for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
-            batch = x_train[order[start : start + config.batch_size]]
-            if on_batch is not None:
-                on_batch(epoch, batch_index, batch)
-            loss, grads = dcan.loss_and_gradients(model, batch)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
-            nn.adam_step(params, grads, state)
-            total += loss * batch.shape[0]
-        train_mse = total / n_train
-        val_mse = batched_mse(model, x_val)
-        if not np.isfinite(val_mse):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        history.append(EpochStats(epoch, float(train_mse), float(val_mse)))
-        if should_stop([h.val_mse for h in history], config.patience):
-            break
+    with blas.one_thread():
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(n_train)
+            total = 0.0
+            for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
+                batch = x_train[order[start : start + config.batch_size]]
+                if on_batch is not None:
+                    on_batch(epoch, batch_index, batch)
+                loss, grads = _loss_and_gradients(model, batch)
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
+                nn.adam_step(params, grads, state)
+                total += loss * batch.shape[0]
+            train_mse = total / n_train
+            val_mse = batched_mse(model, x_val)
+            if not np.isfinite(val_mse):
+                raise TrainingError(f"non-finite validation loss at epoch {epoch}")
+            history.append(EpochStats(epoch, float(train_mse), float(val_mse)))
+            if should_stop([h.val_mse for h in history], config.patience):
+                break
     return model, history
 
 
@@ -235,7 +277,14 @@ def write_loss_csv(history, path) -> None:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
+    """count bytes of fh. A read above the buffer's size asks for no more
+    than the bytes left in the file, so a vast length in a header
+    allocates no more than the file holds; smaller reads cost no extra
+    system call."""
+    want = count
+    if count > io.DEFAULT_BUFFER_SIZE:
+        want = min(count, max(os.fstat(fh.fileno()).st_size - fh.tell(), 0))
+    data = fh.read(want)
     if len(data) != count:
         raise CheckpointTruncatedError(
             f"checkpoint truncated while reading {what}: wanted {count} bytes, got {len(data)}"
@@ -332,15 +381,20 @@ def load_checkpoint(path):
     """Read a checkpoint back into (model, stats); bit-exact by contract.
 
     Raises CheckpointFormatError on a bad magic tag or malformed content,
-    naming the tensor for a missing one, one of the wrong shape (the stats
-    need one value per axis of the model), a non-finite value or a
-    stats.std below STD_FLOOR; CheckpointVersionError on an unsupported
-    version; and CheckpointTruncatedError when the file ends early. No
-    partial model is ever returned.
+    naming the tensor for a missing one, an unknown or repeated one, one of
+    the wrong shape (the stats need one value per axis of the model), a
+    non-finite value or a stats.std below STD_FLOOR; CheckpointVersionError
+    on an unsupported version; and CheckpointTruncatedError when the file
+    ends early. Names, shapes and lengths are checked before the data they
+    describe is read. No partial model is ever returned.
     """
     with open(path, "rb") as fh:
-        metadata = _read_header(fh)
-
+        config = _config_from_metadata(_read_header(fh).get("config", {}))
+        # every stored name and shape is checked before its data is read,
+        # and _read_exact reads no more than the file holds, so a header
+        # naming a vast or unknown tensor allocates nothing
+        shapes = dcan._parameter_shapes(config)
+        shapes["stats.mean"] = shapes["stats.std"] = (config.axes,)
         tensor_count = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))[0]
         tensors = {}
         for _ in range(tensor_count):
@@ -351,27 +405,23 @@ def load_checkpoint(path):
                 struct.unpack("<I", _read_exact(fh, 4, f"shape of '{name}'"))[0]
                 for _ in range(ndim)
             )
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            raw = _read_exact(fh, 4 * count, f"data of '{name}'")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+            if name not in shapes or name in tensors:
+                raise CheckpointFormatError(f"unexpected tensor '{name}' (unknown or repeated)")
+            if shape != shapes[name]:
+                raise CheckpointFormatError(
+                    f"tensor '{name}' has shape {shape}, expected {shapes[name]}"
+                )
+            raw = _read_exact(fh, 4 * math.prod(shape), f"data of '{name}'")
+            stored = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+            if not np.isfinite(stored).all():
+                raise CheckpointFormatError(f"tensor '{name}' has non-finite values")
+            tensors[name] = stored
         if fh.read(1):
             raise CheckpointFormatError("trailing bytes after the last tensor")
 
-    config = _config_from_metadata(metadata.get("config", {}))
-    # every stored shape is checked before any model array exists, so
-    # metadata naming a vast architecture allocates nothing
-    shapes = dcan._parameter_shapes(config)
-    shapes["stats.mean"] = shapes["stats.std"] = (config.axes,)
-    for name, shape in shapes.items():
+    for name in shapes:
         if name not in tensors:
             raise CheckpointFormatError(f"checkpoint is missing tensor '{name}'")
-        stored = tensors[name]
-        if stored.shape != shape:
-            raise CheckpointFormatError(
-                f"tensor '{name}' has shape {stored.shape}, expected {shape}"
-            )
-        if not np.isfinite(stored).all():
-            raise CheckpointFormatError(f"tensor '{name}' has non-finite values")
     if tensors["stats.std"].min() < STD_FLOOR:
         raise CheckpointFormatError(f"tensor 'stats.std' has a value below {STD_FLOOR:.0e}")
     model = dcan._zeros(config)

@@ -1,6 +1,6 @@
 """Shared pytest hooks: one-line summary per acceptance criterion, a guard
-against a test that leaves OpenBLAS's thread count changed, and fleet's
-malloc primer run once before any test.
+against a test that leaves OpenBLAS's thread count changed, and the task
+runner's malloc primer run once before any test.
 
 Tests marked with @pytest.mark.criterion("A1", "some title") contribute to a
 terminal summary block with one [A1] PASS/FAIL/SKIP line per label.  Several
@@ -12,21 +12,23 @@ from __future__ import annotations
 
 import pytest
 
-from vibanom import blas, fleet
+from vibanom import blas, parallel
 
 
 @pytest.fixture(autouse=True, scope="session")
 def malloc_primed():
-    """Run fleet's once-per-process malloc primer before any test. numpy
-    reports its untouched 16 MB block to tracemalloc, so a memory pin whose
-    scoring walk happened to be the process's first would count it."""
-    fleet._raise_mmap_threshold()
+    """Run the task runner's once-per-process malloc primer before any
+    test. numpy reports its untouched 16 MB block to tracemalloc, so a
+    memory pin whose scoring walk or training happened to be the process's
+    first would count it."""
+    parallel._raise_mmap_threshold()
 
 
 @pytest.fixture(autouse=True)
 def openblas_threads_unchanged():
     """The OpenBLAS thread count after each test is the one before it (the
-    scoring walk pins it to 1 while it runs). No check without OpenBLAS."""
+    task runner and training pin it to 1 while they run). No check without
+    OpenBLAS."""
     before = blas.thread_count()
     yield
     if before is not None:

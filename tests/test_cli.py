@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vibanom import cli, dcan, fleet
+from vibanom import cli, dcan, fleet, parallel
 from vibanom.cli import main
 from vibanom.errors import AliasingWarning, DataWarning
 from vibanom.fleet import (
@@ -276,7 +276,7 @@ class TestWorkerCount:
     def test_monitor_log_bytes(self, setup, workers, monkeypatch, capsys):
         logs = []
         for count in (1, workers):
-            monkeypatch.setattr(fleet, "_worker_count", lambda count=count: count)
+            monkeypatch.setattr(parallel, "_worker_count", lambda count=count: count)
             log = setup / ("w%d-%d.log" % (workers, count))
             assert main(["monitor", "--config", str(setup / "fleet.json"),
                          "--frames", str(setup / "streams"), "--out", str(log)]) == 0
@@ -294,7 +294,7 @@ class TestWorkerCount:
             frames = str(setup / "streams" / ("n%d.frames" % length))
             outputs = []
             for count in (1, workers):
-                monkeypatch.setattr(fleet, "_worker_count", lambda count=count: count)
+                monkeypatch.setattr(parallel, "_worker_count", lambda count=count: count)
                 rc = main(["score", "--checkpoint", checkpoint, "--frames", frames, *extra])
                 outputs.append((rc, capsys.readouterr()))
             assert outputs[1] == outputs[0]
@@ -801,6 +801,31 @@ class TestErrorSurface:
                      "--out", str(out)], kind,
         )
         assert message in line
+        assert not out.exists()
+
+    def test_calibrate_refuses_an_overflowing_tensor_shape(self, tmp_path, capsys):
+        # conv1.weight's stored shape rewritten to (65535,) * 4, whose
+        # element count overflows int64; it once ended calibrate in a
+        # ValueError traceback from a negative read length
+        ckpt = tmp_path / "bad.ckpt"
+        stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
+        save_checkpoint(dcan.build(dcan.DcanConfig(), seed=21), stats, ckpt)
+        data = bytearray(ckpt.read_bytes())
+        offset = 12 + struct.unpack_from("<I", data, 8)[0] + 4  # the first tensor
+        name_len = struct.unpack_from("<H", data, offset)[0]
+        assert data[offset + 2:offset + 2 + name_len] == b"conv1.weight"
+        assert data[offset + 2 + name_len] == 4  # its rank
+        struct.pack_into("<4I", data, offset + 3 + name_len, *(65535,) * 4)
+        ckpt.write_bytes(bytes(data))
+        frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
+        out = tmp_path / "norm.json"
+        line = self.one_error_line(
+            capsys, ["calibrate", "--checkpoint", str(ckpt), "--frames", frames,
+                     "--out", str(out)], "CheckpointFormatError",
+        )
+        assert line.endswith(
+            "tensor 'conv1.weight' has shape (65535, 65535, 65535, 65535), expected (8, 1, 3, 64)"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

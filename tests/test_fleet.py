@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vibanom import blas, dcan, fleet
+from vibanom import blas, dcan, parallel
 from vibanom.errors import (
     CalibrationError,
     ConfigurationError,
@@ -472,13 +472,13 @@ class TestScoringTasks:
     def test_worker_count_rule(self, monkeypatch, cpus, found, want):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(blas, "thread_count", lambda: 2 if found else None)
-        assert fleet._worker_count() == want
+        assert parallel._worker_count() == want
 
     def test_worker_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(blas, "thread_count", lambda: 2)
-        assert fleet._worker_count() == 3
+        assert parallel._worker_count() == 3
 
     def test_fixed_tasks_in_order_under_fast_thread_switching(self, checkpoint, monkeypatch):
         # 203 frames in shuffled timestamp order: twelve 16-frame tasks and
@@ -488,7 +488,7 @@ class TestScoringTasks:
         frames = make_frames(seed=18, count=203)
         order = np.random.default_rng(19).permutation(203)
         frames = [frames[k] for k in order]
-        monkeypatch.setattr(fleet, "_worker_count", lambda: 1)
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 1)
         alone = self.lines(checkpoint, frames)
         sizes = []
         real = dcan.reconstruct
@@ -497,7 +497,7 @@ class TestScoringTasks:
             sizes.append(batch.shape[0])
             return real(model, batch)
 
-        monkeypatch.setattr(fleet, "_worker_count", lambda: 4)
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 4)
         monkeypatch.setattr(dcan, "reconstruct", counting)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -545,7 +545,7 @@ class TestScoringTasks:
                 with lock:
                     state["running"] -= 1
 
-        monkeypatch.setattr(fleet, "_worker_count", lambda: 4)
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 4)
         monkeypatch.setattr(dcan, "reconstruct", failing)
         threads, blas_threads = threading.active_count(), blas.thread_count()
         with pytest.raises(Boom, match="task 3"):
@@ -576,7 +576,7 @@ class TestScoringTasks:
                 events.append("report")
             return report(*args, **kwargs)
 
-        monkeypatch.setattr(fleet, "_worker_count", lambda: 4)
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 4)
         monkeypatch.setattr(dcan, "reconstruct", reconstructed)
         monkeypatch.setattr(dcan, "reconstruction_report", reporting)
         bounded(self.lines, checkpoint, make_frames(seed=23, count=16 * 6))
@@ -601,7 +601,7 @@ class TestScoringTasks:
                 raise Boom("task 3")
             return real(model, batch)
 
-        monkeypatch.setattr(fleet, "_worker_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
         monkeypatch.setattr(dcan, "reconstruct", failing)
         with pytest.raises(Boom, match="task 2"):
             bounded(self.lines, checkpoint, frames)

@@ -68,6 +68,12 @@ class TestScoreNormalization:
         with pytest.raises(ConfigurationError, match="^%s must be a number, got True$" % field):
             ScoreNormalization(**values)
 
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    def test_rejects_an_int_too_large_for_a_float(self, field):
+        values = {"mu": 1.0, "sigma": 1.0, field: 10**400}
+        with pytest.raises(ConfigurationError, match="^%s is too large for a float$" % field):
+            ScoreNormalization(**values)
+
 
 class TestCalibrate:
     def test_worked_example(self):
@@ -173,6 +179,12 @@ class TestAlarmConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             AlarmConfig(**kwargs)
+
+    def test_rejects_a_threshold_too_large_for_a_float(self):
+        with pytest.raises(
+            ConfigurationError, match="^level_thresholds is too large for a float$"
+        ):
+            AlarmConfig(level_thresholds=(1, 2, 10**400))
 
 
 class TestClassify:

@@ -7,12 +7,13 @@ asserted bit-for-bit.
 
 import json
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vibanom import dcan, training
+from vibanom import blas, dcan, parallel, training
 from vibanom.errors import (
     CalibrationError,
     CheckpointError,
@@ -222,6 +223,104 @@ class TestTrain:
             training.train(model, frames, stats, TrainConfig())
 
 
+needs_openblas = pytest.mark.skipif(
+    blas.thread_count() is None, reason="no OpenBLAS found to pin"
+)
+
+
+class TestTrainingTasks:
+    """Each step as fixed _MICRO_BATCH-frame tasks on the task runner,
+    with OpenBLAS pinned for the whole run."""
+
+    def run(self, monkeypatch, workers, on_batch=None, epochs=3):
+        # 200 frames: 180 to train on in batches of 80, 80 and 20, which
+        # are tasks of 32 + 32 + 16, 32 + 32 + 16 and 20 frames
+        monkeypatch.setattr(parallel, "_worker_count", lambda: workers)
+        frames = easy_frames(200, seed=30)
+        stats = training.fit_standardization(frames)
+        model = dcan.build(tiny_config(), seed=31)
+        cfg = TrainConfig(batch_size=80, max_epochs=epochs, patience=epochs, seed=32)
+        _, history = training.train(model, frames, stats, cfg, on_batch=on_batch)
+        return model, stats, history
+
+    @needs_openblas
+    def test_same_bits_for_any_worker_count(self, monkeypatch, tmp_path):
+        results = []
+        for workers in (1, 2, 4):
+            model, stats, history = self.run(monkeypatch, workers)
+            path = tmp_path / ("w%d.dcan" % workers)
+            training.save_checkpoint(model, stats, path)
+            results.append((history, path.read_bytes()))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_steps_run_as_fixed_micro_batches(self, monkeypatch):
+        sizes = []
+        lock = threading.Lock()
+        real = dcan.loss_and_gradients
+
+        def counting(model, batch):
+            with lock:
+                sizes.append(batch.shape[0])
+            return real(model, batch)
+
+        monkeypatch.setattr(dcan, "loss_and_gradients", counting)
+        self.run(monkeypatch, 4, epochs=1)
+        assert sorted(sizes) == sorted([32, 32, 16, 32, 32, 16, 20])
+
+    def test_step_is_the_frame_weighted_sum_of_its_tasks(self, monkeypatch):
+        # against one loss_and_gradients call over the whole batch: the
+        # same objective, up to float32 rounding of the gradient sums
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
+        model = dcan.build(tiny_config(), seed=33)
+        batch = np.random.default_rng(34).standard_normal((80, 1, 3, 64)).astype(np.float32)
+        loss, grads = training._loss_and_gradients(model, batch)
+        whole_loss, whole_grads = dcan.loss_and_gradients(model, batch)
+        assert loss == pytest.approx(whole_loss, rel=1e-12)
+        for name, g in whole_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=1e-4, atol=1e-6 * np.abs(g).max())
+
+    @needs_openblas
+    def test_blas_pinned_during_train_and_restored(self, monkeypatch):
+        before = blas.thread_count()
+        seen = set()
+        try:
+            blas.set_thread_count(2)
+            self.run(monkeypatch, 2, on_batch=lambda *_: seen.add(blas.thread_count()), epochs=1)
+            assert blas.thread_count() == 2
+
+            def failing(epoch, batch_index, batch):
+                raise RuntimeError("stop")
+
+            with pytest.raises(RuntimeError, match="stop"):
+                self.run(monkeypatch, 2, on_batch=failing, epochs=1)
+            assert blas.thread_count() == 2
+        finally:
+            blas.set_thread_count(before)
+        assert seen == {1}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_in_a_later_task_names_the_batch(self, monkeypatch, workers):
+        # frame 40 of the second batch sits in its second 32-frame task
+        def poison(epoch, batch_index, batch):
+            if batch_index == 1:
+                batch[40] = np.nan
+
+        with pytest.raises(TrainingError, match=r"^non-finite loss at epoch 1, batch 1$"):
+            self.run(monkeypatch, workers, on_batch=poison)
+
+    def test_on_batch_runs_once_per_batch_in_the_calling_thread(self, monkeypatch):
+        calls = []
+        self.run(
+            monkeypatch, 4, epochs=2,
+            on_batch=lambda epoch, index, batch: calls.append(
+                (epoch, index, batch.shape[0], threading.get_ident())
+            ),
+        )
+        me = threading.get_ident()
+        assert calls == [(e, i, n, me) for e in (1, 2) for i, n in enumerate((80, 80, 20))]
+
+
 class TestLossCsv:
     def test_exact_header_and_rows(self, tmp_path):
         history = [
@@ -363,6 +462,57 @@ class TestCheckpoint:
             match=r"tensor 'fc4\.weight' has shape \(\d+, \d+\), expected",
         ):
             training.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [("overflowing", CheckpointFormatError,
+          "tensor 'conv1.weight' has shape (65535, 65535, 65535, 65535), expected (4, 1, 3, 8)"),
+         ("vast", CheckpointFormatError,
+          "tensor 'fc1.weight' has shape (65535, 65535), expected (20, 88)"),
+         ("vast-as-declared", CheckpointTruncatedError,
+          "data of 'fc1.weight': wanted 1408000000000 bytes, got "),
+         ("unknown", CheckpointFormatError, "unexpected tensor 'extra' (unknown or repeated)"),
+         ("repeated", CheckpointFormatError, "unexpected tensor 'conv1.bias' (unknown or repeated)")],
+        ids=["overflowing", "vast", "vast-as-declared", "unknown", "repeated"],
+    )
+    def test_tensor_headers_checked_before_their_data(self, tmp_path, case, error, message):
+        # a tensor header is refused before its data is read, so none of
+        # these allocates more than the small file holds; an overflowing
+        # shape once ended in a ValueError from a negative read length
+        config = tiny_config()
+        model = dcan.build(config, seed=0)
+        entries = [(name, a.shape, a.tobytes()) for name, a in model.named_parameters().items()]
+        entries += [("stats.mean", (3,), np.zeros(3, "<f4").tobytes()),
+                    ("stats.std", (3,), np.ones(3, "<f4").tobytes())]
+        meta = {"config": training._config_to_metadata(config), "training": {}}
+        if case == "overflowing":
+            entries[0] = ("conv1.weight", (65535,) * 4, b"")
+        elif case == "vast":
+            entries[6] = ("fc1.weight", (65535, 65535), b"")
+        elif case == "vast-as-declared":
+            meta["config"]["fc_widths"] = [4_000_000_000, 20, 20, 20]
+            entries[6] = ("fc1.weight", (4_000_000_000, 88), b"")
+        elif case == "unknown":
+            entries.insert(2, ("extra", (3,), np.zeros(3, "<f4").tobytes()))
+        else:
+            entries.insert(2, entries[1])
+        blob = json.dumps(meta).encode("utf-8")
+        parts = [b"DCAN", struct.pack("<II", 1, len(blob)), blob, struct.pack("<I", len(entries))]
+        for name, shape, data in entries:
+            encoded = name.encode("utf-8")
+            parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", len(shape)),
+                      struct.pack("<%dI" % len(shape), *shape), data]
+        path = tmp_path / "model.dcan"
+        path.write_bytes(b"".join(parts))
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as info:
+                training.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert message in str(info.value)
+        assert peak < 1 << 20
 
     def test_float64_model_rejected(self, tmp_path):
         model, stats = self.trained_pair()
