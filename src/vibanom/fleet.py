@@ -18,10 +18,11 @@ The tasks run on the task runner that training shares
 (parallel.run_in_order): one thread per usable CPU, the caller included,
 takes them in order, and their reports are joined in task order, so the
 reports, and the first error in that order, are those of a sequential
-walk. At most parallel._MAX_WORKERS tasks, 64 frames, are being worked on
-at once. So the working memory is bounded by that however long the
-stream, and for a FrameFile nothing else of the stream is held but its
-timestamp column and the reports, about 0.4 KB per frame.
+walk. At most _IN_FLIGHT frames, one task on each of the runner's
+threads, are being worked on at once. So the working memory is bounded
+by that however long the stream, and for a FrameFile nothing else of the
+stream is held but its timestamp column and the reports, about 0.4 KB
+per frame.
 
 While the tasks run, the runner pins OpenBLAS to one thread
 (vibanom.blas), and since the GEMM shapes are fixed by _TASK alone, the
@@ -75,6 +76,10 @@ DEFAULT_LOCATIONS = (
 # frames per scoring task; a constant, so the GEMM shapes, and with them
 # the report bits, do not depend on the worker count
 _TASK = 16
+# frames being scored at once, at most, whatever the machine: one task on
+# each of the runner's threads
+_IN_FLIGHT = 64
+assert _TASK * parallel._MAX_WORKERS <= _IN_FLIGHT
 
 
 # report lines are space-separated key:value pairs, so these tokens must
@@ -348,7 +353,7 @@ def _reconstruction_reports(model, stats, stream: FrameBlock | FrameFile, order:
     tasks = [order[start:start + _TASK] for start in range(0, len(order), _TASK)]
     results = parallel.run_in_order(
         lambda k, meet: _task_reports(model, stats, stream, tasks[k], meet),
-        len(tasks), first_round=True,
+        len(tasks),
     )
     per_axis, total = zip(*results)
     return np.concatenate(per_axis), np.concatenate(total)

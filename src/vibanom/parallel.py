@@ -31,8 +31,8 @@ import numpy as np
 
 from . import blas
 
-# threads at most, whatever the machine; fleet's bound on the frames
-# scored at once is this many of its tasks
+# threads at most, whatever the machine; fleet._IN_FLIGHT, the frames
+# scored at once, is this many of its tasks
 _MAX_WORKERS = 4
 
 
@@ -71,19 +71,18 @@ def _raise_mmap_threshold() -> None:
     np.empty(16 << 20, np.uint8)
 
 
-def run_in_order(task, count: int, *, first_round: bool = False) -> list:
+def run_in_order(task, count: int) -> list:
     """[task(0, meet), ..., task(count - 1, meet)], run as described in the
-    module docstring, on min(_worker_count(), count) threads.
+    module docstring, on workers = min(_worker_count(), count) threads.
 
-    meet is None, except with first_round, where the first task of each
-    thread gets a function to call once it holds its working set: it
-    waits there until every thread's first task has called it, so every
-    run reaches that many working sets at once. This is for the peak
-    memory's sake, not speed: without it the peak of a short run depends
-    on whether the threads' peaks happen to overlap. Later tasks do not
-    wait for each other. The threads take tasks in order and each first
-    task waits for the others, so the first tasks, 0 to workers - 1, are
-    on distinct threads.
+    Tasks 0 to workers - 1 get a function meet, the later ones None. A
+    task may call meet() once, when it holds its working set: it waits
+    there until each of those first tasks has called it, so they run on
+    distinct threads and every run reaches that many working sets at
+    once. This is for the peak memory's sake, not speed: without it the
+    peak of a short run depends on whether the threads' peaks happen to
+    overlap. Either all first tasks call meet or none do; scoring's tasks
+    call it, training's do not. Later tasks do not wait for each other.
     """
     _raise_mmap_threshold()
     workers = min(_worker_count(), count)
@@ -106,7 +105,7 @@ def run_in_order(task, count: int, *, first_round: bool = False) -> list:
                 if k >= count or (errors and k > min(errors)):
                     return
             try:
-                results[k] = task(k, meet if first_round and k < workers else None)
+                results[k] = task(k, meet if k < workers else None)
             except BaseException as exc:
                 with lock:
                     errors[k] = exc

@@ -14,7 +14,9 @@ train holds OpenBLAS pinned to one thread (blas.one_thread) while its
 epochs run, validation included. So the GEMM shapes and the order of every sum
 are fixed by the batch alone: the loss history and the trained parameters
 are the same bits for any worker count, and, where OpenBLAS is found and
-pinned, for any number of cores.
+pinned, for any number of cores. A step runs on at most one thread per
+task, ceil(batch_size / _MICRO_BATCH), and validation on one, so a host
+with more CPUs than that leaves the rest idle while training.
 
 Checkpoints are a portable little-endian binary format: a magic tag and
 format version, a JSON metadata block (architecture and training summary),

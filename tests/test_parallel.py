@@ -88,7 +88,6 @@ class TestRunInOrder:
         idents = set()
 
         def task(k, meet):
-            assert meet is None
             idents.add(threading.get_ident())
             return k * k
 
@@ -113,7 +112,7 @@ class TestRunInOrder:
 
         def run():
             with np.errstate(over="raise"):
-                return parallel.run_in_order(task, workers, first_round=True)
+                return parallel.run_in_order(task, workers)
 
         idents, raised = zip(*bounded(run))
         assert len(set(idents)) == workers
