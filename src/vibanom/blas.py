@@ -1,10 +1,10 @@
 """The OpenBLAS thread count, read and pinned through ctypes.
 
 numpy's wheels bundle OpenBLAS, whose threads split each large GEMM. The
-task runner (vibanom.parallel), which scoring and training share, runs
-worker threads of its own instead, so while it runs it pins OpenBLAS to
-one thread (one_thread) and restores the previous count afterwards;
-training holds the pin while its epochs run. Other callers keep the
+task runner (vibanom.parallel), on which scoring and every GEMM of
+training run, has worker threads of its own instead, so while it runs it
+pins OpenBLAS to one thread (one_thread) and restores the previous count
+afterwards. It is the one place that sets the pin; other callers keep the
 library default.
 
 The library is the one the loader mapped: the line of /proc/self/maps that
@@ -23,8 +23,8 @@ import functools
 import threading
 
 # serializes pinned sections, so two concurrent ones cannot leave the pin
-# behind by restoring each other's count; reentrant, so a pinned block may
-# enter another (training's run holds the pin around each runner call)
+# behind by restoring each other's count; reentrant, so a pinned block that
+# enters another never deadlocks, although nothing in the package nests them
 _PIN_LOCK = threading.RLock()
 
 

@@ -114,13 +114,15 @@ class DcanConfig:
             # nn.leaky_relu is max(x, slope * x), which needs this range
             raise ConfigurationError(f"leaky_slope must be a number in [0, 1], got {slope!r}")
         if len(self.conv_specs) != 3:
-            raise ConfigurationError(f"expected 3 convolution specs, got {len(self.conv_specs)}")
+            raise ConfigurationError(f"expected 3 conv_specs, got {len(self.conv_specs)}")
         if len(self.fc_widths) != 4:
-            raise ConfigurationError(f"expected 4 hidden widths, got {len(self.fc_widths)}")
-        if any(w < 1 for w in self.fc_widths):
-            raise ConfigurationError("hidden widths must be positive")
+            raise ConfigurationError(f"expected 4 fc_widths, got {len(self.fc_widths)}")
+        if min(self.fc_widths) < 1:
+            raise ConfigurationError(f"fc_widths must be positive, got {self.fc_widths}")
         if self.conv_specs[0].in_channels != 1:
-            raise ConfigurationError("first convolution must take 1 input channel")
+            raise ConfigurationError(
+                f"conv1.in_channels must be 1, got {self.conv_specs[0].in_channels}"
+            )
         h, w = self.axes, self.frame_len
         for i, spec in enumerate(self.conv_specs, start=1):
             if i > 1 and spec.in_channels != self.conv_specs[i - 2].out_channels:

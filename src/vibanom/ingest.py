@@ -26,6 +26,7 @@ one FrameBlock.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
@@ -568,6 +569,22 @@ def _record_dtype(axes: int) -> np.dtype:
     return np.dtype([("ts", "<u8"), ("data", "<f4", (axes, FRAME_LEN))])
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A new file beside path, open for binary writing in the block and
+    renamed over path when the block ends; removed instead when the block
+    raises, KeyboardInterrupt included, so path is never left half-written."""
+    partial = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    fh = open(partial, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
+
+
 def write_frames(path, frames: Frames):
     """Write frames (a FrameBlock, a FrameFile or a Sequence[Frame]) to the
     FRME binary format (bit-exact).
@@ -585,21 +602,14 @@ def write_frames(path, frames: Frames):
         [(FRAME_MAGIC, FRAME_FORMAT_VERSION, stream.axes, FRAME_LEN)], dtype=_HEADER
     )
     chunk = np.empty(_READ_RECORDS, dtype=_record_dtype(stream.axes))
-    partial = "%s.%d.tmp" % (os.fspath(path), os.getpid())
-    fh = open(partial, "xb")
-    try:
-        with fh:
-            fh.write(header)
-            for start in range(0, len(stream), _READ_RECORDS):
-                block = stream[start:start + _READ_RECORDS]
-                records = chunk[:len(block)]
-                records["ts"], records["data"] = block.timestamps, block.data
-                del block  # a file's rows: freed before the next are read
-                fh.write(records)
-        os.replace(partial, path)
-    except BaseException:
-        os.unlink(partial)
-        raise
+    with _replacing(path) as fh:
+        fh.write(header)
+        for start in range(0, len(stream), _READ_RECORDS):
+            block = stream[start:start + _READ_RECORDS]
+            records = chunk[:len(block)]
+            records["ts"], records["data"] = block.timestamps, block.data
+            del block  # a file's rows: freed before the next are read
+            fh.write(records)
 
 
 def read_frames(path) -> FrameFile:

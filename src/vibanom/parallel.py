@@ -1,6 +1,7 @@
 """The ordered task runner that scoring and training share.
 
-A job is cut into a fixed number of tasks, each a function of its index.
+A job is cut into a fixed number of tasks, each a function of its index:
+scoring's 16-frame tasks, training's 32-frame step and validation tasks.
 run_in_order runs them on one thread per usable CPU (_worker_count), the
 calling thread among them. The threads take the tasks in index order, and
 the results come back in that order. When a task raises, the threads take
@@ -8,11 +9,12 @@ only tasks before the first failing one, and the error raised is the first
 in task order, so both are those of a sequential loop.
 
 While the tasks run, OpenBLAS is pinned to one thread (vibanom.blas) and
-its count is restored afterwards. The threads then share the cores without
-BLAS threads competing for them. A task's result depends only on its
-index, never on the thread that ran it, so a caller whose tasks have fixed
-shapes gets the same bits for any worker count, and, where OpenBLAS is
-found and pinned, for any number of cores.
+its count is restored afterwards; nothing else in the package sets the
+pin, so every GEMM of scoring and training runs pinned. The threads then
+share the cores without BLAS threads competing for them. A task's result
+depends only on its index, never on the thread that ran it, so a caller
+whose tasks have fixed shapes gets the same bits for any worker count,
+and, where OpenBLAS is found and pinned, for any number of cores.
 
 Threads that wait block (a lock, the barrier, a join) and never spin in
 Python: a thread running Python holds the interpreter lock that a GEMM

@@ -6,17 +6,16 @@ and monitoring can reuse the exact same transform later. Training is plain
 shuffled mini-batch Adam on the reconstruction MSE with early stopping on a
 held-out validation split; it is deterministic for a fixed seed.
 
-Each step runs on the task runner that scoring shares (vibanom.parallel):
-the batch is cut into fixed _MICRO_BATCH-frame tasks, each one call of
-dcan.loss_and_gradients, and the step's loss and gradients are the task
-results weighted by each task's share of the frames, summed in task order.
-train holds OpenBLAS pinned to one thread (blas.one_thread) while its
-epochs run, validation included. So the GEMM shapes and the order of every sum
-are fixed by the batch alone: the loss history and the trained parameters
+Every GEMM of training runs on the task runner that scoring shares
+(vibanom.parallel), which pins OpenBLAS to one thread while tasks run. A
+step cuts its batch, and validation its frames, into fixed
+_MICRO_BATCH-frame tasks, and sums each task's dcan.loss_and_gradients
+weighted by its share of the frames, or its MSE weighted by its frame
+count, in task order. So the GEMM shapes and the order of every sum are
+fixed by the frames alone: the loss history and the trained parameters
 are the same bits for any worker count, and, where OpenBLAS is found and
-pinned, for any number of cores. A step runs on at most one thread per
-task, ceil(batch_size / _MICRO_BATCH), and validation on one, so a host
-with more CPUs than that leaves the rest idle while training.
+pinned, for any number of cores. A step runs on at most ceil(batch_size /
+32) threads and validation on ceil(n_val / 32); other CPUs stay idle.
 
 Checkpoints are a portable little-endian binary format: a magic tag and
 format version, a JSON metadata block (architecture and training summary),
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blas, dcan, nn, parallel
+from . import dcan, ingest, nn, parallel
 from .errors import (
     CalibrationError,
     CheckpointError,
@@ -63,8 +62,6 @@ __all__ = [
 CHECKPOINT_MAGIC = b"DCAN"
 CHECKPOINT_VERSION = 1
 STD_FLOOR = 1e-8
-# validation frames reconstructed per step, so memory stays bounded
-_MSE_CHUNK = 256
 # frames per training task; a constant, so the GEMM shapes, and with them
 # the bits of a step, do not depend on the worker count (8 and 16 frames
 # measured slower)
@@ -177,25 +174,28 @@ def should_stop(val_losses, patience: int) -> bool:
     return (len(val_losses) - 1) - best_index >= patience
 
 
+def _by_micro_batch(task, frames: np.ndarray) -> list:
+    """[task(part) for each _MICRO_BATCH-frame part of frames], run as
+    tasks on the task runner; the results come back in task order."""
+    return parallel.run_in_order(
+        lambda k, meet: task(frames[k * _MICRO_BATCH : (k + 1) * _MICRO_BATCH]),
+        -(-frames.shape[0] // _MICRO_BATCH),
+    )
+
+
 def batched_mse(model: dcan.DcanModel, frames: np.ndarray) -> float:
-    """Mean reconstruction MSE over a frame stack, _MSE_CHUNK frames at a time."""
-    total = 0.0
-    for start in range(0, frames.shape[0], _MSE_CHUNK):
-        part = frames[start : start + _MSE_CHUNK]
-        total += nn.mse(dcan.reconstruct(model, part), part) * part.shape[0]
-    return total / frames.shape[0]
+    """Mean reconstruction MSE over a frame stack, as _MICRO_BATCH-frame
+    tasks whose frame-weighted MSEs are summed in task order."""
+    return sum(_by_micro_batch(
+        lambda part: nn.mse(dcan.reconstruct(model, part), part) * part.shape[0], frames
+    )) / frames.shape[0]
 
 
 def _loss_and_gradients(model: dcan.DcanModel, batch: np.ndarray):
     """dcan.loss_and_gradients of batch, as _MICRO_BATCH-frame tasks on the
     task runner, joined by each task's share of the frames in task order."""
     n = batch.shape[0]
-    parts = parallel.run_in_order(
-        lambda k, meet: dcan.loss_and_gradients(
-            model, batch[k * _MICRO_BATCH : (k + 1) * _MICRO_BATCH]
-        ),
-        -(-n // _MICRO_BATCH),
-    )
+    parts = _by_micro_batch(lambda part: dcan.loss_and_gradients(model, part), batch)
     loss, grads = 0.0, {}
     for k, (part_loss, part_grads) in enumerate(parts):
         share = min(_MICRO_BATCH, n - k * _MICRO_BATCH) / n
@@ -246,26 +246,25 @@ def train(
     state = nn.AdamState.for_params(params, lr=config.lr)
     history = []
 
-    with blas.one_thread():
-        for epoch in range(1, config.max_epochs + 1):
-            order = rng.permutation(n_train)
-            total = 0.0
-            for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
-                batch = x_train[order[start : start + config.batch_size]]
-                if on_batch is not None:
-                    on_batch(epoch, batch_index, batch)
-                loss, grads = _loss_and_gradients(model, batch)
-                if not np.isfinite(loss):
-                    raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
-                nn.adam_step(params, grads, state)
-                total += loss * batch.shape[0]
-            train_mse = total / n_train
-            val_mse = batched_mse(model, x_val)
-            if not np.isfinite(val_mse):
-                raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-            history.append(EpochStats(epoch, float(train_mse), float(val_mse)))
-            if should_stop([h.val_mse for h in history], config.patience):
-                break
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n_train)
+        total = 0.0
+        for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
+            batch = x_train[order[start : start + config.batch_size]]
+            if on_batch is not None:
+                on_batch(epoch, batch_index, batch)
+            loss, grads = _loss_and_gradients(model, batch)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
+            nn.adam_step(params, grads, state)
+            total += loss * batch.shape[0]
+        train_mse = total / n_train
+        val_mse = batched_mse(model, x_val)
+        if not np.isfinite(val_mse):
+            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
+        history.append(EpochStats(epoch, float(train_mse), float(val_mse)))
+        if should_stop([h.val_mse for h in history], config.patience):
+            break
     return model, history
 
 
@@ -329,7 +328,8 @@ def save_checkpoint(
     path,
     training_meta: dict | None = None,
 ) -> None:
-    """Write the model, stats and metadata; every tensor must be float32."""
+    """Write the model, stats and metadata; every tensor must be float32.
+    As with write_frames, a save that fails part-way leaves path as it was."""
     tensors = dict(model.named_parameters())
     tensors["stats.mean"] = stats.per_axis_mean
     tensors["stats.std"] = stats.per_axis_std
@@ -343,7 +343,7 @@ def save_checkpoint(
     }
     blob = json.dumps(metadata, sort_keys=True).encode("utf-8")
 
-    with open(path, "wb") as fh:
+    with ingest._replacing(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))

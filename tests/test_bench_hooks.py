@@ -5,12 +5,17 @@ lists in TRACED and NN_PASSES, looked up by module and name. A refactor
 that renames or drops one of them would silently drop its per-layer
 metrics from a traced run, so this reads those two tables (as literals,
 without importing the benchmark) and checks each name resolves to a
-function of the named vibanom module. It also checks that monitor reads
-its streams, and scores each frame, through names such a swap reaches.
+function of the named vibanom module. The rest of the benchmark reaches
+the program through `<module>.<name>` attributes of the vibanom modules it
+imports and through keyword arguments; an AST scan of bench/*.py checks
+each attribute resolves and each keyword is in its callee's signature. It
+also checks that monitor reads its streams, and scores each frame, through
+names such a swap reaches.
 """
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -22,7 +27,8 @@ from vibanom.fleet import FleetConfig, PredictorSpec, read_report_log, save_flee
 from vibanom.scoring import ScoreNormalization
 from vibanom.training import StandardizationStats, save_checkpoint
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def table(name):
@@ -48,6 +54,73 @@ def test_tables_found():
 def test_traced_function_exists(module, name):
     fn = getattr(importlib.import_module("vibanom." + module), name, None)
     assert callable(fn), "vibanom.%s.%s is traced by bench/spans.py" % (module, name)
+
+
+def resolve(module, name):
+    """module.name: a submodule of module, or an attribute of it."""
+    try:
+        return importlib.import_module(module + "." + name)
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name)
+
+
+def bench_uses():
+    """(attributes, keywords) that bench/*.py uses of vibanom, read from its
+    AST: each `<name>.<attr>` whose <name> a `from vibanom... import` binds,
+    as (file, module, name, attr), and each keyword argument of a call to
+    one of those names or attributes, as (file, module, name, attr, keyword),
+    where attr is None for a call of the imported name itself."""
+    attributes, keywords = set(), set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module and node.module.split(".")[0] == "vibanom"
+            for alias in node.names
+        }
+
+        def target(node):
+            if isinstance(node, ast.Name) and node.id in bound:
+                return (path.name, *bound[node.id], None)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in bound:
+                return (path.name, *bound[node.value.id], node.attr)
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and target(node):
+                attributes.add(target(node))
+            if isinstance(node, ast.Call) and target(node.func):
+                keywords.update((*target(node.func), kw.arg) for kw in node.keywords if kw.arg)
+    return sorted(attributes), sorted(keywords, key=str)
+
+
+ATTRIBUTES, KEYWORDS = bench_uses()
+
+
+def test_bench_uses_found():
+    assert len(ATTRIBUTES) >= 20 and len(KEYWORDS) >= 10
+
+
+@pytest.mark.parametrize("where, module, name, attr", ATTRIBUTES,
+                         ids=lambda v: str(v))
+def test_bench_attribute_resolves(where, module, name, attr):
+    assert hasattr(resolve(module, name), attr), \
+        "bench/%s uses %s.%s.%s" % (where, module, name, attr)
+
+
+@pytest.mark.parametrize("where, module, name, attr, keyword", KEYWORDS,
+                         ids=lambda v: str(v))
+def test_bench_keyword_is_in_the_signature(where, module, name, attr, keyword):
+    callee = resolve(module, name)
+    if attr is not None:
+        callee = getattr(callee, attr)
+    params = inspect.signature(callee).parameters
+    assert keyword in params or any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+    ), "bench/%s passes %s= to %s" % (where, keyword, getattr(callee, "__qualname__", callee))
 
 
 def swap_everywhere(monkeypatch, original, stand_in):

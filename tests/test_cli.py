@@ -770,30 +770,54 @@ class TestErrorSurface:
         assert not log.exists()
 
     @pytest.mark.parametrize(
-        "field, value, kind, message",
-        [("frame_len", 16 * 10**13 + 64, "CheckpointFormatError",
+        "where, value, kind, message",
+        [(("frame_len",), 16 * 10**13 + 64, "CheckpointFormatError",
           "tensor 'fc1.weight' has shape (200, 912), expected (200, 39999999999904)"),
-         ("conv1", (2, 64), "ConfigurationError", "conv1 kernel height 2 differs"),
-         ("conv2", (3, 13), "ConfigurationError", "conv2 kernel height 3 differs"),
-         ("conv1", (3, 0), "ConfigurationError", "conv1 kernel (3, 0) and stride")],
-        ids=["vast-frame-len", "conv1-short-kernel", "conv2-tall-kernel", "zero-width-kernel"],
+         (("conv_specs", 0, 2), [2, 64], "ConfigurationError", "conv1 kernel height 2 differs"),
+         (("conv_specs", 1, 2), [3, 13], "ConfigurationError", "conv2 kernel height 3 differs"),
+         (("conv_specs", 0, 2), [3, 0], "ConfigurationError", "conv1 kernel (3, 0) and stride"),
+         (("conv_specs",), [[1, 8, [3, 64], [1, 16]], [8, 16, [1, 13], [1, 4]]],
+          "ConfigurationError", "expected 3 conv_specs, got 2"),
+         (("fc_widths",), [200, 200, 200], "ConfigurationError", "expected 4 fc_widths, got 3"),
+         (("fc_widths", 1), 0, "ConfigurationError", "fc_widths must be positive, got (200, 0, 200, 200)"),
+         (("conv_specs", 0, 0), 2, "ConfigurationError", "conv1.in_channels must be 1, got 2"),
+         (("conv_specs", 1, 0), 9, "ConfigurationError",
+          "conv2 expects 9 channels but conv1 produces 8"),
+         (("conv_specs", 2, 2), [1, 62], "ConfigurationError",
+          "conv3 kernel (1, 62) exceeds input 1x61"),
+         (("conv_specs", 1, 3), [1, 7], "ConfigurationError",
+          "conv2 stride (1, 7) does not tile input 1x253"),
+         (("frame_len",), 0, "ConfigurationError", "frame_len must be positive, got 0"),
+         (("conv_specs", 0, 2), [3, 64, 1], "ConfigurationError",
+          "conv1.kernel must be a pair of ints, got (3, 64, 1)"),
+         (("conv_specs",), None, "CheckpointFormatError",
+          "invalid architecture metadata: 'conv_specs'")],
+        ids=["vast-frame-len", "conv1-short-kernel", "conv2-tall-kernel", "zero-width-kernel",
+             "two-conv-specs", "three-fc-widths", "zero-fc-width", "conv1-two-channels",
+             "conv2-channel-chain", "conv3-wide-kernel", "conv2-stride-7", "zero-frame-len",
+             "three-element-kernel", "no-conv-specs"],
     )
     def test_calibrate_refuses_checkpoint_architecture(
-        self, tmp_path, capsys, field, value, kind, message
+        self, tmp_path, capsys, where, value, kind, message
     ):
-        # the tensors of the default 3-axis model under other metadata; a
-        # vast frame_len once made load_checkpoint try to allocate 28.4 PiB
-        model = dcan.build(dcan.DcanConfig(), seed=21)
-        if field == "frame_len":
-            model.config = replace(model.config, frame_len=value)
-        else:
-            specs = list(model.config.conv_specs)
-            i = int(field[-1]) - 1
-            specs[i] = replace(specs[i], kernel=value)
-            model.config = replace(model.config, conv_specs=tuple(specs))
+        # the tensors of the default 3-axis model under other metadata, its
+        # config entry at where set to value (None: deleted); a vast
+        # frame_len once made load_checkpoint try to allocate 28.4 PiB
         ckpt = tmp_path / "bad.ckpt"
         stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
-        save_checkpoint(model, stats, ckpt)
+        save_checkpoint(dcan.build(dcan.DcanConfig(), seed=21), stats, ckpt)
+        data = ckpt.read_bytes()
+        end = 12 + struct.unpack_from("<I", data, 8)[0]
+        meta = json.loads(data[12:end])
+        entry = meta["config"]
+        for key in where[:-1]:
+            entry = entry[key]
+        if value is None:
+            del entry[where[-1]]
+        else:
+            entry[where[-1]] = value
+        blob = json.dumps(meta).encode()
+        ckpt.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[end:])
         frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
         out = tmp_path / "norm.json"
         line = self.one_error_line(

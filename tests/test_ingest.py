@@ -88,6 +88,18 @@ class TestStackFrames:
         with pytest.raises(DimensionError, match="frame 1"):
             stack_frames(frames)
 
+    def test_rows_of_a_file_or_a_gather_are_stacked_without_a_copy(self, tmp_path):
+        # the rows scoring's tasks take are C-contiguous already, so the
+        # stack is a view of them; only a caller's strided block is copied
+        rng = np.random.default_rng(2)
+        path = tmp_path / "frames.bin"
+        write_frames(path, [random_frame(rng, timestamp=i) for i in range(5)])
+        file = read_frames(path)
+        for block in (file[:], file[1:4], file[np.array([3, 0, 2])], file[:][np.array([4, 1])]):
+            assert np.shares_memory(stack_frames(block), block.data)
+        strided = FrameBlock(file[:].timestamps[::2], file[:].data[::2])
+        assert not np.shares_memory(stack_frames(strided), strided.data)
+
 
 class TestFrameBlock:
     def test_of_stacks_a_sequence_and_passes_a_block(self):
@@ -397,6 +409,15 @@ class TestFrameFileRoundTrip:
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])
         with pytest.raises(ParseError, match="truncated"):
+            read_frames(path)
+
+    def test_zero_axis_count(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        write_frames(path, [random_frame(np.random.default_rng(11))])
+        blob = bytearray(path.read_bytes())
+        blob[8] = 0  # the header's axis count
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="axis count must be >= 1"):
             read_frames(path)
 
     def test_truncated_header(self, tmp_path):

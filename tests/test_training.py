@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vibanom import blas, dcan, parallel, training
+from vibanom import blas, dcan, nn, parallel, training
 from vibanom.errors import (
     CalibrationError,
     CheckpointError,
@@ -229,17 +229,19 @@ needs_openblas = pytest.mark.skipif(
 
 
 class TestTrainingTasks:
-    """Each step as fixed _MICRO_BATCH-frame tasks on the task runner,
-    with OpenBLAS pinned for the whole run."""
+    """Each step, and validation, as fixed _MICRO_BATCH-frame tasks on the
+    task runner, with OpenBLAS pinned in every one of them."""
 
-    def run(self, monkeypatch, workers, on_batch=None, epochs=3):
+    def run(self, monkeypatch, workers, on_batch=None, epochs=3, validation_fraction=0.1):
         # 200 frames: 180 to train on in batches of 80, 80 and 20, which
-        # are tasks of 32 + 32 + 16, 32 + 32 + 16 and 20 frames
+        # are tasks of 32 + 32 + 16, 32 + 32 + 16 and 20 frames, and 20
+        # to validate on; at validation_fraction 0.25, 150 and 50 (32 + 18)
         monkeypatch.setattr(parallel, "_worker_count", lambda: workers)
         frames = easy_frames(200, seed=30)
         stats = training.fit_standardization(frames)
         model = dcan.build(tiny_config(), seed=31)
-        cfg = TrainConfig(batch_size=80, max_epochs=epochs, patience=epochs, seed=32)
+        cfg = TrainConfig(batch_size=80, max_epochs=epochs, patience=epochs, seed=32,
+                          validation_fraction=validation_fraction)
         _, history = training.train(model, frames, stats, cfg, on_batch=on_batch)
         return model, stats, history
 
@@ -280,13 +282,30 @@ class TestTrainingTasks:
         for name, g in whole_grads.items():
             np.testing.assert_allclose(grads[name], g, rtol=1e-4, atol=1e-6 * np.abs(g).max())
 
+    @staticmethod
+    def watch(monkeypatch, name, seen, lock, replace=None):
+        """Wrap dcan.<name> to record (name, frames, OpenBLAS thread
+        count) per call; replace, when given, stands in for its result."""
+        real = getattr(dcan, name)
+
+        def watched(model, frames):
+            with lock:
+                seen.append((name, frames.shape[0], blas.thread_count()))
+            out = real(model, frames)
+            return out if replace is None else replace(frames, out)
+
+        monkeypatch.setattr(dcan, name, watched)
+
     @needs_openblas
     def test_blas_pinned_during_train_and_restored(self, monkeypatch):
+        # read inside every GEMM call of train, the steps' and validation's
+        seen, lock = [], threading.Lock()
         before = blas.thread_count()
-        seen = set()
         try:
             blas.set_thread_count(2)
-            self.run(monkeypatch, 2, on_batch=lambda *_: seen.add(blas.thread_count()), epochs=1)
+            for name in ("loss_and_gradients", "reconstruct"):
+                self.watch(monkeypatch, name, seen, lock)
+            self.run(monkeypatch, 2, epochs=1)
             assert blas.thread_count() == 2
 
             def failing(epoch, batch_index, batch):
@@ -295,9 +314,51 @@ class TestTrainingTasks:
             with pytest.raises(RuntimeError, match="stop"):
                 self.run(monkeypatch, 2, on_batch=failing, epochs=1)
             assert blas.thread_count() == 2
+
+            def refusing(frames, out):
+                raise RuntimeError("stop in validation")
+
+            self.watch(monkeypatch, "reconstruct", seen, lock, replace=refusing)
+            with pytest.raises(RuntimeError, match="stop in validation"):
+                self.run(monkeypatch, 2, epochs=1)
+            assert blas.thread_count() == 2
         finally:
             blas.set_thread_count(before)
-        assert seen == {1}
+        assert {name for name, _, _ in seen} == {"loss_and_gradients", "reconstruct"}
+        assert {count for _, _, count in seen} == {1}
+
+    def test_validation_runs_as_fixed_micro_batches(self, monkeypatch):
+        seen, lock = [], threading.Lock()
+        self.watch(monkeypatch, "reconstruct", seen, lock)
+        self.run(monkeypatch, 4, epochs=2, validation_fraction=0.25)
+        assert [size for _, size, _ in seen] == [32, 18, 32, 18]
+
+    @needs_openblas
+    def test_validation_is_the_frame_weighted_sum_of_its_tasks(self, monkeypatch):
+        # the same bits as a loop over the 32-frame parts, and, up to
+        # rounding, the MSE of one reconstruction of every frame
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
+        model = dcan.build(tiny_config(), seed=35)
+        frames = np.random.default_rng(36).standard_normal((70, 1, 3, 64)).astype(np.float32)
+        with blas.one_thread():
+            loop = sum(
+                nn.mse(dcan.reconstruct(model, part), part) * len(part)
+                for part in (frames[:32], frames[32:64], frames[64:])
+            ) / 70
+            whole = nn.mse(dcan.reconstruct(model, frames), frames)
+        got = training.batched_mse(model, frames)
+        assert got == loop
+        assert got == pytest.approx(whole, rel=1e-6)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_validation_loss_raises(self, monkeypatch, workers):
+        # the validation set's 18-frame tail task reconstructs as nan
+        seen, lock = [], threading.Lock()
+        self.watch(monkeypatch, "reconstruct", seen, lock,
+                   replace=lambda frames, out: out * np.nan if len(frames) == 18 else out)
+        with pytest.raises(TrainingError, match=r"^non-finite validation loss at epoch 1$"):
+            self.run(monkeypatch, workers, validation_fraction=0.25)
+        assert sorted(size for _, size, _ in seen) == [18, 32]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_in_a_later_task_names_the_batch(self, monkeypatch, workers):
@@ -370,6 +431,32 @@ class TestCheckpoint:
             meta = training._read_header(fh)
         assert meta["training"] == {"epochs_run": 2, "final_val_mse": 0.1}
         assert meta["config"]["axes"] == 3
+
+    @pytest.mark.parametrize("interrupt", [RuntimeError("disk full"), KeyboardInterrupt()],
+                             ids=["exception", "keyboard-interrupt"])
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch, interrupt):
+        # the 20th struct.pack call falls among the tensors, after the
+        # header and the first tensors' bytes are written
+        path = tmp_path / "model.dcan"
+        stats = training.fit_standardization(easy_frames(4))
+        training.save_checkpoint(dcan.build(tiny_config(), seed=0), stats, path)
+        old = path.read_bytes()
+        calls = []
+
+        class FailingStruct:
+            @staticmethod
+            def pack(fmt, *values):
+                calls.append(fmt)
+                if len(calls) == 20:
+                    raise interrupt
+                return struct.pack(fmt, *values)
+
+        monkeypatch.setattr(training, "struct", FailingStruct)
+        with pytest.raises(type(interrupt)):
+            training.save_checkpoint(dcan.build(tiny_config(), seed=1), stats, path)
+        assert len(calls) == 20
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.dcan"]
 
     def test_tensor_order_is_pinned(self, tmp_path):
         # The byte layout follows named_parameters() order, then the stats.
