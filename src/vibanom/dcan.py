@@ -21,6 +21,14 @@ The model is one table of its eleven layers in forward order. One walker
 runs it for reconstruct; for training it records each layer's input and
 pre-activation on a tape, and one loop over the reversed tape turns the
 loss gradient into every parameter gradient.
+
+Training keeps the two frame-sized ends of the network, conv1's input and
+deconv3's output, as stride blocks (see nn): the frames are read as
+blocks once, deconv3's output is never folded, and the residual is
+deconv3's output minus those blocks, in place. The training loss is
+nn.residual_mse of that float32 residual: its squares summed in float64
+over the frame samples. Validation applies the same definition to
+reconstruct's output.
 """
 
 from __future__ import annotations
@@ -247,20 +255,26 @@ def _check_frames(model: DcanModel, frames: np.ndarray) -> None:
         )
 
 
-def _walk(model: DcanModel, h: np.ndarray, tape: list | None = None) -> np.ndarray:
+def _walk(model: DcanModel, h: np.ndarray, tape: list | None = None,
+          blocks: np.ndarray | None = None) -> np.ndarray:
     """Run the layer table over h.
 
     A dense layer gets its input flattened to (B, features); a transposed
     convolution fed flat features gets them reshaped to the latent block.
     With a tape, each layer appends (name, input, pre-activation) to it.
+    With blocks, h's stride blocks as the first layer reads them
+    (nn.conv2d_blocks), the first layer reads those, and the last returns
+    its output unfolded, in the same block layout.
     """
     cfg = model.config
+    first, *_, last = model.layers
+    ends = {} if blocks is None else {first: {"blocks": blocks}, last: {"fold": False}}
     for name, layer in model.layers.items():
         if isinstance(layer, nn.DenseLayer):
             h = h.reshape(h.shape[0], -1)
         elif h.ndim == 2:
             h = h.reshape(h.shape[0], *cfg.latent_shape)
-        pre = layer.forward(h)
+        pre = layer.forward(h, **ends.get(name, {}))
         if tape is not None:
             tape.append((name, h, pre))
         h = pre if name in _LINEAR else nn.leaky_relu(pre, cfg.leaky_slope)
@@ -317,20 +331,34 @@ def loss_and_gradients(model: DcanModel, frames: np.ndarray):
     Returns (loss, grads) with grads keyed exactly like named_parameters.
     The input batch is the reconstruction target, so this is the complete
     training objective for one mini-batch.
+
+    Both ends stay stride blocks: the frames are read as the first layer's
+    blocks once, which serve as its input, as its weight-gradient input
+    and as the target. The last layer's output stays in that block layout,
+    and the target is subtracted from it in place, giving the residual.
+    The loss is nn.residual_mse of that residual, and the residual scaled
+    by 2 / frames.size is the last layer's upstream gradient as it stands.
     """
     _check_frames(model, frames)
+    first = next(iter(model.layers))
+    blocks = nn.conv2d_blocks(frames, model.layers[first])
     tape = []
-    xhat = _walk(model, frames, tape=tape)
-    loss = nn.mse(xhat, frames)
+    # the residual, in place in deconv3's unfolded output; scaled, it is
+    # deconv3's upstream gradient
+    g = _walk(model, frames, tape, blocks)
+    g -= blocks
+    loss = nn.residual_mse(g, frames.size)
+    g *= 2.0 / frames.size
 
     grads = {}
-    g = (2.0 / xhat.size) * (xhat - frames)
-    first = tape[0][0]
-    for name, x, pre in reversed(tape):
+    while tape:
+        # popped, so each layer's input and pre-activation are freed once
+        # its gradients are made
+        name, x, pre = tape.pop()
         g = g.reshape(pre.shape)
         if name not in _LINEAR:
             g = nn.leaky_relu_backward(pre, g, model.config.leaky_slope)
         # No caller reads the gradient with respect to the frames.
-        skip = {"input_grad": False} if name == first else {}
-        g, grads[f"{name}.weight"], grads[f"{name}.bias"] = model.layers[name].backward(x, g, **skip)
+        ends = {"input_grad": False, "blocks": blocks} if name == first else {}
+        g, grads[f"{name}.weight"], grads[f"{name}.bias"] = model.layers[name].backward(x, g, **ends)
     return loss, grads

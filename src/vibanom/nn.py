@@ -2,8 +2,9 @@
 
 Forward and backward passes for the only layer types the model needs: valid
 (unpadded) 2-D convolution, 2-D transposed convolution, fully connected
-layers, LeakyReLU, mean squared error, uniform parameter initialization and
-a bias-corrected Adam update with the standard moment decays (0.9, 0.999)
+layers, LeakyReLU, mean squared error (the float64 reference, mse, and
+training's residual_mse), uniform parameter initialization and a
+bias-corrected Adam update with the standard moment decays (0.9, 0.999)
 and denominator guard 1e-8; only its learning rate is settable.
 
 Every operation is a plain function over numpy arrays in NCHW or
@@ -42,6 +43,15 @@ The zero padding makes the same code exact for every kernel width, stride
 and input width. conv2d_backward can skip the input gradient, which the first
 layer of a network never needs. The test suite pins the kernels against a
 naive quadruple-loop reference to within 1e-6 relative error.
+
+A network whose first convolution and last transposed convolution mirror
+each other (the DCAN's conv1 and deconv3) can keep both of its ends in
+block form, so no frame-sized map is folded or re-blocked:
+conv2d_blocks(x, layer) makes x's blocks once, and conv2d_forward and
+conv2d_backward take them as blocks=; conv_transpose2d_forward(fold=False)
+returns its GEMM output unfolded, the blocks of its output map with the
+padded tail past W zero (the adjoint of _fold's cut), and
+conv_transpose2d_backward takes an upstream gradient in that layout.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ __all__ = [
     "ConvTranspose2dLayer",
     "DenseLayer",
     "AdamState",
+    "conv2d_blocks",
     "conv2d_forward",
     "conv2d_backward",
     "conv_transpose2d_forward",
@@ -67,6 +78,7 @@ __all__ = [
     "leaky_relu",
     "leaky_relu_backward",
     "mse",
+    "residual_mse",
     "adam_step",
     "init_params",
     "conv_output_hw",
@@ -155,11 +167,11 @@ class Conv2dLayer(_ConvLayer):
     def _weight_shape(in_channels, out_channels, kernel):
         return (out_channels, in_channels, *kernel)
 
-    def forward(self, x):
-        return conv2d_forward(x, self)
+    def forward(self, x, *, blocks=None):
+        return conv2d_forward(x, self, blocks=blocks)
 
-    def backward(self, x, upstream, *, input_grad=True):
-        return conv2d_backward(x, self, upstream, input_grad=input_grad)
+    def backward(self, x, upstream, *, input_grad=True, blocks=None):
+        return conv2d_backward(x, self, upstream, input_grad=input_grad, blocks=blocks)
 
 
 class ConvTranspose2dLayer(_ConvLayer):
@@ -174,8 +186,8 @@ class ConvTranspose2dLayer(_ConvLayer):
     def _weight_shape(in_channels, out_channels, kernel):
         return (in_channels, out_channels, *kernel)
 
-    def forward(self, x):
-        return conv_transpose2d_forward(x, self)
+    def forward(self, x, *, fold=True):
+        return conv_transpose2d_forward(x, self, fold=fold)
 
     def backward(self, x, upstream):
         return conv_transpose2d_backward(x, self, upstream)
@@ -301,41 +313,71 @@ def _fold(m: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
     return np.ascontiguousarray(out[..., :w])
 
 
-def conv2d_forward(x: np.ndarray, layer: Conv2dLayer) -> np.ndarray:
+def _conv_geometry(x: np.ndarray, layer: Conv2dLayer) -> tuple[int, int, int, int]:
+    """(Ho, Wo, q, nb) of a convolution of x: its output size, the kernel
+    width in stride blocks and the number of x's stride blocks it reads."""
+    _check_input(x, layer, "conv2d", layer.kernel[0])
+    ho, wo = conv_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
+    q = _kernel_blocks(layer.kernel[1], layer.stride[1])
+    return ho, wo, q, wo - 1 + q
+
+
+def _check_blocks(blocks: np.ndarray, rows: int, cols: int, what: str) -> None:
+    if blocks.shape != (rows, cols):
+        raise DimensionError(f"{what} stride blocks have shape {blocks.shape}, expected {(rows, cols)}")
+
+
+def conv2d_blocks(x: np.ndarray, layer: Conv2dLayer) -> np.ndarray:
+    """x read as the layer's stride blocks: the (B * nb, C * H * sw) matrix
+    that conv2d_forward and conv2d_backward take as blocks=.
+
+    A caller that runs both passes over one input makes the blocks once.
+    Where nb * sw > W the padded tail is zero, so the matrix is also the
+    block layout of a map that conv_transpose2d_forward(fold=False) of
+    the mirrored layer returns: a residual of the two has a zero tail.
+    """
+    *_, nb = _conv_geometry(x, layer)
+    return _blocks(x, nb, layer.stride[1])
+
+
+def conv2d_forward(x: np.ndarray, layer: Conv2dLayer, *, blocks: np.ndarray | None = None) -> np.ndarray:
     """Valid cross-correlation with stride; output (B, out_channels, 1, Wo).
 
-    One GEMM of the kernel with the input's stride blocks, then q shifted adds.
+    One GEMM of the kernel with the input's stride blocks, then q shifted
+    adds. blocks, when given, is conv2d_blocks(x, layer), made by the caller.
     """
-    _check_input(x, layer, "conv2d", layer.kernel[0])
-    kw, sw = layer.kernel[1], layer.stride[1]
-    ho, wo = conv_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
-    blocks = _blocks(x, wo - 1 + _kernel_blocks(kw, sw), sw)
+    ho, wo, _, nb = _conv_geometry(x, layer)
+    sw = layer.stride[1]
+    if blocks is None:
+        blocks = _blocks(x, nb, sw)
+    _check_blocks(blocks, x.shape[0] * nb, x.shape[1] * x.shape[2] * sw, "conv2d input")
     out = _unshift(_kernel_rows(layer.weight, sw) @ blocks.T, (x.shape[0], layer.out_channels, ho, wo))
     out += layer.bias[None, :, None, None]
     return out
 
 
 def conv2d_backward(
-    x: np.ndarray, layer: Conv2dLayer, upstream: np.ndarray, *, input_grad: bool = True
+    x: np.ndarray, layer: Conv2dLayer, upstream: np.ndarray, *, input_grad: bool = True,
+    blocks: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of sum(conv2d_forward(x) * upstream) w.r.t. input, weight, bias.
 
     The weight gradient is one GEMM of the shifted upstream map with the
-    input's stride blocks; the input gradient is their adjoint, _fold. With
-    input_grad=False the input gradient is not computed and None is
-    returned in its place.
+    input's stride blocks (blocks, when given, as in conv2d_forward); the
+    input gradient is their adjoint, _fold. With input_grad=False the input
+    gradient is not computed and None is returned in its place.
     """
-    _check_input(x, layer, "conv2d", layer.kernel[0])
-    ho, wo = conv_output_hw(x.shape[2], x.shape[3], layer.kernel, layer.stride)
+    ho, wo, q, nb = _conv_geometry(x, layer)
     expected = (x.shape[0], layer.out_channels, ho, wo)
     if upstream.shape != expected:
         raise DimensionError(f"upstream gradient shape {upstream.shape} != {expected}")
 
-    kw, sw = layer.kernel[1], layer.stride[1]
-    q = _kernel_blocks(kw, sw)
+    sw = layer.stride[1]
+    if blocks is None:
+        blocks = _blocks(x, nb, sw)
+    _check_blocks(blocks, x.shape[0] * nb, x.shape[1] * x.shape[2] * sw, "conv2d input")
     grad_bias = upstream.sum(axis=(0, 2, 3))
     shifted = _shift(upstream, q)
-    blocks = _blocks(x, wo - 1 + q, sw)
     grad_weight = _kernel_grad(shifted @ blocks, layer.weight.shape, sw)
     grad_input = None
     if input_grad:
@@ -343,20 +385,32 @@ def conv2d_backward(
     return grad_input, grad_weight, grad_bias
 
 
-def conv_transpose2d_forward(x: np.ndarray, layer: ConvTranspose2dLayer) -> np.ndarray:
+def conv_transpose2d_forward(x: np.ndarray, layer: ConvTranspose2dLayer, *, fold: bool = True) -> np.ndarray:
     """Strided scatter-add upsampling; the adjoint of conv2d_forward.
 
     The input is one row high; the output is kh by (W - 1) * sw + kw: the
-    input shifted into q slots, folded back through the kernel.
+    input shifted into q slots, folded back through the kernel. With
+    fold=False the output stays in the GEMM's stride-block layout, the
+    (B * nb, out_channels * kh * sw) matrix that _blocks would make of the
+    folded map, padded tail zero; conv_transpose2d_backward takes an
+    upstream gradient in that layout as well.
     """
     _check_input(x, layer, "transposed-conv", 1)
     b, _, h, w = x.shape
     ho, wo = conv_transpose_output_hw(h, w, layer.kernel, layer.stride)
     sw = layer.stride[1]
     m = _shift(x, _kernel_blocks(layer.kernel[1], sw)).T @ _kernel_rows(layer.weight, sw)
-    out = _fold(m, (b, layer.out_channels, ho, wo))
-    out += layer.bias[None, :, None, None]
-    return out
+    if fold:
+        out = _fold(m, (b, layer.out_channels, ho, wo))
+        out += layer.bias[None, :, None, None]
+        return out
+    per_channel = m.reshape(m.shape[0], layer.out_channels, -1)
+    per_channel += layer.bias[:, None]
+    nb = m.shape[0] // b
+    cut = wo - (nb - 1) * sw  # samples of the last block inside the map
+    if cut < sw:
+        m.reshape(b, nb, -1, sw)[:, -1, :, cut:] = 0
+    return m
 
 
 def conv_transpose2d_backward(
@@ -364,21 +418,28 @@ def conv_transpose2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of sum(conv_transpose2d_forward(x) * upstream).
 
-    The upstream map is read as stride blocks once; one GEMM with the kernel
-    and q shifted adds give the input gradient, one GEMM with the shifted
-    input the weight gradient.
+    upstream is the (B, C, H, W) output map, or its stride blocks in the
+    layout conv_transpose2d_forward(fold=False) returns, padded tail zero.
+    The map is read as stride blocks once; one GEMM with the kernel and q
+    shifted adds give the input gradient, one GEMM with the shifted input
+    the weight gradient.
     """
     _check_input(x, layer, "transposed-conv", 1)
     b, _, h, w = x.shape
     ho, wo = conv_transpose_output_hw(h, w, layer.kernel, layer.stride)
-    expected = (b, layer.out_channels, ho, wo)
-    if upstream.shape != expected:
-        raise DimensionError(f"upstream gradient shape {upstream.shape} != {expected}")
-
     sw = layer.stride[1]
     q = _kernel_blocks(layer.kernel[1], sw)
-    grad_bias = upstream.sum(axis=(0, 2, 3))
-    blocks = _blocks(upstream, w - 1 + q, sw)
+    c = layer.out_channels
+    if upstream.ndim == 2:
+        _check_blocks(upstream, b * (w - 1 + q), c * ho * sw, "upstream gradient")
+        blocks = upstream
+        grad_bias = upstream.reshape(-1, c, ho * sw).sum(axis=(0, 2))
+    else:
+        expected = (b, c, ho, wo)
+        if upstream.shape != expected:
+            raise DimensionError(f"upstream gradient shape {upstream.shape} != {expected}")
+        blocks = _blocks(upstream, w - 1 + q, sw)
+        grad_bias = upstream.sum(axis=(0, 2, 3))
     grad_input = _unshift(_kernel_rows(layer.weight, sw) @ blocks.T, x.shape)
     grad_weight = _kernel_grad(_shift(x, q) @ blocks, layer.weight.shape, sw)
     return grad_input, grad_weight, grad_bias
@@ -429,7 +490,10 @@ def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.01
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean over all elements of the squared difference."""
+    """Mean over all elements of the squared difference, formed in float64.
+
+    The reference MSE; training's loss is residual_mse.
+    """
     if a.shape != b.shape:
         raise DimensionError(f"mse operands have different shapes: {a.shape} vs {b.shape}")
     # a cast copy, then an in-place subtract: np.subtract(..., dtype=float64)
@@ -438,6 +502,18 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     d -= b
     np.square(d, out=d)
     return float(d.mean())
+
+
+def residual_mse(residual: np.ndarray, count: int) -> float:
+    """Mean squared error of count samples whose residual (reconstruction
+    minus target, in its own dtype) is stored in residual, any other
+    entries zero: sum(residual ** 2) / count, squared and summed in float64.
+
+    The squares and their sum take no frame-sized float64 copy: einsum
+    casts the operands in small buffered chunks.
+    """
+    d = residual.reshape(-1)
+    return float(np.einsum("i,i->", d, d, dtype=np.float64)) / count
 
 
 # standard Adam moment decays and denominator guard (Kingma & Ba, 2015)
@@ -468,29 +544,71 @@ class AdamState:
         return state
 
 
+# elements of a tensor that one pass of adam_step updates at a time, so
+# that the moments, the parameter and two scratch rows stay in cache
+_ADAM_CHUNK = 32768
+
+
+def _adam_chunks(p, g, m, v):
+    """(p, g, m, v) in matching chunks of at most _ADAM_CHUNK elements,
+    views of the tensors; a tensor that is not contiguous is one chunk."""
+    if not all(a.flags.c_contiguous for a in (p, g, m, v)):
+        yield p, g, m, v
+        return
+    flat = [a.reshape(-1) for a in (p, g, m, v)]
+    for start in range(0, p.size, _ADAM_CHUNK):
+        yield tuple(a[start : start + _ADAM_CHUNK] for a in flat)
+
+
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     """One bias-corrected Adam update, applied to the parameters in place.
 
-    Deterministic given inputs; raises TrainingError naming the parameter if
-    any gradient element is non-finite.
+    Deterministic given inputs. Every gradient is checked before anything
+    changes: a shape mismatch raises DimensionError and a non-finite
+    element TrainingError naming the parameter, leaving the parameters,
+    the moments and step_count as they were. Each tensor is updated in
+    chunks of _ADAM_CHUNK elements through two reused scratch rows, with
+    the operations of the whole-tensor formula in the same order, so the
+    bits are those of
+    m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g;
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
     """
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise DimensionError(f"gradient shape {g.shape} != parameter '{name}' shape {p.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter '{name}'")
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    scratch = {}
+    for name, p in params.items():
+        g = grads[name]
+        dtype = np.result_type(p, g)
+        if dtype not in scratch:
+            scratch[dtype] = np.empty((2, _ADAM_CHUNK), dtype)
+        rows = scratch[dtype]
+        for pc, gc, mc, vc in _adam_chunks(p, g, state.first_moment[name], state.second_moment[name]):
+            if pc.size <= _ADAM_CHUNK:
+                a, b = (row[: pc.size].reshape(pc.shape) for row in rows)
+            else:
+                a, b = np.empty(pc.shape, dtype), np.empty(pc.shape, dtype)
+            mc *= ADAM_BETA1
+            np.multiply(gc, 1.0 - ADAM_BETA1, out=a)
+            mc += a
+            vc *= ADAM_BETA2
+            np.multiply(gc, gc, out=a)
+            a *= 1.0 - ADAM_BETA2
+            vc += a
+            np.divide(mc, bc1, out=a)
+            a *= state.lr
+            np.divide(vc, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPSILON
+            a /= b
+            pc -= a
 
 
 def _fan_in(layer) -> int:

@@ -16,7 +16,19 @@ depends only on its index, never on the thread that ran it, so a caller
 whose tasks have fixed shapes gets the same bits for any worker count,
 and, where OpenBLAS is found and pinned, for any number of cores.
 
-Threads that wait block (a lock, the barrier, a join) and never spin in
+The other threads are workers kept for the life of the process: one is
+started the first time a call finds none idle, and a call hands it work
+through its queue and takes it back when the work is done. A caller that
+runs one call after another therefore has the same threads, and the same
+glibc malloc arenas, for every call, with their pages already mapped. A
+thread started afresh for each call did not: when the previous call's
+thread had not yet handed its arena back to glibc, the new thread got a
+new arena and faulted in its whole working set, and which calls that hit
+depended on thread timing, so training steps slowed by varying amounts
+from one run to the next. A forked child forgets the parent's workers,
+which do not exist in it, and starts its own.
+
+Threads that wait block (a lock, the barrier, a queue) and never spin in
 Python: a thread running Python holds the interpreter lock that a GEMM
 ending on another thread must take back.
 """
@@ -27,6 +39,7 @@ import contextvars
 import functools
 import itertools
 import os
+import queue
 import threading
 
 import numpy as np
@@ -73,6 +86,55 @@ def _raise_mmap_threshold() -> None:
     np.empty(16 << 20, np.uint8)
 
 
+class _Worker:
+    """A daemon thread that runs the jobs put in its queue, one at a time.
+
+    A job is (run, done): the worker calls run(), returns itself to the
+    idle workers and then releases the semaphore done.
+    """
+
+    def __init__(self):
+        self.jobs = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="vibanom-worker", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            run, done = self.jobs.get()
+            try:
+                run()
+                with _POOL_LOCK:
+                    _IDLE.append(self)
+            finally:
+                # drop the job before the caller goes on, so its tasks,
+                # frames and results are not kept alive until the next one
+                del run
+                done.release()
+
+
+_POOL_LOCK = threading.Lock()
+_IDLE: list[_Worker] = []  # under _POOL_LOCK
+
+
+def _idle_worker() -> _Worker:
+    """An idle worker, the one that went idle last, or a new one."""
+    with _POOL_LOCK:
+        if _IDLE:
+            return _IDLE.pop()
+    return _Worker()
+
+
+def _forget_workers() -> None:
+    """In a forked child only the forking thread exists: drop the
+    parent's workers and a pool lock another thread may have held."""
+    global _POOL_LOCK
+    _POOL_LOCK = threading.Lock()
+    _IDLE.clear()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only, as is fork
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
 def run_in_order(task, count: int) -> list:
     """[task(0, meet), ..., task(count - 1, meet)], run as described in the
     module docstring, on workers = min(_worker_count(), count) threads.
@@ -113,24 +175,23 @@ def run_in_order(task, count: int) -> list:
                     errors[k] = exc
                 barrier.abort()
 
+    done = threading.Semaphore(0)
+    sent = 0
     with blas.one_thread():
-        # each thread runs in a copy of the caller's context, so numpy's
-        # error state (np.errstate) holds in every task alike
-        threads = [
-            threading.Thread(target=contextvars.copy_context().run, args=(work,))
-            for _ in range(workers - 1)
-        ]
         try:
-            for thread in threads:
-                thread.start()
+            for _ in range(workers - 1):
+                # each worker runs in a copy of the caller's context, so
+                # numpy's error state (np.errstate) holds in every task alike
+                job = functools.partial(contextvars.copy_context().run, work)
+                _idle_worker().jobs.put((job, done))
+                sent += 1
             work()
         finally:
-            # frees a thread still waiting, which only a caller that
+            # frees a worker still waiting, which only a caller that
             # failed outside a task can leave behind
             barrier.abort()
-            for thread in threads:
-                if thread.ident is not None:  # started
-                    thread.join()
+            for _ in range(sent):
+                done.acquire()
     if errors:
         raise errors[min(errors)]
     return results

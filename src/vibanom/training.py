@@ -9,10 +9,12 @@ held-out validation split; it is deterministic for a fixed seed.
 Every GEMM of training runs on the task runner that scoring shares
 (vibanom.parallel), which pins OpenBLAS to one thread while tasks run. A
 step cuts its batch, and validation its frames, into fixed
-_MICRO_BATCH-frame tasks, and sums each task's dcan.loss_and_gradients
-weighted by its share of the frames, or its MSE weighted by its frame
-count, in task order. So the GEMM shapes and the order of every sum are
-fixed by the frames alone: the loss history and the trained parameters
+_MICRO_BATCH-frame tasks. A step's task scales its dcan.loss_and_gradients
+by its share of the frames, and a validation task its MSE by its frame
+count; the results are summed in task order. The training loss and the
+validation MSE share one definition, nn.residual_mse (see dcan). So the
+GEMM shapes and the order of every sum are fixed by the frames alone:
+the loss history and the trained parameters
 are the same bits for any worker count, and, where OpenBLAS is found and
 pinned, for any number of cores. A step runs on at most ceil(batch_size /
 32) threads and validation on ceil(n_val / 32); other CPUs stay idle.
@@ -185,27 +187,36 @@ def _by_micro_batch(task, frames: np.ndarray) -> list:
 
 def batched_mse(model: dcan.DcanModel, frames: np.ndarray) -> float:
     """Mean reconstruction MSE over a frame stack, as _MICRO_BATCH-frame
-    tasks whose frame-weighted MSEs are summed in task order."""
-    return sum(_by_micro_batch(
-        lambda part: nn.mse(dcan.reconstruct(model, part), part) * part.shape[0], frames
-    )) / frames.shape[0]
+    tasks whose frame-weighted MSEs are summed in task order. Each task's
+    MSE is the training loss's nn.residual_mse of its reconstruction
+    minus its frames."""
+
+    def task(part):
+        residual = dcan.reconstruct(model, part)
+        residual -= part
+        return nn.residual_mse(residual, part.size) * part.shape[0]
+
+    return sum(_by_micro_batch(task, frames)) / frames.shape[0]
 
 
 def _loss_and_gradients(model: dcan.DcanModel, batch: np.ndarray):
     """dcan.loss_and_gradients of batch, as _MICRO_BATCH-frame tasks on the
-    task runner, joined by each task's share of the frames in task order."""
+    task runner. Each task scales its loss and gradients by its share of
+    the frames, and the join adds them in task order."""
     n = batch.shape[0]
-    parts = _by_micro_batch(lambda part: dcan.loss_and_gradients(model, part), batch)
-    loss, grads = 0.0, {}
-    for k, (part_loss, part_grads) in enumerate(parts):
-        share = min(_MICRO_BATCH, n - k * _MICRO_BATCH) / n
-        loss += part_loss * share
-        for name, g in part_grads.items():
+
+    def task(part):
+        loss, grads = dcan.loss_and_gradients(model, part)
+        share = part.shape[0] / n
+        for g in grads.values():
             g *= share
-            if k == 0:
-                grads[name] = g
-            else:
-                grads[name] += g
+        return loss * share, grads
+
+    (loss, grads), *rest = _by_micro_batch(task, batch)
+    for part_loss, part_grads in rest:
+        loss += part_loss
+        for name, g in part_grads.items():
+            grads[name] += g
     return loss, grads
 
 

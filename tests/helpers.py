@@ -2,9 +2,11 @@
 
 Independent, deliberately slow reference implementations that the fast
 library code is checked against: central finite differences for gradients
-and quadruple-loop convolutions, plus a forward evaluator that records
-which LeakyReLU branch every activation took (finite differences are only
-a valid oracle while a perturbation stays inside one linear region).
+and quadruple-loop convolutions, a forward evaluator that records which
+LeakyReLU branch every activation took (finite differences are only a
+valid oracle while a perturbation stays inside one linear region), and a
+frame-layout chain of the nn pass functions that training's stride-block
+ends must match bit for bit.
 """
 
 import numpy as np
@@ -99,6 +101,42 @@ def dcan_loss_and_branches(model, x):
     xhat = nn.conv_transpose2d_forward(h, layers["deconv3"])
     loss = float(np.mean((np.asarray(xhat, np.float64) - np.asarray(x, np.float64)) ** 2))
     return loss, np.concatenate([b.ravel() for b in branches])
+
+
+def frame_layout_loss_and_gradients(model, x):
+    """(loss, grads) of the DCAN through its frame-layout ends: every layer
+    pass fed and returning (B, C, H, W) maps, the float64 MSE of the
+    folded reconstruction, and (2 / size) * (xhat - x) as the last layer's
+    upstream gradient. Built from the nn pass functions alone."""
+    from vibanom import nn
+
+    slope = model.config.leaky_slope
+    linear = ("fc5", "deconv3")
+    passes = {
+        nn.Conv2dLayer: (nn.conv2d_forward, nn.conv2d_backward),
+        nn.DenseLayer: (nn.dense_forward, nn.dense_backward),
+        nn.ConvTranspose2dLayer: (nn.conv_transpose2d_forward, nn.conv_transpose2d_backward),
+    }
+    tape = []
+    h = x
+    for name, layer in model.layers.items():
+        if isinstance(layer, nn.DenseLayer):
+            h = h.reshape(h.shape[0], -1)
+        elif h.ndim == 2:
+            h = h.reshape(h.shape[0], *model.config.latent_shape)
+        forward, backward = passes[type(layer)]
+        pre = forward(h, layer)
+        tape.append((name, layer, backward, h, pre))
+        h = pre if name in linear else nn.leaky_relu(pre, slope)
+    loss = nn.mse(h, x)
+    g = (2.0 / h.size) * (h - x)
+    grads = {}
+    for name, layer, backward, h, pre in reversed(tape):
+        g = g.reshape(pre.shape)
+        if name not in linear:
+            g = nn.leaky_relu_backward(pre, g, slope)
+        g, grads[f"{name}.weight"], grads[f"{name}.bias"] = backward(h, layer, g)
+    return loss, grads
 
 
 def naive_conv_transpose2d(x, weight, bias, stride):

@@ -6,14 +6,15 @@ spot-checked against finite differences (the full parameter sweep runs in
 the acceptance suite).
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import dcan_loss_and_branches, rel_err
+from helpers import dcan_loss_and_branches, frame_layout_loss_and_gradients, rel_err
 
-from vibanom import dcan, nn
+from vibanom import blas, dcan, nn, training
 from vibanom.errors import ConfigurationError, DimensionError
 
 
@@ -24,6 +25,23 @@ def tiny_config() -> dcan.DcanConfig:
         frame_len=64,
         conv_specs=(
             dcan.ConvSpec(1, 4, (3, 8), (1, 2)),
+            dcan.ConvSpec(4, 8, (1, 5), (1, 2)),
+            dcan.ConvSpec(8, 8, (1, 3), (1, 1)),
+        ),
+        fc_widths=(20, 20, 20, 20),
+    )
+
+
+def padded_config(slope: float = 0.01) -> dcan.DcanConfig:
+    # conv1's kernel width 10 is no multiple of its stride 3: its 22 stride
+    # blocks span 66 samples, 2 past the frame's 64, so the padded tail of
+    # the stride-block ends is exercised.
+    return dcan.DcanConfig(
+        axes=3,
+        frame_len=64,
+        leaky_slope=slope,
+        conv_specs=(
+            dcan.ConvSpec(1, 4, (3, 10), (1, 3)),
             dcan.ConvSpec(4, 8, (1, 5), (1, 2)),
             dcan.ConvSpec(8, 8, (1, 3), (1, 1)),
         ),
@@ -268,3 +286,118 @@ class TestGradients:
         assert set(grads) == set(params)
         for k in params:
             assert grads[k].shape == params[k].shape
+
+
+class TestPaddedBlocks:
+    """A conv1 kernel width that is no multiple of its stride: the block
+    ends then carry a padded tail past the frame."""
+
+    @staticmethod
+    def model(seed, slope=0.01):
+        # nonzero biases: deconv3's bias reaches the padded tail of its
+        # unfolded output, where the residual must stay zero
+        model = dcan.build(padded_config(slope), seed=seed).astype(np.float64)
+        rng = np.random.default_rng(seed)
+        for layer in model.layers.values():
+            layer.bias[...] = 0.5 * rng.standard_normal(layer.bias.shape)
+        return model
+
+    def test_geometry_pads_past_the_frame(self):
+        model = dcan.build(padded_config(), seed=50)
+        x = np.zeros((2, 1, 3, 64), np.float32)
+        assert nn.conv2d_blocks(x, model.layers["conv1"]).shape == (2 * 22, 3 * 3)
+
+    def test_every_parameter_matches_central_differences(self):
+        # slope 1 makes every activation linear, so every coordinate of
+        # every parameter is a valid finite-difference point
+        model = self.model(51, slope=1.0)
+        x = np.random.default_rng(52).standard_normal((2, 1, 3, 64))
+        _, grads = dcan.loss_and_gradients(model, x)
+        eps = 1e-5
+        for name, param in model.named_parameters().items():
+            flat = param.ravel()
+            fd = np.empty(flat.size)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi, _ = dcan_loss_and_branches(model, x)
+                flat[i] = orig - eps
+                lo, _ = dcan_loss_and_branches(model, x)
+                flat[i] = orig
+                fd[i] = (hi - lo) / (2 * eps)
+            assert rel_err(grads[name].ravel(), fd) <= 1e-4, name
+
+    def test_loss_is_the_float64_mse_of_the_reconstruction(self):
+        model = self.model(53)
+        x = np.random.default_rng(54).standard_normal((3, 1, 3, 64))
+        loss, _ = dcan.loss_and_gradients(model, x)
+        assert loss == pytest.approx(nn.mse(dcan.reconstruct(model, x), x), rel=1e-12)
+
+    def test_train_runs(self):
+        frames = np.random.default_rng(55).standard_normal((40, 1, 3, 64)).astype(np.float32)
+        stats = training.fit_standardization(frames)
+        model = dcan.build(padded_config(), seed=56)
+        cfg = training.TrainConfig(batch_size=16, max_epochs=3, patience=3, seed=57)
+        _, history = training.train(model, frames, stats, cfg)
+        assert len(history) == 3
+        assert all(np.isfinite(h.train_mse) and np.isfinite(h.val_mse) for h in history)
+
+
+class TestStrideBlockEnds:
+    """loss_and_gradients keeps both ends of the network as stride blocks:
+    no frame-sized array is folded, and the frames are read as blocks once."""
+
+    @staticmethod
+    def task():
+        model = dcan.build(dcan.DcanConfig(axes=3), seed=40)
+        x = np.random.default_rng(41).standard_normal((32, 1, 3, 4096)).astype(np.float32)
+        return model, x
+
+    def test_frames_read_as_blocks_once_and_nothing_frame_sized_folded(self, monkeypatch):
+        model, x = self.task()
+        blocked, folded = [], []
+        real_blocks, real_fold = nn._blocks, nn._fold
+
+        def blocks(a, nb, sw):
+            blocked.append(a.shape)
+            return real_blocks(a, nb, sw)
+
+        def fold(m, shape):
+            folded.append(tuple(shape))
+            return real_fold(m, shape)
+
+        monkeypatch.setattr(nn, "_blocks", blocks)
+        monkeypatch.setattr(nn, "_fold", fold)
+        dcan.loss_and_gradients(model, x)
+        assert blocked.count(x.shape) == 1
+        assert all(np.prod(shape) < x.size for shape in folded)
+
+    def test_peak_memory_of_a_task(self):
+        # the frame-layout ends (two frame-sized float32 copies of the
+        # residual and a float64 one for the loss) peaked at 5.43 times
+        # the frames' bytes
+        model, x = self.task()
+        with blas.one_thread():
+            dcan.loss_and_gradients(model, x)
+            tracemalloc.start()
+            try:
+                dcan.loss_and_gradients(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 5.43 * x.nbytes
+
+    def test_pinned_float32_gradients_match_the_frame_layout_chain(self):
+        # bit for bit, but for deconv3.bias, which is summed in block order
+        model, x = self.task()
+        with blas.one_thread():
+            loss, grads = dcan.loss_and_gradients(model, x)
+            ref_loss, ref_grads = frame_layout_loss_and_gradients(model, x)
+        assert set(grads) == set(ref_grads)
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+            if name == "deconv3.bias":
+                assert rel_err(g, ref_grads[name]) <= 1e-6
+            else:
+                assert np.array_equal(g, ref_grads[name]), name
+        assert loss == pytest.approx(ref_loss, rel=1e-9)

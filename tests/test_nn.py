@@ -5,6 +5,7 @@ Gradients are checked against float64 central finite differences
 checked against naive quadruple-loop references to 1e-6 relative error.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -280,6 +281,67 @@ class TestConvTranspose2d:
             nn.conv_transpose2d_forward(np.zeros((1, 3, 1, 5), dtype=np.float32), layer)
 
 
+BLOCK_GEOMETRIES = [
+    # (batch, channels, kernel, stride, conv input width): kernel widths
+    # that are and are not a multiple of the stride; 10 / 3 pads 2
+    # samples past the map, 5 / 2 pads 1
+    (2, 4, (3, 8), (1, 2), 64),
+    (2, 4, (3, 10), (1, 3), 64),
+    (3, 2, (1, 5), (1, 2), 19),
+    (2, 8, (3, 64), (1, 16), 4096),
+]
+
+
+class TestStrideBlockLayout:
+    """The block-layout ends: conv2d's blocks= and the transposed
+    convolution's unfolded output and block upstream gradient."""
+
+    @staticmethod
+    def pair(rng, b, c, kernel, stride, w):
+        conv = random_conv(rng, 1, c, kernel, stride)
+        tconv = random_conv(rng, c, 1, kernel, stride, transpose=True)
+        x = rng.standard_normal((b, 1, kernel[0], w))
+        y = rng.standard_normal(nn.conv2d_forward(x, conv).shape)
+        return conv, tconv, x, y
+
+    @pytest.mark.parametrize("b,c,kernel,stride,w", BLOCK_GEOMETRIES)
+    def test_conv2d_given_its_blocks_gives_the_same_bits(self, b, c, kernel, stride, w):
+        conv, _, x, y = self.pair(np.random.default_rng(60), b, c, kernel, stride, w)
+        blocks = nn.conv2d_blocks(x, conv)
+        assert np.array_equal(nn.conv2d_forward(x, conv, blocks=blocks), nn.conv2d_forward(x, conv))
+        given = nn.conv2d_backward(x, conv, y, blocks=blocks)
+        for a, b_ in zip(given, nn.conv2d_backward(x, conv, y)):
+            assert np.array_equal(a, b_)
+
+    @pytest.mark.parametrize("b,c,kernel,stride,w", BLOCK_GEOMETRIES)
+    def test_unfolded_output_is_the_blocks_of_the_map(self, b, c, kernel, stride, w):
+        conv, tconv, x, y = self.pair(np.random.default_rng(61), b, c, kernel, stride, w)
+        unfolded = tconv.forward(y, fold=False)
+        folded = tconv.forward(y)
+        assert folded.shape == x.shape
+        # the padded tail is zero, as in the blocks of the frame-sized map
+        assert np.array_equal(unfolded, nn.conv2d_blocks(folded, conv))
+
+    @pytest.mark.parametrize("b,c,kernel,stride,w", BLOCK_GEOMETRIES)
+    def test_block_upstream_gives_the_map_upstream_gradients(self, b, c, kernel, stride, w):
+        conv, tconv, x, y = self.pair(np.random.default_rng(62), b, c, kernel, stride, w)
+        upstream = np.random.default_rng(63).standard_normal(x.shape)
+        gx, gw, gb = nn.conv_transpose2d_backward(y, tconv, nn.conv2d_blocks(upstream, conv))
+        rx, rw, rb = nn.conv_transpose2d_backward(y, tconv, upstream)
+        assert np.array_equal(gx, rx) and np.array_equal(gw, rw)
+        assert rel_err(gb, rb) <= 1e-12  # summed in block order
+
+    def test_blocks_of_the_wrong_shape_raise(self):
+        conv, tconv, x, y = self.pair(np.random.default_rng(64), 2, 4, (3, 10), (1, 3), 64)
+        blocks = nn.conv2d_blocks(x, conv)
+        with pytest.raises(DimensionError, match="stride blocks"):
+            nn.conv2d_forward(x[:1], conv, blocks=blocks)
+        with pytest.raises(DimensionError, match="stride blocks"):
+            nn.conv2d_backward(x, conv, y, blocks=blocks[:, :-1])
+        with pytest.raises(DimensionError, match="stride blocks"):
+            nn.conv_transpose2d_backward(y, tconv, blocks[:-1])
+
+
 class TestDense:
     def test_known_values(self):
         layer = nn.DenseLayer.zeros(2, 2, dtype=np.float64)
@@ -402,6 +464,39 @@ class TestMse:
         assert nn.mse(a, b) == float(np.mean(d * d))
 
 
+class TestResidualMse:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float64_sum_of_squares_over_count(self, dtype):
+        d = np.random.default_rng(7).standard_normal((32, 48)).astype(dtype)
+        exact = math.fsum(float(v) ** 2 for v in d.ravel())
+        assert nn.residual_mse(d, d.size) == pytest.approx(exact / d.size, rel=1e-13)
+
+    def test_zeros_past_the_samples_count_nothing(self):
+        d = np.zeros((4, 6), np.float32)
+        d[:, :5] = 3.0
+        assert nn.residual_mse(d, 20) == 9.0
+
+    def test_is_the_mse_of_the_float32_residual(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((5, 1, 3, 64)).astype(np.float32)
+        b = rng.standard_normal((5, 1, 3, 64)).astype(np.float32)
+        assert nn.residual_mse(a - b, a.size) == pytest.approx(nn.mse(a, b), rel=1e-6)
+
+
+def adam_reference(params, grads, moments, t, lr):
+    """The whole-tensor Adam update, one operation per line of the formula."""
+    bc1 = 1.0 - nn.ADAM_BETA1**t
+    bc2 = 1.0 - nn.ADAM_BETA2**t
+    for name, p in params.items():
+        g = grads[name]
+        m, v = moments[name]
+        m *= nn.ADAM_BETA1
+        m += (1.0 - nn.ADAM_BETA1) * g
+        v *= nn.ADAM_BETA2
+        v += (1.0 - nn.ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + nn.ADAM_EPSILON)
+
+
 class TestAdam:
     def test_first_step_size_is_learning_rate(self):
         # With m_hat = g and v_hat = g^2 the first update is lr * sign(g).
@@ -448,6 +543,56 @@ class TestAdam:
     def test_learning_rate_must_be_positive(self, lr):
         with pytest.raises(ConfigurationError, match="learning rate"):
             nn.AdamState.for_params({"p": np.zeros(2)}, lr=lr)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_update_has_the_whole_tensor_bits(self, dtype):
+        # a tensor of several chunks and a ragged last one, a small one,
+        # and a strided view, which is updated as one chunk
+        rng = np.random.default_rng(9)
+        shapes = {"big": (3 * nn._ADAM_CHUNK + 5,), "small": (7, 3), "view": (40, 30)}
+        start = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        ours = {k: v.copy() for k, v in start.items()}
+        ours["view"] = np.ones((40, 60), dtype)[:, ::2]
+        ours["view"][...] = start["view"]
+        ref = {k: v.copy() for k, v in start.items()}
+        state = nn.AdamState.for_params(ours, lr=1e-2)
+        moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.items()}
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+            nn.adam_step(ours, grads, state)
+            adam_reference(ref, grads, moments, t, 1e-2)
+        for k in shapes:
+            assert np.array_equal(ours[k], ref[k]), k
+            assert np.array_equal(state.first_moment[k], moments[k][0]), k
+            assert np.array_equal(state.second_moment[k], moments[k][1]), k
+
+    @pytest.mark.parametrize(
+        "bad, error", [(np.nan, TrainingError), (np.inf, TrainingError), (None, DimensionError)]
+    )
+    def test_failed_step_changes_nothing(self, bad, error):
+        # the last gradient is the bad one, so every other tensor would
+        # already have been updated by a step that checks as it goes
+        rng = np.random.default_rng(10)
+        params = {k: rng.standard_normal(n).astype(np.float32)
+                  for k, n in (("a", 2 * nn._ADAM_CHUNK), ("b", 9), ("last", 4))}
+        state = nn.AdamState.for_params(params)
+        for _ in range(2):
+            nn.adam_step(params, {k: rng.standard_normal(p.shape).astype(np.float32)
+                                  for k, p in params.items()}, state)
+        before = [{k: v.copy() for k, v in d.items()}
+                  for d in (params, state.first_moment, state.second_moment)]
+        grads = {k: np.ones_like(p) for k, p in params.items()}
+        if bad is None:
+            grads["last"] = np.ones(5, np.float32)
+        else:
+            grads["last"][-1] = bad
+        with pytest.raises(error, match="'last'"):
+            nn.adam_step(params, grads, state)
+        assert state.step_count == 2
+        after = (params, state.first_moment, state.second_moment)
+        for old, new in zip(before, after):
+            for k in old:
+                assert np.array_equal(old[k], new[k]), k
 
     def test_non_finite_gradient_raises_with_name(self):
         p = np.zeros(2, dtype=np.float64)

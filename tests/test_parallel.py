@@ -6,8 +6,13 @@ worker-count rule) are in test_fleet.py; training's are in
 test_training.py.
 """
 
+import gc
+import os
+import signal
+import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -117,3 +122,105 @@ class TestRunInOrder:
         idents, raised = zip(*bounded(run))
         assert len(set(idents)) == workers
         assert all(raised)
+
+
+class TestWorkers:
+    """The runner's worker threads are kept across calls."""
+
+    def test_calls_one_after_another_run_on_the_same_threads(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 3)
+
+        def idents():
+            seen = set()
+
+            def task(k, meet):
+                meet()  # the three tasks run on three distinct threads
+                seen.add(threading.get_ident())
+
+            parallel.run_in_order(task, 3)
+            return seen
+
+        def calls():
+            first = idents()
+            alive = threading.active_count()
+            return first, idents(), alive, threading.active_count(), threading.get_ident()
+
+        first, second, alive_before, alive_after, caller = bounded(calls)
+        assert first == second and len(first) == 3 and caller in first
+        assert alive_after <= alive_before
+
+    def test_a_call_keeps_nothing_of_its_tasks_alive(self, monkeypatch):
+        # a worker that held its last job until the next one kept that
+        # call's tasks and results, and so their arrays, in memory
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
+
+        class Payload:
+            pass
+
+        def call():
+            payload = Payload()
+            parallel.run_in_order(lambda k, meet: payload, 2)
+            return weakref.ref(payload)
+
+        ref = bounded(call)
+        gc.collect()
+        assert ref() is None
+
+    def test_callers_on_many_threads_share_the_workers(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 4)
+        interval = sys.getswitchinterval()
+
+        def calls(offset):
+            def task(k, meet):
+                if meet is not None:
+                    meet()  # hangs unless every call has distinct threads
+                return offset + k
+
+            return [parallel.run_in_order(task, 9) for _ in range(40)]
+
+        def run():
+            out = {}
+            threads = [
+                threading.Thread(target=lambda o=o: out.__setitem__(o, calls(o)), daemon=True)
+                for o in (0, 100, 200, 300)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(20)
+                assert not thread.is_alive()
+            return out
+
+        sys.setswitchinterval(1e-6)
+        try:
+            out = bounded(run)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == {o: [[o + k for k in range(9)]] * 40 for o in (0, 100, 200, 300)}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_tasks(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
+
+        def task(k, meet):
+            meet()
+            return k
+
+        assert bounded(lambda: parallel.run_in_order(task, 2)) == [0, 1]
+        pid = os.fork()
+        if pid == 0:  # the child: the parent's worker thread is not here
+            status = 1
+            try:
+                status = 0 if parallel.run_in_order(task, 2) == [0, 1] else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 0

@@ -335,14 +335,15 @@ class TestTrainingTasks:
 
     @needs_openblas
     def test_validation_is_the_frame_weighted_sum_of_its_tasks(self, monkeypatch):
-        # the same bits as a loop over the 32-frame parts, and, up to
-        # rounding, the MSE of one reconstruction of every frame
+        # the same bits as a loop over the 32-frame parts, each the
+        # training loss's residual MSE of its reconstruction, and, up to
+        # rounding, the float64 MSE of one reconstruction of every frame
         monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
         model = dcan.build(tiny_config(), seed=35)
         frames = np.random.default_rng(36).standard_normal((70, 1, 3, 64)).astype(np.float32)
         with blas.one_thread():
             loop = sum(
-                nn.mse(dcan.reconstruct(model, part), part) * len(part)
+                nn.residual_mse(dcan.reconstruct(model, part) - part, part.size) * len(part)
                 for part in (frames[:32], frames[32:64], frames[64:])
             ) / 70
             whole = nn.mse(dcan.reconstruct(model, frames), frames)
