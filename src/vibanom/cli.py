@@ -132,6 +132,11 @@ def cmd_score(args) -> int:
 
 def cmd_monitor(args) -> int:
     fleet = load_fleet_config(args.config)
+    log_path = fleet.report_log if args.out is None else args.out
+    if not log_path:
+        raise ConfigurationError(
+            "empty report log path: give --out or a report_log in %s" % args.config
+        )
     stream_dir = Path(args.frames)
     if not stream_dir.is_dir():
         raise ConfigurationError("stream directory %s not found" % stream_dir)
@@ -149,8 +154,7 @@ def cmd_monitor(args) -> int:
         path = stream_dir / (spec.id + ".frames")
         if path.exists():
             streams[spec.id] = path
-    reports = run_fleet(fleet, streams, log_path=args.out)
-    log_path = args.out if args.out else fleet.report_log
+    reports = run_fleet(fleet, streams, log_path=log_path)
     for spec in fleet.predictors:
         mine = [r for r in reports if r.predictor_id == spec.id]
         if mine:
@@ -238,6 +242,14 @@ def cmd_export_plot(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """--seed's type: an integer >= 0, as numpy's seeding needs."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vibanom",
@@ -249,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a frame file")
     p.add_argument("--frames", required=True, help="FRME input file")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="fit score normalization")
@@ -276,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic waveforms")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--axes", type=int, choices=(1, 3),
         help="write a FRME frame with this many axes instead of a CSV",
@@ -289,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest-nasa", help="build NASA IMS splits")
     p.add_argument("root", help="dataset root directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_ingest_nasa)
 
     p = sub.add_parser(

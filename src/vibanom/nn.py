@@ -4,8 +4,9 @@ Forward and backward passes for the only layer types the model needs: valid
 (unpadded) 2-D convolution, 2-D transposed convolution, fully connected
 layers, LeakyReLU, mean squared error (the float64 reference, mse, and
 training's residual_mse), uniform parameter initialization and a
-bias-corrected Adam update with the standard moment decays (0.9, 0.999)
-and denominator guard 1e-8; only its learning rate is settable.
+bias-corrected Adam update (Kingma & Ba, 2015), the formula applied to each
+whole tensor, with the standard moment decays (0.9, 0.999) and denominator
+guard 1e-8; only its learning rate is settable.
 
 Every operation is a plain function over numpy arrays in NCHW or
 (batch, features) layout. The layer classes hold parameters; their
@@ -544,34 +545,15 @@ class AdamState:
         return state
 
 
-# elements of a tensor that one pass of adam_step updates at a time, so
-# that the moments, the parameter and two scratch rows stay in cache
-_ADAM_CHUNK = 32768
-
-
-def _adam_chunks(p, g, m, v):
-    """(p, g, m, v) in matching chunks of at most _ADAM_CHUNK elements,
-    views of the tensors; a tensor that is not contiguous is one chunk."""
-    if not all(a.flags.c_contiguous for a in (p, g, m, v)):
-        yield p, g, m, v
-        return
-    flat = [a.reshape(-1) for a in (p, g, m, v)]
-    for start in range(0, p.size, _ADAM_CHUNK):
-        yield tuple(a[start : start + _ADAM_CHUNK] for a in flat)
-
-
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to the parameters in place.
+    """One bias-corrected Adam update, applied to the parameters in place:
+    m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g;
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
 
     Deterministic given inputs. Every gradient is checked before anything
     changes: a shape mismatch raises DimensionError and a non-finite
     element TrainingError naming the parameter, leaving the parameters,
-    the moments and step_count as they were. Each tensor is updated in
-    chunks of _ADAM_CHUNK elements through two reused scratch rows, with
-    the operations of the whole-tensor formula in the same order, so the
-    bits are those of
-    m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g;
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
+    the moments and step_count as they were.
     """
     for name, p in params.items():
         g = grads[name]
@@ -583,32 +565,15 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    scratch = {}
     for name, p in params.items():
         g = grads[name]
-        dtype = np.result_type(p, g)
-        if dtype not in scratch:
-            scratch[dtype] = np.empty((2, _ADAM_CHUNK), dtype)
-        rows = scratch[dtype]
-        for pc, gc, mc, vc in _adam_chunks(p, g, state.first_moment[name], state.second_moment[name]):
-            if pc.size <= _ADAM_CHUNK:
-                a, b = (row[: pc.size].reshape(pc.shape) for row in rows)
-            else:
-                a, b = np.empty(pc.shape, dtype), np.empty(pc.shape, dtype)
-            mc *= ADAM_BETA1
-            np.multiply(gc, 1.0 - ADAM_BETA1, out=a)
-            mc += a
-            vc *= ADAM_BETA2
-            np.multiply(gc, gc, out=a)
-            a *= 1.0 - ADAM_BETA2
-            vc += a
-            np.divide(mc, bc1, out=a)
-            a *= state.lr
-            np.divide(vc, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += ADAM_EPSILON
-            a /= b
-            pc -= a
+        m = state.first_moment[name]
+        v = state.second_moment[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 def _fan_in(layer) -> int:

@@ -186,8 +186,8 @@ def time_scale(waveform: Waveform, factor: float) -> Waveform:
     with AliasingWarning if a significant spectral component would land
     above Nyquist.
     """
-    if factor <= 0:
-        raise SignalSpecError(f"time-scale factor must be positive, got {factor}")
+    if not 0 < factor < np.inf:
+        raise SignalSpecError(f"time-scale factor must be finite and positive, got {factor}")
     n = len(waveform.samples)
     if n < 2:
         raise DimensionError("time_scale needs at least 2 samples")
@@ -222,8 +222,8 @@ def inject_sawtooth(waveform: Waveform, freq: float, peak: float) -> Waveform:
         raise SignalSpecError(
             f"sawtooth frequency must lie in (0, Nyquist {waveform.nyquist} Hz), got {freq}"
         )
-    if peak < 0:
-        raise SignalSpecError(f"sawtooth peak must be >= 0, got {peak}")
+    if not 0 <= peak < np.inf:
+        raise SignalSpecError(f"sawtooth peak must be finite and >= 0, got {peak}")
     n = len(waveform.samples)
     phase = np.mod((np.arange(n) + 0.5) * (freq / waveform.sample_rate), 1.0)
     saw = peak * (2.0 * phase - 1.0)

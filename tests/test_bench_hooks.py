@@ -9,8 +9,8 @@ function of the named vibanom module. The rest of the benchmark reaches
 the program through `<module>.<name>` attributes of the vibanom modules it
 imports and through keyword arguments; an AST scan of bench/*.py checks
 each attribute resolves and each keyword is in its callee's signature. It
-also checks that monitor reads its streams, and scores each frame, through
-names such a swap reaches.
+also checks that monitor reads its streams, and scores each frame, and
+that training takes each Adam step, through names such a swap reaches.
 """
 
 import ast
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vibanom import cli, dcan, ingest, scoring
+from vibanom import cli, dcan, ingest, nn, scoring, training
 from vibanom.fleet import FleetConfig, PredictorSpec, read_report_log, save_fleet_config
 from vibanom.scoring import ScoreNormalization
 from vibanom.training import StandardizationStats, save_checkpoint
@@ -200,3 +200,21 @@ def test_monitor_scores_each_frame_through_the_module_name(tmp_path, monkeypatch
     assert len(reports) == len(calls) == 20
     assert any(calls) and not any(r.alarm_fired for r in reports)
     assert "a: 20 frames, 0 alarms" in capsys.readouterr().out
+
+
+def test_train_takes_each_adam_step_through_the_module_name(monkeypatch):
+    # bench/spans.py times nn.adam by rebinding every vibanom module's name
+    # for nn.adam_step; each training batch must take its step there, once
+    frames = np.random.default_rng(0).standard_normal((12, 1, 3, ingest.FRAME_LEN)).astype(np.float32)
+    original, events = nn.adam_step, []
+
+    def counting(params, grads, state):
+        events.append("adam")
+        return original(params, grads, state)
+
+    swap_everywhere(monkeypatch, original, counting)
+    model = dcan.build(dcan.DcanConfig(), seed=0)
+    training.train(model, frames, training.fit_standardization(frames),
+                   training.TrainConfig(batch_size=4, max_epochs=2, patience=2, seed=0),
+                   on_batch=lambda *_: events.append("batch"))
+    assert events == ["batch", "adam"] * 6  # 11 training frames: 3 batches an epoch

@@ -871,6 +871,64 @@ class TestErrorSurface:
         line = self.one_error_line(capsys, argv, "ConfigurationError")
         assert "too large" in line
 
+    @pytest.mark.parametrize("where", ["--out", "config"])
+    def test_monitor_refuses_an_empty_report_log_path(self, checkpoint, tmp_path, capsys, where):
+        # both once printed "report log:  (3 reports appended)" or named
+        # the config's log, exited 0 and wrote no log at all
+        spec = PredictorSpec(id="a", location="a", checkpoint=checkpoint,
+                             normalization=ScoreNormalization(mu=1.0, sigma=0.5))
+        config = tmp_path / "fleet.json"
+        log = "" if where == "config" else str(tmp_path / "fleet.log")
+        save_fleet_config(FleetConfig(predictors=(spec,), report_log=log), config)
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        frames_file(streams / "a.frames", seed=6, count=3)
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["monitor", "--config", str(config), "--frames", str(streams)]
+        if where == "--out":
+            argv += ["--out", ""]
+        line = self.one_error_line(capsys, argv, "ConfigurationError")
+        assert "empty report log path" in line
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["synth", "synth-axes", "train", "ingest-nasa"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        # each once ended in a ValueError traceback from numpy's seeding
+        if command == "train":
+            argv = ["train", "--frames", frames_file(tmp_path / "f.frames", seed=6, count=3)]
+        elif command == "ingest-nasa":
+            make_mini_ims(tmp_path / "ims")
+            argv = ["ingest-nasa", str(tmp_path / "ims")]
+        else:
+            argv = ["synth"] + (["--axes", "3"] if command == "synth-axes" else [])
+        out = tmp_path / "out"
+        argv += ["--out", str(out), "--seed", "-1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--time-scale", "nan"], "time-scale factor must be finite and positive, got nan"),
+         (["--time-scale", "inf"], "time-scale factor must be finite and positive, got inf"),
+         (["--sawtooth-freq", "136", "--sawtooth-peak", "nan"],
+          "sawtooth peak must be finite and >= 0, got nan")],
+        ids=["nan-time-scale", "inf-time-scale", "nan-sawtooth-peak"],
+    )
+    def test_synth_refuses_a_non_finite_number(self, tmp_path, capsys, flags, message):
+        # nan and inf time scales once ended in tracebacks, and a nan peak
+        # wrote a CSV of nan samples
+        out = tmp_path / "w.csv"
+        line = self.one_error_line(
+            capsys, ["synth", "--out", str(out)] + flags, "SignalSpecError"
+        )
+        assert line == "error: SignalSpecError: " + message
+        assert not out.exists()
+
     def test_train_on_header_only_frame_file(self, tmp_path, capsys):
         frames = tmp_path / "empty.frames"
         frames.write_bytes(b"FRME" + struct.pack("<IBI", 1, 3, FRAME_LEN))

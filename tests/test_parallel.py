@@ -224,3 +224,42 @@ class TestWorkers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         assert done and os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and 2 usable CPUs",
+)
+class TestPinning:
+    """A call with one thread per usable CPU runs each on its own CPU."""
+
+    def affinities(self, monkeypatch, workers):
+        # the caller may use two CPUs; each task reports its thread's mask
+        monkeypatch.setattr(parallel, "_worker_count", lambda: workers)
+        two = set(sorted(os.sched_getaffinity(0))[:2])
+
+        def task(k, meet):
+            if meet is not None:
+                meet()  # the first tasks run on distinct threads
+            return threading.get_ident(), os.sched_getaffinity(0)
+
+        def call():
+            os.sched_setaffinity(0, two)
+            seen = parallel.run_in_order(task, workers)
+            return two, seen, os.sched_getaffinity(0)
+
+        return bounded(call)
+
+    def test_each_thread_on_one_cpu_then_back(self, monkeypatch):
+        two, seen, after = self.affinities(monkeypatch, 2)
+        assert len({ident for ident, _ in seen}) == 2
+        assert sorted(len(mask) for _, mask in seen) == [1, 1]
+        assert set().union(*(mask for _, mask in seen)) == two
+        assert after == two
+
+    def test_no_pin_when_threads_and_cpus_differ(self, monkeypatch):
+        # the workers of the pinned call are reused here, unpinned again
+        self.affinities(monkeypatch, 2)
+        two, seen, after = self.affinities(monkeypatch, 3)
+        assert all(len(mask) >= 2 for _, mask in seen)
+        assert after == two

@@ -207,6 +207,12 @@ class TestTimeScale:
         with pytest.raises(SignalSpecError):
             signals.time_scale(sine(136.0), -2.0)
 
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor(self, factor):
+        # nan once ended in a ValueError, inf in an OverflowError
+        with pytest.raises(SignalSpecError, match="got %s" % factor):
+            signals.time_scale(sine(136.0), factor)
+
 
 class TestInjectSawtooth:
     def test_zero_peak_is_identity(self):
@@ -261,6 +267,13 @@ class TestInjectSawtooth:
             signals.inject_sawtooth(wf, 512.0, 0.04)
         with pytest.raises(SignalSpecError):
             signals.inject_sawtooth(wf, 136.0, -0.01)
+
+    @pytest.mark.parametrize("peak", [np.nan, np.inf, -np.inf])
+    def test_non_finite_peak(self, peak):
+        # a nan peak once gave a waveform of nan samples
+        wf = Waveform(np.zeros(64), 1024.0)
+        with pytest.raises(SignalSpecError, match="got %s" % peak):
+            signals.inject_sawtooth(wf, 136.0, peak)
 
 
 class TestWaveformCsv:
