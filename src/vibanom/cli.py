@@ -91,6 +91,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.out == "":
+        raise ConfigurationError("empty --out path")
     frames = _read_some_frames(args.frames)
     norm = calibrate_predictor(args.checkpoint, frames)
     line = '{"mu": %r, "sigma": %r}' % (norm.mu, norm.sigma)
@@ -114,6 +116,8 @@ def _config_spec(args) -> PredictorSpec:
 
 
 def cmd_score(args) -> int:
+    if args.out == "":
+        raise ConfigurationError("empty --out path")
     frames = _read_some_frames(args.frames)
     spec = _config_spec(args) if args.config else None
     model, stats = load_checkpoint(args.checkpoint)
@@ -195,6 +199,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest_nasa(args) -> int:
+    if args.out == "":
+        raise ConfigurationError("empty --out path")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_frames, test_sequences = build_nasa_splits(args.root, seed=args.seed)

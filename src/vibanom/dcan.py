@@ -199,10 +199,6 @@ class DcanModel:
             params[f"{name}.bias"] = layer.bias
         return params
 
-    def astype(self, dtype) -> "DcanModel":
-        """Copy of the model with every parameter cast to dtype."""
-        return DcanModel(self.config, {n: l.astype(dtype) for n, l in self.layers.items()})
-
 
 def _layer_sizes(config: DcanConfig) -> list:
     """(name, layer class, sizes) of each of the eleven layers in forward

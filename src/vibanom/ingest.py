@@ -3,8 +3,8 @@
 A stream of frames is a FrameBlock: one (N,) column of timestamps and
 one (N, A, 4096) float32 column of samples (A axes of acceleration),
 checked once with vectorised checks. A Frame is one such sampling event
-handed in by a caller; FrameBlock.of stacks a Sequence[Frame] into a
-block once, where it comes in, and nothing downstream walks Frames.
+handed in by a caller, a plain record; FrameBlock.of stacks and checks a
+Sequence[Frame] as a block, where it comes in. Nothing walks Frames.
 IMS files are whitespace-separated channel columns named by their capture
 time (YYYY.MM.DD.HH.MM.SS, interpreted as UTC for determinism); each
 channel column is cut into non-overlapping FRAME_LEN-point windows, the
@@ -60,52 +60,20 @@ _TIMESTAMP_NAME = re.compile(r"^\d{4}\.\d{2}\.\d{2}\.\d{2}\.\d{2}\.\d{2}$")
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """One sampling event: A axes x 4096 points, in g. An input record:
-    FrameBlock.of stacks a Sequence[Frame] into a stream."""
+    """One sampling event: A axes x 4096 points, in g. A plain input
+    record, checked where FrameBlock.of stacks a Sequence[Frame]."""
 
     data: np.ndarray
     timestamp: int
     source: str = ""
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 2:
-            raise DimensionError(
-                "frame data must be 2-D (axes, points), got ndim %d" % data.ndim
-            )
-        if data.shape[0] < 1:
-            raise DimensionError("frame needs at least one axis")
-        if data.shape[1] != FRAME_LEN:
-            raise DimensionError(
-                "frame must have exactly %d points per axis, got %d"
-                % (FRAME_LEN, data.shape[1])
-            )
-        if not np.all(np.isfinite(data)):
-            raise IngestError("frame contains non-finite values")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float32))
         object.__setattr__(self, "timestamp", int(self.timestamp))
 
     @property
     def axes(self) -> int:
         return int(self.data.shape[0])
-
-
-def _timestamp_column(stamps) -> np.ndarray:
-    """Frame timestamps as a u8 column; the first negative one is named."""
-    stamps = np.asarray(stamps)
-    if stamps.ndim != 1 or stamps.dtype.kind not in "iu":
-        raise DimensionError(
-            "timestamps must be a 1-D integer column, got %s of shape %r"
-            % (stamps.dtype, stamps.shape)
-        )
-    if stamps.dtype.kind == "i":
-        negative = np.flatnonzero(stamps < 0)
-        if negative.size:
-            k = int(negative[0])
-            raise ConfigurationError(
-                "frame %d has negative timestamp %d" % (k, stamps[k])
-            )
-    return stamps.astype("<u8", copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,33 +82,39 @@ class FrameBlock:
 
     timestamps is (N,) u8 and data (N, A, 4096) float32; both are checked
     once, with vectorised checks, and an error names the first bad frame
-    by index (and timestamp). len(block) is N, block.axes is A, and
-    block[rows], for a slice or a 1-D index array, is the sub-block of
-    those rows (a view for a slice).
+    by index (and timestamp): frame 0 when the shape is refused.
+    len(block) is N, block.axes is A, and block[rows], for a slice or a
+    1-D index array, is the sub-block of those rows (a view for a slice).
     """
 
     timestamps: np.ndarray
     data: np.ndarray
 
     def __post_init__(self):
+        stamps = np.asarray(self.timestamps)
+        if stamps.ndim != 1 or stamps.dtype.kind not in "iu":
+            raise DimensionError(
+                "timestamps must be a 1-D integer column, got %s of shape %r"
+                % (stamps.dtype, stamps.shape)
+            )
+        negative = np.flatnonzero(stamps < 0)
+        if negative.size:
+            k = int(negative[0])
+            raise ConfigurationError("frame %d has negative timestamp %d" % (k, stamps[k]))
         data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 3:
+        if data.ndim != 3 or data.shape[1] < 1 or data.shape[2] != FRAME_LEN:
+            # every frame has the refused shape: the first is named
             raise DimensionError(
-                "frame block data must be 3-D (frames, axes, points), got ndim %d"
-                % data.ndim
+                "%sframes must be 2-D with at least one axis of exactly %d points, "
+                "stacked 3-D (frames, axes, points); got shape %r"
+                % ("frame 0 (timestamp %d): " % stamps[0] if len(stamps) else "",
+                   FRAME_LEN, data.shape)
             )
-        if data.shape[1] < 1:
-            raise DimensionError("frame needs at least one axis")
-        if data.shape[2] != FRAME_LEN:
-            raise DimensionError(
-                "frame must have exactly %d points per axis, got %d"
-                % (FRAME_LEN, data.shape[2])
-            )
-        stamps = _timestamp_column(self.timestamps)
         if stamps.shape[0] != data.shape[0]:
             raise DimensionError(
                 "%d timestamps for %d frames" % (stamps.shape[0], data.shape[0])
             )
+        stamps = stamps.astype("<u8", copy=False)
         _require_finite(stamps, data)
         object.__setattr__(self, "timestamps", stamps)
         object.__setattr__(self, "data", data)
@@ -148,8 +122,8 @@ class FrameBlock:
     @classmethod
     def of(cls, frames: Frames) -> "FrameBlock":
         """frames as one block: a FrameBlock unchanged, a FrameFile read
-        whole, a non-empty Sequence[Frame] stacked once. A frame whose
-        axis count differs from the first's is named by index and
+        whole, a non-empty Sequence[Frame] stacked once and checked as a
+        block. A frame shaped unlike the first is named by index and
         timestamp."""
         if isinstance(frames, FrameBlock):
             return frames
@@ -157,18 +131,17 @@ class FrameBlock:
             return frames[:]
         if len(frames) == 0:
             raise DimensionError("cannot stack an empty frame list")
-        axes = frames[0].axes
+        shape = frames[0].data.shape
         for k, frame in enumerate(frames):
-            if frame.axes != axes:
-                raise DimensionError(
-                    "frame %d (timestamp %d) has %d axes, expected %d"
-                    % (k, frame.timestamp, frame.axes, axes)
+            got = frame.data.shape
+            if got != shape:
+                detail = (
+                    "%d axes, expected %d" % (got[0], shape[0])
+                    if len(got) == len(shape) == 2 and got[1] == shape[1]
+                    else "shape %r, expected %r" % (got, shape)
                 )
-        # each Frame checked its samples
-        return cls._checked(
-            _timestamp_column([f.timestamp for f in frames]),
-            np.stack([f.data for f in frames]),
-        )
+                raise DimensionError("frame %d (timestamp %d) has %s" % (k, frame.timestamp, detail))
+        return cls([f.timestamp for f in frames], np.stack([f.data for f in frames]))
 
     @property
     def axes(self) -> int:
@@ -180,7 +153,7 @@ class FrameBlock:
     @classmethod
     def _checked(cls, timestamps: np.ndarray, data: np.ndarray) -> "FrameBlock":
         """A block of columns that already pass every check, built without
-        checking them again (rows of a block or a file, stacks of Frames)."""
+        checking them again (rows of a block or a file)."""
         block = object.__new__(cls)
         object.__setattr__(block, "timestamps", timestamps)
         object.__setattr__(block, "data", data)

@@ -2,8 +2,8 @@
 
 Forward and backward passes for the only layer types the model needs: valid
 (unpadded) 2-D convolution, 2-D transposed convolution, fully connected
-layers, LeakyReLU, mean squared error (the float64 reference, mse, and
-training's residual_mse), uniform parameter initialization and a
+layers, LeakyReLU, training's mean squared error (residual_mse, formed
+in float64), uniform parameter initialization and a
 bias-corrected Adam update (Kingma & Ba, 2015), the formula applied to each
 whole tensor, with the standard moment decays (0.9, 0.999) and denominator
 guard 1e-8; only its learning rate is settable.
@@ -58,7 +58,7 @@ conv_transpose2d_backward takes an upstream gradient in that layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,7 +78,6 @@ __all__ = [
     "dense_backward",
     "leaky_relu",
     "leaky_relu_backward",
-    "mse",
     "residual_mse",
     "adam_step",
     "init_params",
@@ -106,8 +105,7 @@ def conv_transpose_output_hw(h: int, w: int, kernel: tuple[int, int], stride: tu
 
 
 class _Layer:
-    """What every layer shares: parameter shapes and zeros of given sizes,
-    and a copy with its parameters cast to a dtype.
+    """What every layer shares: parameter shapes and zeros of given sizes.
 
     A layer's sizes are its first fields: in and out channels (or
     features), then for a convolution its kernel and stride.
@@ -123,9 +121,6 @@ class _Layer:
         """A layer of these sizes with every parameter zero."""
         weight, bias = cls._shapes(*sizes)
         return cls(*sizes, np.zeros(weight, dtype), np.zeros(bias, dtype))
-
-    def astype(self, dtype):
-        return replace(self, weight=self.weight.astype(dtype), bias=self.bias.astype(dtype))
 
 
 @dataclass
@@ -488,21 +483,6 @@ def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.01
     np.maximum(d, slope, out=d)
     d *= upstream
     return d
-
-
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean over all elements of the squared difference, formed in float64.
-
-    The reference MSE; training's loss is residual_mse.
-    """
-    if a.shape != b.shape:
-        raise DimensionError(f"mse operands have different shapes: {a.shape} vs {b.shape}")
-    # a cast copy, then an in-place subtract: np.subtract(..., dtype=float64)
-    # gives the same bits through a slower buffered cast
-    d = a.astype(np.float64)
-    d -= b
-    np.square(d, out=d)
-    return float(d.mean())
 
 
 def residual_mse(residual: np.ndarray, count: int) -> float:

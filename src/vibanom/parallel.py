@@ -83,7 +83,10 @@ def _raise_mmap_threshold() -> None:
     in a fresh process about 236, against about 2,530. numpy allocates an
     empty array's data with malloc and frees it with the array; the block
     is never touched, so it adds no resident memory, and where malloc is
-    not glibc's it is a harmless malloc and free.
+    not glibc's it is a harmless malloc and free. In bench pairs (2 vCPUs)
+    its removal cut fleet-monitor's monitor_frames_per_s to x0.75-0.87 and
+    train_frames_per_s to x0.85-0.95 (4 of 4 pairs each); removing it and
+    _on_cpu lost monitor_frames_per_s in 6 of 7 pairs, down to x0.41.
     """
     np.empty(16 << 20, np.uint8)
 
@@ -160,8 +163,10 @@ def run_in_order(task, count: int) -> list:
     distinct threads and every run reaches that many working sets at
     once. This is for the peak memory's sake, not speed: without it the
     peak of a short run depends on whether the threads' peaks happen to
-    overlap. Either all first tasks call meet or none do; scoring's tasks
-    call it, training's do not. Later tasks do not wait for each other.
+    overlap (a long walk's peak pinned within 1.2 x a short one's reached
+    1.179 without meet in 20 runs, 1.057 with it). Either all first tasks
+    call meet or none do; scoring's tasks call it, training's do not.
+    Later tasks do not wait for each other.
     """
     _raise_mmap_threshold()
     workers = min(_worker_count(), count)

@@ -206,7 +206,8 @@ def time_scale(waveform: Waveform, factor: float) -> Waveform:
                     AliasingWarning,
                 )
 
-    m = int(np.floor((n - 1) * factor)) + 1
+    # np.resize keeps n of the positions: a stretch builds only those
+    m = n if factor >= 1 else int(np.floor((n - 1) * factor)) + 1
     positions = np.arange(m) / factor
     scaled = np.interp(positions, np.arange(n), waveform.samples)
     return Waveform(np.resize(scaled, n), waveform.sample_rate)

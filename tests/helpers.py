@@ -6,8 +6,11 @@ and quadruple-loop convolutions, a forward evaluator that records which
 LeakyReLU branch every activation took (finite differences are only a
 valid oracle while a perturbation stays inside one linear region), and a
 frame-layout chain of the nn pass functions that training's stride-block
-ends must match bit for bit.
+ends must match bit for bit. Also the float64 reference MSE and a cast of
+a model's parameters to another dtype, which only the tests use.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,6 +24,33 @@ def rel_err(a, b) -> float:
     b = b.astype(kind).ravel()
     denom = max(np.linalg.norm(a), np.linalg.norm(b), np.finfo(np.float64).tiny)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def mse(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean over all elements of the squared difference, formed in float64:
+    the reference MSE (training's loss is nn.residual_mse)."""
+    from vibanom.errors import DimensionError
+
+    if a.shape != b.shape:
+        raise DimensionError(f"mse operands have different shapes: {a.shape} vs {b.shape}")
+    # a cast copy, then an in-place subtract: np.subtract(..., dtype=float64)
+    # gives the same bits through a slower buffered cast
+    d = a.astype(np.float64)
+    d -= b
+    np.square(d, out=d)
+    return float(d.mean())
+
+
+def cast(model, dtype):
+    """Copy of a DcanModel with every parameter cast to dtype (float64 for
+    the gradient checks)."""
+    from vibanom import dcan
+
+    layers = {
+        name: replace(layer, weight=layer.weight.astype(dtype), bias=layer.bias.astype(dtype))
+        for name, layer in model.layers.items()
+    }
+    return dcan.DcanModel(model.config, layers)
 
 
 def numeric_grad(f, x, eps: float = 1e-5) -> np.ndarray:
@@ -128,7 +158,7 @@ def frame_layout_loss_and_gradients(model, x):
         pre = forward(h, layer)
         tape.append((name, layer, backward, h, pre))
         h = pre if name in linear else nn.leaky_relu(pre, slope)
-    loss = nn.mse(h, x)
+    loss = mse(h, x)
     g = (2.0 / h.size) * (h - x)
     grads = {}
     for name, layer, backward, h, pre in reversed(tape):

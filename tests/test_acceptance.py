@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    cast,
     dcan_loss_and_branches,
     direct_dft,
+    mse,
     numeric_grad,
     reference_alarm_replay,
     rel_err,
@@ -215,7 +217,7 @@ class TestA2:
         analytic = (2.0 / a.size) * (a - b)
 
         def loss(aa):
-            return nn.mse(aa, b)
+            return mse(aa, b)
 
         assert rel_err(analytic, numeric_grad(loss, a)) <= 1e-4
 
@@ -228,7 +230,7 @@ class TestA2:
         coordinate is only trusted when both perturbed passes reproduce
         the unperturbed LeakyReLU branch pattern.
         """
-        model = dcan.build(self.tiny_config(slope), seed=seed).astype(np.float64)
+        model = cast(dcan.build(self.tiny_config(slope), seed=seed), np.float64)
         x = np.random.default_rng(seed + 1).standard_normal((2, 1, 3, 64))
         _, grads = dcan.loss_and_gradients(model, x)
         _, base_branches = dcan_loss_and_branches(model, x)

@@ -10,7 +10,9 @@ the program through `<module>.<name>` attributes of the vibanom modules it
 imports and through keyword arguments; an AST scan of bench/*.py checks
 each attribute resolves and each keyword is in its callee's signature. It
 also checks that monitor reads its streams, and scores each frame, and
-that training takes each Adam step, through names such a swap reaches.
+that training takes each Adam step, through names such a swap reaches,
+and that the ingest.Frame lists the benchmark's set-up builds give the
+results of the equivalent FrameBlock.
 """
 
 import ast
@@ -23,7 +25,14 @@ import numpy as np
 import pytest
 
 from vibanom import cli, dcan, ingest, nn, scoring, training
-from vibanom.fleet import FleetConfig, PredictorSpec, read_report_log, save_fleet_config
+from vibanom.fleet import (
+    FleetConfig,
+    PredictorSpec,
+    calibrate_predictor,
+    evaluate_stream,
+    read_report_log,
+    save_fleet_config,
+)
 from vibanom.scoring import ScoreNormalization
 from vibanom.training import StandardizationStats, save_checkpoint
 
@@ -218,3 +227,29 @@ def test_train_takes_each_adam_step_through_the_module_name(monkeypatch):
                    training.TrainConfig(batch_size=4, max_epochs=2, patience=2, seed=0),
                    on_batch=lambda *_: events.append("batch"))
     assert events == ["batch", "adam"] * 6  # 11 training frames: 3 batches an epoch
+
+
+def test_bench_frame_lists_match_their_blocks(tmp_path):
+    # bench/pipeline.py builds ingest.Frame lists by keyword from rows of an
+    # (N, 1, A, 4096) array, and writes, calibrates and scores them
+    rng = np.random.default_rng(1)
+    rows = rng.normal(size=(40, 1, 3, ingest.FRAME_LEN)).astype(np.float32)
+    stamps = rng.permutation(40) + 500
+    frames = [
+        ingest.Frame(data=row[0], timestamp=int(ts), source="p")
+        for row, ts in zip(rows, stamps)
+    ]
+    block = ingest.FrameBlock(stamps, rows[:, 0])
+    ingest.write_frames(tmp_path / "list.frames", frames)
+    ingest.write_frames(tmp_path / "block.frames", block)
+    assert (tmp_path / "list.frames").read_bytes() == (tmp_path / "block.frames").read_bytes()
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(dcan.build(dcan.DcanConfig(), seed=0),
+                    training.fit_standardization(rows), ckpt)
+    norm = calibrate_predictor(ckpt, frames)
+    assert norm == calibrate_predictor(ckpt, block)
+    spec = PredictorSpec(id="p", location="p", checkpoint=str(ckpt), normalization=norm)
+    model, stats = training.load_checkpoint(ckpt)
+    reports = evaluate_stream(spec, model, stats, frames)
+    assert len(reports) == 40
+    assert reports == evaluate_stream(spec, model, stats, block)

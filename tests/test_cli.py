@@ -891,6 +891,22 @@ class TestErrorSurface:
         assert "empty report log path" in line
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["score", "calibrate", "ingest-nasa"])
+    def test_empty_out_path_is_refused(self, checkpoint, tmp_path, capsys, monkeypatch, command):
+        # score and calibrate once wrote nothing and exited 0; ingest-nasa
+        # wrote its splits into the current directory
+        if command == "ingest-nasa":
+            make_mini_ims(tmp_path / "ims")
+            argv = ["ingest-nasa", str(tmp_path / "ims")]
+        else:
+            frames = frames_file(tmp_path / "f.frames", seed=6, count=3)
+            argv = [command, "--checkpoint", checkpoint, "--frames", frames]
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        line = self.one_error_line(capsys, argv + ["--out", ""], "ConfigurationError")
+        assert line == "error: ConfigurationError: empty --out path"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("command", ["synth", "synth-axes", "train", "ingest-nasa"])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
         # each once ended in a ValueError traceback from numpy's seeding

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import dcan_loss_and_branches, frame_layout_loss_and_gradients, rel_err
+from helpers import cast, dcan_loss_and_branches, frame_layout_loss_and_gradients, mse, rel_err
 
 from vibanom import blas, dcan, nn, training
 from vibanom.errors import ConfigurationError, DimensionError
@@ -233,17 +233,17 @@ class TestReport:
 
 class TestGradients:
     def test_loss_matches_mse_of_reconstruction(self):
-        model = dcan.build(tiny_config(), seed=20).astype(np.float64)
+        model = cast(dcan.build(tiny_config(), seed=20), np.float64)
         x = np.random.default_rng(21).standard_normal((2, 1, 3, 64))
         loss, _ = dcan.loss_and_gradients(model, x)
-        assert loss == pytest.approx(nn.mse(dcan.reconstruct(model, x), x), rel=1e-12)
+        assert loss == pytest.approx(mse(dcan.reconstruct(model, x), x), rel=1e-12)
 
     def test_sampled_coordinates_match_finite_differences(self):
         # Fast spot check on every layer; the acceptance suite sweeps all
         # parameters. Coordinates whose difference window crosses a LeakyReLU
         # kink or falls below central-difference resolution are skipped (the
         # estimate is not a valid oracle there).
-        model = dcan.build(tiny_config(), seed=22).astype(np.float64)
+        model = cast(dcan.build(tiny_config(), seed=22), np.float64)
         x = np.random.default_rng(23).standard_normal((2, 1, 3, 64))
         _, grads = dcan.loss_and_gradients(model, x)
         _, base_branches = dcan_loss_and_branches(model, x)
@@ -279,7 +279,7 @@ class TestGradients:
         assert checked >= 20
 
     def test_gradient_keys_match_parameters(self):
-        model = dcan.build(tiny_config(), seed=25).astype(np.float64)
+        model = cast(dcan.build(tiny_config(), seed=25), np.float64)
         x = np.random.default_rng(26).standard_normal((1, 1, 3, 64))
         _, grads = dcan.loss_and_gradients(model, x)
         params = model.named_parameters()
@@ -296,7 +296,7 @@ class TestPaddedBlocks:
     def model(seed, slope=0.01):
         # nonzero biases: deconv3's bias reaches the padded tail of its
         # unfolded output, where the residual must stay zero
-        model = dcan.build(padded_config(slope), seed=seed).astype(np.float64)
+        model = cast(dcan.build(padded_config(slope), seed=seed), np.float64)
         rng = np.random.default_rng(seed)
         for layer in model.layers.values():
             layer.bias[...] = 0.5 * rng.standard_normal(layer.bias.shape)
@@ -331,7 +331,7 @@ class TestPaddedBlocks:
         model = self.model(53)
         x = np.random.default_rng(54).standard_normal((3, 1, 3, 64))
         loss, _ = dcan.loss_and_gradients(model, x)
-        assert loss == pytest.approx(nn.mse(dcan.reconstruct(model, x), x), rel=1e-12)
+        assert loss == pytest.approx(mse(dcan.reconstruct(model, x), x), rel=1e-12)
 
     def test_train_runs(self):
         frames = np.random.default_rng(55).standard_normal((40, 1, 3, 64)).astype(np.float32)

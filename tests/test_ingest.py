@@ -13,6 +13,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from vibanom import dcan
 from vibanom.errors import (
     ConfigurationError,
     DataWarning,
@@ -20,6 +21,7 @@ from vibanom.errors import (
     IngestError,
     ParseError,
 )
+from vibanom.fleet import PredictorSpec, calibrate_predictor, evaluate_stream
 from vibanom.ingest import (
     FRAME_LEN,
     Frame,
@@ -36,6 +38,8 @@ from vibanom.ingest import (
     windowize,
     write_frames,
 )
+from vibanom.scoring import ScoreNormalization
+from vibanom.training import StandardizationStats, load_checkpoint, save_checkpoint
 
 from helpers import make_mini_ims as build_mini_ims
 
@@ -45,7 +49,22 @@ def random_frame(rng, axes=3, timestamp=100, source="t"):
     return Frame(data=data, timestamp=timestamp, source=source)
 
 
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """An untrained default (3-axis) model with identity standardization."""
+    path = tmp_path_factory.mktemp("ingest") / "model.ckpt"
+    stats = StandardizationStats(
+        per_axis_mean=np.zeros(3, dtype=np.float32), per_axis_std=np.ones(3, dtype=np.float32)
+    )
+    save_checkpoint(dcan.build(dcan.DcanConfig(), seed=1), stats, path)
+    return str(path)
+
+
 class TestFrame:
+    """A Frame is a plain record; a list of them is checked where it is
+    stacked, by whichever entry point it reaches, and the error names the
+    frame by index and timestamp."""
+
     def test_valid_frame(self):
         data = np.zeros((3, FRAME_LEN), dtype=np.float32)
         frame = Frame(data=data, timestamp=np.int64(7), source="Set1/Ch2")
@@ -54,19 +73,80 @@ class TestFrame:
         assert frame.timestamp == 7
         assert isinstance(frame.timestamp, int)
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionError, match="4096"):
-            Frame(data=np.zeros((3, FRAME_LEN - 1)), timestamp=0)
+    def test_frame_itself_checks_nothing(self):
+        data = np.full((2, 5), np.nan)
+        frame = Frame(data=data, timestamp=3)
+        assert frame.data.dtype == np.float32 and frame.data.shape == (2, 5)
 
-    def test_one_dimensional_rejected(self):
-        with pytest.raises(DimensionError, match="2-D"):
-            Frame(data=np.zeros(FRAME_LEN), timestamp=0)
+    def refused_everywhere(self, frames, error, pattern, checkpoint, tmp_path):
+        """Each entry point a Frame list reaches raises error matching
+        pattern, and write_frames leaves no file behind."""
+        spec = PredictorSpec(id="p", location="p", checkpoint=checkpoint,
+                             normalization=ScoreNormalization(mu=1.0, sigma=0.5))
+        model, stats = load_checkpoint(checkpoint)
+        out = tmp_path / "out.bin"
+        for call in (
+            lambda: FrameBlock.of(frames),
+            lambda: stack_frames(frames),
+            lambda: write_frames(out, frames),
+            lambda: evaluate_stream(spec, model, stats, frames),
+            lambda: calibrate_predictor(checkpoint, frames),
+        ):
+            with pytest.raises(error, match=pattern):
+                call()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_nonfinite_rejected(self):
-        data = np.zeros((1, FRAME_LEN))
+    def test_wrong_length_rejected(self, checkpoint, tmp_path):
+        short = Frame(data=np.zeros((3, FRAME_LEN - 1)), timestamp=4)
+        self.refused_everywhere(
+            [short, short], DimensionError,
+            r"frame 0 \(timestamp 4\): .*exactly 4096 points.*got shape \(2, 3, 4095\)",
+            checkpoint, tmp_path,
+        )
+        rng = np.random.default_rng(0)
+        self.refused_everywhere(
+            [random_frame(rng, timestamp=1), short], DimensionError,
+            r"frame 1 \(timestamp 4\) has shape \(3, 4095\), expected \(3, 4096\)",
+            checkpoint, tmp_path,
+        )
+
+    def test_one_dimensional_rejected(self, checkpoint, tmp_path):
+        flat = Frame(data=np.zeros(FRAME_LEN), timestamp=6)
+        self.refused_everywhere(
+            [flat], DimensionError,
+            r"frame 0 \(timestamp 6\): frames must be 2-D.*got shape \(1, 4096\)",
+            checkpoint, tmp_path,
+        )
+        rng = np.random.default_rng(1)
+        self.refused_everywhere(
+            [random_frame(rng, timestamp=1), flat], DimensionError,
+            r"frame 1 \(timestamp 6\) has shape \(4096,\), expected \(3, 4096\)",
+            checkpoint, tmp_path,
+        )
+
+    def test_no_axis_rejected(self, checkpoint, tmp_path):
+        empty = Frame(data=np.zeros((0, FRAME_LEN)), timestamp=8)
+        self.refused_everywhere(
+            [empty], DimensionError,
+            r"frame 0 \(timestamp 8\): .*at least one axis.*got shape \(1, 0, 4096\)",
+            checkpoint, tmp_path,
+        )
+        rng = np.random.default_rng(2)
+        self.refused_everywhere(
+            [random_frame(rng, timestamp=1), empty], DimensionError,
+            r"frame 1 \(timestamp 8\) has 0 axes, expected 3", checkpoint, tmp_path,
+        )
+
+    def test_nonfinite_rejected(self, checkpoint, tmp_path):
+        rng = np.random.default_rng(3)
+        frames = [random_frame(rng, timestamp=10 + i) for i in range(3)]
+        data = frames[2].data.copy()
         data[0, 100] = np.nan
-        with pytest.raises(IngestError, match="non-finite"):
-            Frame(data=data, timestamp=0)
+        frames[2] = Frame(data=data, timestamp=12)
+        self.refused_everywhere(
+            frames, IngestError, r"frame 2 \(timestamp 12\) contains non-finite values",
+            checkpoint, tmp_path,
+        )
 
 
 class TestStackFrames:

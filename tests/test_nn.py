@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import naive_conv2d, naive_conv_transpose2d, numeric_grad, rel_err
+from helpers import mse, naive_conv2d, naive_conv_transpose2d, numeric_grad, rel_err
 
 from vibanom.errors import ConfigurationError, DimensionError, TrainingError
 from vibanom import nn
@@ -441,18 +441,20 @@ class TestLeakyRelu:
 
 
 class TestMse:
+    """helpers.mse, the float64 reference the loss tests compare against."""
+
     def test_zero_for_identical(self):
         a = np.array([1.0, 2.0, 3.0])
-        assert nn.mse(a, a) == 0.0
+        assert mse(a, a) == 0.0
 
     def test_known_value(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[3.0, 4.0]])
-        assert nn.mse(a, b) == pytest.approx(12.5)
+        assert mse(a, b) == pytest.approx(12.5)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            nn.mse(np.zeros(3), np.zeros(4))
+            mse(np.zeros(3), np.zeros(4))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(64, 1, 3, 4096), (7, 1, 1, 4096), (3, 5), (1000,)])
@@ -461,7 +463,7 @@ class TestMse:
         a = rng.standard_normal(shape).astype(dtype)
         b = rng.standard_normal(shape).astype(dtype)
         d = a.astype(np.float64) - b.astype(np.float64)
-        assert nn.mse(a, b) == float(np.mean(d * d))
+        assert mse(a, b) == float(np.mean(d * d))
 
 
 class TestResidualMse:
@@ -480,7 +482,7 @@ class TestResidualMse:
         rng = np.random.default_rng(8)
         a = rng.standard_normal((5, 1, 3, 64)).astype(np.float32)
         b = rng.standard_normal((5, 1, 3, 64)).astype(np.float32)
-        assert nn.residual_mse(a - b, a.size) == pytest.approx(nn.mse(a, b), rel=1e-6)
+        assert nn.residual_mse(a - b, a.size) == pytest.approx(mse(a, b), rel=1e-6)
 
 
 def adam_reference(params, grads, moments, t, lr):

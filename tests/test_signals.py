@@ -6,6 +6,7 @@ warnings) and through exact algebraic identities (zero-mean sawtooth,
 additivity, tiling periodicity).
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -212,6 +213,34 @@ class TestTimeScale:
         # nan once ended in a ValueError, inf in an OverflowError
         with pytest.raises(SignalSpecError, match="got %s" % factor):
             signals.time_scale(sine(136.0), factor)
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1.5, 2.7])
+    def test_same_bits_as_every_position_built(self, factor):
+        wave = Waveform(np.random.default_rng(21).standard_normal(1000), 1024.0)
+        m = int(np.floor(999 * factor)) + 1
+        want = np.resize(np.interp(np.arange(m) / factor, np.arange(1000), wave.samples), 1000)
+        assert signals.time_scale(wave, factor).samples.tobytes() == want.tobytes()
+
+    def test_large_stretch_builds_only_the_kept_positions(self):
+        # factor 1e3 once built 4.1 M float64 positions, about 33 MB each,
+        # of which np.resize kept 4096
+        wave = sine(136.0)
+        tracemalloc.start()
+        try:
+            out = signals.time_scale(wave, 1e3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.samples) == 4096
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("factor", [1e300, np.finfo(np.float64).max])
+    def test_huge_finite_stretch(self, factor):
+        # 1e300 once raised "ValueError: Maximum allowed size exceeded"
+        wave = sine(136.0)
+        out = signals.time_scale(wave, factor)
+        # every kept position lies within 4096 / factor of sample 0
+        assert np.allclose(out.samples, wave.samples[0], rtol=0.0, atol=1e-200)
 
 
 class TestInjectSawtooth:

@@ -13,6 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import cast, mse
+
 from vibanom import blas, dcan, nn, parallel, training
 from vibanom.errors import (
     CalibrationError,
@@ -346,7 +348,7 @@ class TestTrainingTasks:
                 nn.residual_mse(dcan.reconstruct(model, part) - part, part.size) * len(part)
                 for part in (frames[:32], frames[32:64], frames[64:])
             ) / 70
-            whole = nn.mse(dcan.reconstruct(model, frames), frames)
+            whole = mse(dcan.reconstruct(model, frames), frames)
         got = training.batched_mse(model, frames)
         assert got == loop
         assert got == pytest.approx(whole, rel=1e-6)
@@ -605,4 +607,4 @@ class TestCheckpoint:
     def test_float64_model_rejected(self, tmp_path):
         model, stats = self.trained_pair()
         with pytest.raises(CheckpointError):
-            training.save_checkpoint(model.astype(np.float64), stats, tmp_path / "m.dcan")
+            training.save_checkpoint(cast(model, np.float64), stats, tmp_path / "m.dcan")
