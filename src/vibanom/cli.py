@@ -66,6 +66,10 @@ def _read_some_frames(path):
 
 
 def cmd_train(args) -> int:
+    if args.out == "":
+        raise ConfigurationError("empty --out path")
+    if not Path(args.out).parent.is_dir():
+        raise ConfigurationError("--out directory %s not found" % Path(args.out).parent)
     frames = _read_some_frames(args.frames)
     batch = stack_frames(frames)
     stats = fit_standardization(batch)
@@ -104,9 +108,8 @@ def cmd_calibrate(args) -> int:
 
 def _config_spec(args) -> PredictorSpec:
     fleet = load_fleet_config(args.config)
-    matches = [
-        p for p in fleet.predictors if p.checkpoint == str(args.checkpoint)
-    ]
+    mine = Path(args.checkpoint).resolve()
+    matches = [p for p in fleet.predictors if Path(p.checkpoint).resolve() == mine]
     if len(matches) != 1:
         raise RoutingError(
             "%d predictors in %s use checkpoint %s; need exactly 1"

@@ -10,19 +10,19 @@ Reconstruction error is computed in standardized space, matching how
 the score normalization was calibrated. A stream is a FrameBlock or a
 FrameFile (ingest.read_frames); a Sequence[Frame] is stacked into a block
 once, as it comes in, and run_fleet also takes the path of a FRME file
-and opens it with read_frames. A stream is ordered by one stable argsort
-of its timestamps and cut into fixed _TASK-frame slices of that order.
-Each slice is one task: gather (for a FrameFile, read and check those
-records from the file), standardize, reconstruct and report its frames.
-The tasks run on the task runner that training shares
-(parallel.run_in_order): one thread per usable CPU, the caller included,
-takes them in order, and their reports are joined in task order, so the
-reports, and the first error in that order, are those of a sequential
-walk. At most _IN_FLIGHT frames, one task on each of the runner's
-threads, are being worked on at once. So the working memory is bounded
-by that however long the stream, and for a FrameFile nothing else of the
-stream is held but its timestamp column and the reports, about 0.4 KB
-per frame.
+and opens it with read_frames. Scoring and calibration take one walk,
+_columns: it checks a stream against the checkpoint, orders it by one
+stable argsort of its timestamps (calibration keeps the given order) and
+cuts that order into fixed _TASK-frame tasks, each of which gathers (for
+a FrameFile, reads and checks its records), standardizes, reconstructs
+and reports its frames. The tasks run on the task runner that training
+shares (parallel.run_in_order): one thread per usable CPU, the caller
+included, takes them in order, and their reports, and the first error,
+come back in task order, as from a sequential walk. At most _IN_FLIGHT
+frames, one task per thread, are worked on at once, however long the
+stream; of a FrameFile nothing else is held but its timestamp column and
+the reports, about 0.4 KB per frame. Every package error of a fleet
+predictor's stream or checkpoint starts "predictor <id>: " (_named).
 
 While the tasks run, the runner pins OpenBLAS to one thread
 (vibanom.blas), and since the GEMM shapes are fixed by _TASK alone, the
@@ -34,6 +34,7 @@ threads, so the last digits can depend on the cores.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import mmap
 import os
@@ -52,6 +53,7 @@ from .errors import (
     DimensionError,
     ParseError,
     RoutingError,
+    VibanomError,
 )
 from .ingest import FrameBlock, FrameFile, Frames, frame_stream, read_frames, stack_frames
 from .scoring import (
@@ -340,75 +342,60 @@ def _task_reports(model, stats, stream: FrameBlock | FrameFile, rows: np.ndarray
     return dcan.reconstruction_report(batch, recon, _scratch=scratch)
 
 
-def _reconstruction_reports(model, stats, stream: FrameBlock | FrameFile, order: np.ndarray):
-    """The MSE columns (per_axis, total) of dcan.reconstruction_report for
-    the frames of stream, taken in order (an index array).
+@contextlib.contextmanager
+def _named(spec: PredictorSpec):
+    """Put "predictor <id>: " in front of any package error raised in the
+    block, and re-raise that same exception, its class and traceback kept."""
+    try:
+        yield
+    except VibanomError as exc:
+        exc.args = ("predictor %s: %s" % (spec.id, exc),)
+        raise
 
-    Each _TASK-frame slice of order is one task of parallel.run_in_order,
-    so the columns, and the first error in task order, are those of a
-    sequential walk. Each thread's first task meets the others once it
-    holds its report working set (standardized frames, reconstruction,
+
+def _columns(model, stats, frames: Frames, in_time_order: bool = True):
+    """The walk over one stream: its timestamps (a list) and the MSE
+    columns (per_axis, total) of dcan.reconstruction_report, in timestamp
+    order or, if not in_time_order, in the order given.
+
+    An empty stream, mixed axis counts, the wrong axis count for the
+    checkpoint and, in timestamp order, two frames with one timestamp are
+    refused. Each _TASK-frame slice of the order is one task of
+    parallel.run_in_order. Each thread's first task meets the others once
+    it holds its report working set (standardized frames, reconstruction,
     report buffer), so every walk reaches that many such sets at once.
     """
+    if len(frames) == 0:
+        raise DimensionError("the stream has no frames")
+    stream = frame_stream(frames)
+    if stream.axes != model.config.axes:
+        raise ConfigurationError(
+            "checkpoint expects %d axes but frames have %d"
+            % (model.config.axes, stream.axes)
+        )
+    order = (np.argsort(stream.timestamps, kind="stable") if in_time_order
+             else np.arange(len(stream)))
+    stamps = stream.timestamps[order]
+    repeats = np.flatnonzero(stamps[1:] == stamps[:-1])
+    if in_time_order and repeats.size:
+        raise RoutingError("two frames for timestamp %d; one report per "
+                           "sampling time" % stamps[repeats[0]])
     tasks = [order[start:start + _TASK] for start in range(0, len(order), _TASK)]
     results = parallel.run_in_order(
         lambda k, meet: _task_reports(model, stats, stream, tasks[k], meet),
         len(tasks),
     )
     per_axis, total = zip(*results)
-    return np.concatenate(per_axis), np.concatenate(total)
-
-
-def _timestamp_order(spec: PredictorSpec, stream: FrameBlock | FrameFile) -> np.ndarray:
-    """The stable timestamp order of stream.
-
-    Two frames with one timestamp are refused: one report per sampling time.
-    """
-    order = np.argsort(stream.timestamps, kind="stable")
-    stamps = stream.timestamps[order]
-    repeats = np.flatnonzero(stamps[1:] == stamps[:-1])
-    if repeats.size:
-        raise RoutingError(
-            "predictor %s got two frames for timestamp %d; one report "
-            "per sampling time" % (spec.id, stamps[repeats[0]])
-        )
-    return order
-
-
-def _scorable(model, frames: Frames, who: str) -> FrameBlock | FrameFile:
-    """frames as a stream (ingest.frame_stream) the checkpoint can score:
-    a FrameFile stays on disk, its records read by the scoring tasks, and
-    a list is stacked once.
-
-    An empty stream, mixed axis counts or the wrong axis count for the
-    checkpoint is refused; who prefixes the message, e.g. "predictor p: ",
-    or is empty. A mixed stream names the odd frame by its index in frames
-    and its timestamp.
-    """
-    if len(frames) == 0:
-        raise DimensionError("%sthe stream has no frames" % who)
-    try:
-        stream = frame_stream(frames)
-    except DimensionError as exc:
-        raise DimensionError(who + str(exc)) from None
-    if stream.axes != model.config.axes:
-        raise ConfigurationError(
-            "%scheckpoint expects %d axes but frames have %d"
-            % (who, model.config.axes, stream.axes)
-        )
-    return stream
+    return stamps.tolist(), np.concatenate(per_axis), np.concatenate(total)
 
 
 def evaluate_stream(spec: PredictorSpec, model, stats, frames: Frames) -> List[StatusReport]:
-    """Run one predictor over its frames in timestamp order."""
-    if spec.normalization is None:
-        raise ConfigurationError(
-            "predictor %s has no calibration; run calibrate first" % spec.id
-        )
-    stream = _scorable(model, frames, "predictor %s: " % spec.id)
-    order = _timestamp_order(spec, stream)
-    per_axis, total = _reconstruction_reports(model, stats, stream, order)
-    return _status_reports(spec, stream.timestamps[order].tolist(), per_axis, total)
+    """Run one predictor over its frames in timestamp order. Its package
+    errors start "predictor <id>: "."""
+    with _named(spec):
+        if spec.normalization is None:
+            raise ConfigurationError("no calibration; run calibrate first")
+        return _status_reports(spec, *_columns(model, stats, frames))
 
 
 def evaluate_self_calibrated(
@@ -419,20 +406,15 @@ def evaluate_self_calibrated(
     Each frame is reconstructed once: the total_mse values that fit the
     normalization are the ones scored. spec.normalization is ignored.
     """
-    stream = _scorable(model, frames, "")
-    order = _timestamp_order(spec, stream)
-    per_axis, total = _reconstruction_reports(model, stats, stream, order)
-    return _status_reports(
-        replace(spec, normalization=calibrate(total)),
-        stream.timestamps[order].tolist(), per_axis, total,
-    )
+    stamps, per_axis, total = _columns(model, stats, frames)
+    return _status_reports(replace(spec, normalization=calibrate(total)), stamps, per_axis, total)
 
 
 def _status_reports(
     spec: PredictorSpec, stamps: List[int], per_axis: np.ndarray, total: np.ndarray
 ) -> List[StatusReport]:
-    """Score reconstructed frames, given as the MSE columns of
-    _reconstruction_reports, through the predictor's hysteresis window."""
+    """Score reconstructed frames, given as the columns of _columns,
+    through the predictor's hysteresis window."""
     state = HysteresisState()
     reports = []
     for timestamp, axis_mse, mse in zip(stamps, per_axis.tolist(), total.tolist()):
@@ -456,11 +438,12 @@ def _status_reports(
 def _run_predictor(spec: PredictorSpec, frames) -> List[StatusReport]:
     """One predictor's reports; a path is opened here (read_frames), and
     the scoring tasks read its samples, a task's records at a time."""
-    if isinstance(frames, (str, os.PathLike)):
-        frames = read_frames(frames)
-    if len(frames) == 0:
-        return []
-    model, stats = load_checkpoint(spec.checkpoint)
+    with _named(spec):
+        if isinstance(frames, (str, os.PathLike)):
+            frames = read_frames(frames)
+        if len(frames) == 0:
+            return []
+        model, stats = load_checkpoint(spec.checkpoint)
     return evaluate_stream(spec, model, stats, frames)
 
 
@@ -502,7 +485,5 @@ def calibrate_predictor(checkpoint_path, frames: Frames) -> ScoreNormalization:
     The frames are reconstructed in the order given.
     """
     model, stats = load_checkpoint(checkpoint_path)
-    stream = _scorable(model, frames, "")
-    _, total = _reconstruction_reports(model, stats, stream, np.arange(len(stream)))
-    return calibrate(total)
+    return calibrate(_columns(model, stats, frames, in_time_order=False)[2])
 

@@ -9,8 +9,9 @@ function of the named vibanom module. The rest of the benchmark reaches
 the program through `<module>.<name>` attributes of the vibanom modules it
 imports and through keyword arguments; an AST scan of bench/*.py checks
 each attribute resolves and each keyword is in its callee's signature. It
-also checks that monitor reads its streams, and scores each frame, and
-that training takes each Adam step, through names such a swap reaches,
+also checks that monitor reads its streams, scores each frame and makes
+each other traced call of its path as often as the bench's counts assume,
+and that training takes each Adam step, through names such a swap reaches,
 and that the ingest.Frame lists the benchmark's set-up builds give the
 results of the equivalent FrameBlock.
 """
@@ -19,6 +20,7 @@ import ast
 import importlib
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +145,8 @@ def swap_everywhere(monkeypatch, original, stand_in):
 
 def monitor_fleet(tmp_path, names, frames=3, norm=ScoreNormalization(mu=1.0, sigma=0.5)):
     """A fleet.json with one untrained predictor per name, a stream of
-    noise frames for all but the last, and the monitor argv over them."""
+    noise frames for all but the last (frames of each, or frames[k] for
+    the k-th if frames is a tuple), and the monitor argv over them."""
     ckpt = tmp_path / "m.ckpt"
     stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
     save_checkpoint(dcan.build(dcan.DcanConfig(), seed=0), stats, ckpt)
@@ -156,10 +159,11 @@ def monitor_fleet(tmp_path, names, frames=3, norm=ScoreNormalization(mu=1.0, sig
     streams = tmp_path / "streams"
     streams.mkdir()
     rng = np.random.default_rng(0)
-    for n in names[:-1]:
+    counts = frames if isinstance(frames, tuple) else (frames,) * (len(names) - 1)
+    for n, count in zip(names[:-1], counts):
         ingest.write_frames(streams / (n + ".frames"), [
             ingest.Frame(rng.normal(size=(3, ingest.FRAME_LEN)).astype(np.float32), timestamp=t)
-            for t in range(frames)
+            for t in range(count)
         ])
     return ["monitor", "--config", str(tmp_path / "fleet.json"),
             "--frames", str(streams), "--out", str(tmp_path / "r.log")]
@@ -209,6 +213,34 @@ def test_monitor_scores_each_frame_through_the_module_name(tmp_path, monkeypatch
     assert len(reports) == len(calls) == 20
     assert any(calls) and not any(r.alarm_fired for r in reports)
     assert "a: 20 frames, 0 alarms" in capsys.readouterr().out
+
+
+def test_monitor_makes_each_traced_call_through_the_module_name(tmp_path, monkeypatch):
+    # count.frames_scored, ratio.reconstructed_per_report and the per-layer
+    # means divide by these counts; streams of 20 and 37 frames are 2 and
+    # 3 scoring tasks of 16 frames, and c has no stream file
+    argv = monitor_fleet(tmp_path, ("a", "b", "c"), frames=(20, 37))
+    want = {
+        "fleet.evaluate_stream": 2,
+        "training.load_checkpoint": 2,
+        "ingest.stack_frames": 5,
+        "training.standardize": 5,
+        "dcan.reconstruct": 5,
+        "dcan.reconstruction_report": 5,
+        "fleet.format_report": 57,
+    }
+    calls = []  # appended from the runner's worker threads too
+    for name in want:
+        module, fn = name.split(".")
+        original = getattr(importlib.import_module("vibanom." + module), fn)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        swap_everywhere(monkeypatch, original, counting)
+    assert cli.main(argv) == 0
+    assert Counter(calls) == want
 
 
 def test_train_takes_each_adam_step_through_the_module_name(monkeypatch):

@@ -8,6 +8,7 @@ import json
 import struct
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +218,45 @@ class TestScore:
         assert lines[0].startswith("error: ConfigurationError: ")
         message = "must be a number" if field == "leaky_slope" else "must be an int"
         assert field in lines[0] and message in lines[0]
+
+    @pytest.mark.parametrize("given", ["./m.ckpt", "absolute", "sub/../m.ckpt"])
+    def test_config_matches_the_checkpoint_by_file(
+        self, checkpoint, tmp_path, capsys, monkeypatch, given
+    ):
+        # fleet.json lists m.ckpt; --checkpoint names the same file otherwise
+        (tmp_path / "m.ckpt").write_bytes(Path(checkpoint).read_bytes())
+        (tmp_path / "sub").mkdir()
+        frames = frames_file(tmp_path / "s.frames", seed=5, count=3)
+        spec = PredictorSpec(id="gear-left", location="gear-left", checkpoint="m.ckpt",
+                             normalization=ScoreNormalization(mu=1.0, sigma=0.5))
+        save_fleet_config(FleetConfig(predictors=(spec,)), tmp_path / "fleet.json")
+        monkeypatch.chdir(tmp_path)
+        argv = ["score", "--frames", frames, "--config", "fleet.json", "--checkpoint"]
+        assert main(argv + ["m.ckpt"]) == 0
+        plain = capsys.readouterr().out
+        if given == "absolute":
+            given = str(tmp_path / "m.ckpt")
+        assert main(argv + [given]) == 0
+        assert capsys.readouterr().out == plain
+        assert [parse_report(line).predictor_id for line in plain.splitlines()] == ["gear-left"] * 3
+
+    def test_config_with_two_matching_checkpoints(self, checkpoint, tmp_path, capsys, monkeypatch):
+        (tmp_path / "m.ckpt").write_bytes(Path(checkpoint).read_bytes())
+        frames = frames_file(tmp_path / "s.frames", seed=5, count=3)
+        specs = tuple(
+            PredictorSpec(id=name, location=name, checkpoint=path,
+                          normalization=ScoreNormalization(mu=1.0, sigma=0.5))
+            for name, path in (("a", "m.ckpt"), ("b", "./m.ckpt"))
+        )
+        save_fleet_config(FleetConfig(predictors=specs), tmp_path / "fleet.json")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["score", "--frames", frames, "--config", "fleet.json",
+                   "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: RoutingError: 2 predictors in fleet.json use checkpoint %s; need exactly 1"
+            % (tmp_path / "m.ckpt")
+        ]
 
     def test_config_without_matching_checkpoint(self, checkpoint, tmp_path, capsys):
         frames = frames_file(tmp_path / "score3.frames", seed=6, count=3)
@@ -454,9 +494,67 @@ class TestMonitor:
                    "--out", str(log)])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: IngestError: %s: frame 37 (timestamp %d) contains non-finite values"
-            % (second, stamps[37])
+            "error: IngestError: predictor second: %s: frame 37 (timestamp %d) contains "
+            "non-finite values" % (second, stamps[37])
         ]
+        assert not log.exists()
+
+    @pytest.mark.parametrize(
+        "fault, kind, message",
+        [("bad-magic", "CheckpointFormatError", "bad magic b'XXXX'; not a checkpoint file"),
+         ("truncated-checkpoint", "CheckpointTruncatedError", "checkpoint truncated while reading"),
+         ("nan-frame", "IngestError", "frame 2 (timestamp 1002) contains non-finite values"),
+         ("truncated-stream", "ParseError", "truncated frame record"),
+         ("repeated-timestamp", "RoutingError", "two frames for timestamp 1000"),
+         ("one-axis-stream", "ConfigurationError", "checkpoint expects 3 axes but frames have 1"),
+         ("uncalibrated", "ConfigurationError", "no calibration; run calibrate first")],
+    )
+    def test_one_bad_predictor_is_named(self, checkpoint, tmp_path, capsys, fault, kind, message):
+        # the faulty predictor sits between two good ones; its one error
+        # line names it, and nothing is appended to the log
+        bad_ckpt = tmp_path / "bad.ckpt"
+        bad_ckpt.write_bytes(Path(checkpoint).read_bytes())
+        specs = tuple(
+            PredictorSpec(
+                id=name, location=name,
+                checkpoint=str(bad_ckpt) if name == "bad" else checkpoint,
+                normalization=None if fault == "uncalibrated" and name == "bad"
+                else ScoreNormalization(mu=1.0, sigma=0.5),
+            )
+            for name in ("first", "bad", "last")
+        )
+        config_path = tmp_path / "fleet.json"
+        save_fleet_config(FleetConfig(predictors=specs), config_path)
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        for k, name in enumerate(("first", "bad", "last")):
+            axes = 1 if fault == "one-axis-stream" and name == "bad" else 3
+            frames_file(streams / (name + ".frames"), seed=30 + k, count=4, axes=axes)
+        bad = streams / "bad.frames"
+        if fault == "bad-magic":
+            bad_ckpt.write_bytes(b"XXXX" + bad_ckpt.read_bytes()[4:])
+        elif fault == "truncated-checkpoint":
+            bad_ckpt.write_bytes(bad_ckpt.read_bytes()[:-100])
+        elif fault == "nan-frame":
+            blob = bytearray(bad.read_bytes())
+            struct.pack_into("<f", blob, 13 + 2 * (8 + 3 * FRAME_LEN * 4) + 8, np.nan)
+            bad.write_bytes(bytes(blob))
+        elif fault == "truncated-stream":
+            bad.write_bytes(bad.read_bytes()[:-5])
+        elif fault == "repeated-timestamp":
+            frames = read_frames(bad)
+            write_frames(bad, FrameBlock(np.array([1000, 1001, 1000, 1003]), frames[:].data))
+        log = tmp_path / "out.log"
+        rc = main(["monitor", "--config", str(config_path), "--frames", str(streams),
+                   "--out", str(log)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: %s: predictor bad: " % kind)
+        assert message in lines[0]
+        assert lines[0].count("predictor ") == 1
         assert not log.exists()
 
     def test_monitor_appends_after_a_torn_line(self, checkpoint, tmp_path, capsys):
@@ -905,6 +1003,28 @@ class TestErrorSurface:
         before = sorted(tmp_path.rglob("*"))
         line = self.one_error_line(capsys, argv + ["--out", ""], "ConfigurationError")
         assert line == "error: ConfigurationError: empty --out path"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("out", ["", "missing/model.ckpt"], ids=["empty", "missing-dir"])
+    def test_train_refuses_an_unwritable_out_before_training(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        # both once trained to the end, then failed to rename the checkpoint
+        frames = frames_file(tmp_path / "f.frames", seed=6, count=3)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(cli, "read_frames", no_training)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        line = self.one_error_line(
+            capsys, ["train", "--frames", frames, "--out", out], "ConfigurationError"
+        )
+        assert line == "error: ConfigurationError: " + (
+            "empty --out path" if out == "" else "--out directory missing not found"
+        )
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["synth", "synth-axes", "train", "ingest-nasa"])

@@ -25,6 +25,7 @@ from vibanom.errors import (
     ConfigurationError,
     DataWarning,
     DimensionError,
+    IngestError,
     ParseError,
     RoutingError,
 )
@@ -405,6 +406,16 @@ class TestChunkWalk:
         model, stats = load_checkpoint(checkpoint)
         with pytest.raises(DimensionError, match="predictor p: .*no frames"):
             evaluate_stream(self.spec(checkpoint), model, stats, [])
+
+    def test_nan_frame_in_a_list_names_predictor(self, checkpoint):
+        frames = make_frames(seed=24, count=3, start_ts=1)
+        frames[1].data[2, 100] = np.nan
+        model, stats = load_checkpoint(checkpoint)
+        with pytest.raises(IngestError) as caught:
+            evaluate_stream(self.spec(checkpoint), model, stats, frames)
+        assert str(caught.value) == (
+            "predictor p: frame 1 (timestamp 2) contains non-finite values"
+        )
 
     @pytest.mark.parametrize("head, tail", [(70, 3), (64, 64)])
     def test_mixed_axes_name_the_stream_index(self, checkpoint, head, tail):
