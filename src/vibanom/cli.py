@@ -16,12 +16,13 @@ Every subcommand is deterministic given --seed. Failures print one line
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import dcan
+from . import dcan, ingest
 from .errors import ConfigurationError, DimensionError, RoutingError, VibanomError
 from .fleet import (
     PredictorSpec,
@@ -66,10 +67,9 @@ def _read_some_frames(path):
 
 
 def cmd_train(args) -> int:
-    if args.out == "":
-        raise ConfigurationError("empty --out path")
-    if not Path(args.out).parent.is_dir():
-        raise ConfigurationError("--out directory %s not found" % Path(args.out).parent)
+    loss_csv = str(args.out) + ".loss.csv"
+    ingest._destination(args.out, "--out")
+    ingest._destination(loss_csv, "loss curve")
     frames = _read_some_frames(args.frames)
     batch = stack_frames(frames)
     stats = fit_standardization(batch)
@@ -82,7 +82,6 @@ def cmd_train(args) -> int:
         "source": str(args.frames),
     }
     save_checkpoint(model, stats, args.out, training_meta=meta)
-    loss_csv = str(args.out) + ".loss.csv"
     write_loss_csv(history, loss_csv)
     last = history[-1]
     print(
@@ -95,8 +94,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.out == "":
-        raise ConfigurationError("empty --out path")
+    if args.out is not None:
+        ingest._destination(args.out, "--out")
     frames = _read_some_frames(args.frames)
     norm = calibrate_predictor(args.checkpoint, frames)
     line = '{"mu": %r, "sigma": %r}' % (norm.mu, norm.sigma)
@@ -119,8 +118,8 @@ def _config_spec(args) -> PredictorSpec:
 
 
 def cmd_score(args) -> int:
-    if args.out == "":
-        raise ConfigurationError("empty --out path")
+    if args.out is not None:
+        ingest._destination(args.out, "--out")
     frames = _read_some_frames(args.frames)
     spec = _config_spec(args) if args.config else None
     model, stats = load_checkpoint(args.checkpoint)
@@ -140,10 +139,6 @@ def cmd_score(args) -> int:
 def cmd_monitor(args) -> int:
     fleet = load_fleet_config(args.config)
     log_path = fleet.report_log if args.out is None else args.out
-    if not log_path:
-        raise ConfigurationError(
-            "empty report log path: give --out or a report_log in %s" % args.config
-        )
     stream_dir = Path(args.frames)
     if not stream_dir.is_dir():
         raise ConfigurationError("stream directory %s not found" % stream_dir)
@@ -162,13 +157,10 @@ def cmd_monitor(args) -> int:
         if path.exists():
             streams[spec.id] = path
     reports = run_fleet(fleet, streams, log_path=log_path)
-    for spec in fleet.predictors:
-        mine = [r for r in reports if r.predictor_id == spec.id]
-        if mine:
-            fired = sum(1 for r in mine if r.alarm_fired)
-            print(
-                "%s: %d frames, %d alarms" % (spec.id, len(mine), fired)
-            )
+    for predictor_id, run in itertools.groupby(reports, lambda r: r.predictor_id):
+        mine = list(run)
+        fired = sum(r.alarm_fired for r in mine)
+        print("%s: %d frames, %d alarms" % (predictor_id, len(mine), fired))
     print("report log: %s (%d reports appended)" % (log_path, len(reports)))
     return 0
 
@@ -189,6 +181,7 @@ def cmd_synth(args) -> int:
         raise ConfigurationError(
             "--sawtooth-freq and --sawtooth-peak must be given together"
         )
+    ingest._destination(args.out, "--out")
     if args.axes is None:
         wave = _synth_waveform(args.seed, args)
         write_waveform_csv(wave, args.out)
@@ -219,6 +212,7 @@ def cmd_ingest_nasa(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
+    ingest._destination(args.out, "--out")
     # sniff the first line only; each reader decodes and checks the rest
     with open(args.input, "rb") as fh:
         first = fh.readline().strip()
@@ -328,10 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VibanomError as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VibanomError, OSError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
 

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import dcan, parallel
+from . import dcan, ingest, parallel
 from .errors import (
     ConfigurationError,
     DataWarning,
@@ -461,21 +461,21 @@ def run_fleet(
     file fails when its turn comes, a non-finite frame when the task
     holding it runs. Each predictor processes its frames in timestamp
     order, independently of the others; an empty stream is skipped.
-    Reports are appended to log_path (default: the fleet's report_log) and
-    returned in processing order: fleet order, then frame order.
+    Reports are appended to log_path (default: the fleet's report_log,
+    checked before any scoring) and returned in fleet order, then frame order.
     """
     unknown = sorted(set(frame_streams) - {p.id for p in fleet.predictors})
     if unknown:
         raise RoutingError(
             "no predictor for stream id(s): %s" % ", ".join(unknown)
         )
+    destination = fleet.report_log if log_path is None else log_path
+    ingest._destination(destination, "report log")
     all_reports: List[StatusReport] = []
     for spec in fleet.predictors:
         if spec.id in frame_streams:
             all_reports.extend(_run_predictor(spec, frame_streams[spec.id]))
-    destination = fleet.report_log if log_path is None else log_path
-    if destination:
-        write_report_log(all_reports, destination)
+    write_report_log(all_reports, destination)
     return all_reports
 
 

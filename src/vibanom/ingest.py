@@ -542,6 +542,17 @@ def _record_dtype(axes: int) -> np.dtype:
     return np.dtype([("ts", "<u8"), ("data", "<f4", (axes, FRAME_LEN))])
 
 
+def _destination(path, what):
+    """Refuse a path that is empty, a directory or in a missing directory;
+    what names it. Commands call this before any work."""
+    if not path:
+        raise ConfigurationError("empty %s path" % what)
+    if os.path.isdir(path):
+        raise ConfigurationError("%s %s is a directory" % (what, path))
+    if not Path(path).parent.is_dir():
+        raise ConfigurationError("%s directory %s not found" % (what, Path(path).parent))
+
+
 @contextlib.contextmanager
 def _replacing(path):
     """A new file beside path, open for binary writing in the block and

@@ -79,8 +79,6 @@ def calibrate(mse_values: Iterable[float]) -> ScoreNormalization:
     that differ by rounding noise alone.
     """
     values = np.asarray(list(mse_values), dtype=np.float64)
-    if values.ndim != 1:
-        values = values.ravel()
     if values.size < 2:
         raise CalibrationError(
             "calibration needs at least 2 MSE values, got %d" % values.size

@@ -1027,6 +1027,73 @@ class TestErrorSurface:
         )
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("out", ["missing/out", "adir"], ids=["missing-dir", "directory"])
+    @pytest.mark.parametrize(
+        "command", ["train", "score", "calibrate", "monitor", "synth", "export-plot"]
+    )
+    def test_unwritable_out_is_refused_before_any_work(
+        self, checkpoint, tmp_path, capsys, monkeypatch, command, out
+    ):
+        # score, calibrate and monitor once scored every frame (and score and
+        # calibrate printed their output), and train trained to the end,
+        # before failing to write; train only checked a missing directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        frames = frames_file(tmp_path / "f.frames", seed=6, count=3)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work started")
+
+        what = "--out"
+        if command == "monitor":
+            spec = PredictorSpec(id="a", location="a", checkpoint=checkpoint,
+                                 normalization=ScoreNormalization(mu=1.0, sigma=0.5))
+            save_fleet_config(FleetConfig(predictors=(spec,), report_log="r.log"), "fleet.json")
+            (tmp_path / "streams").mkdir()
+            frames_file(tmp_path / "streams" / "a.frames", seed=6, count=3)
+            argv = ["monitor", "--config", "fleet.json", "--frames", "streams"]
+            monkeypatch.setattr(fleet, "read_frames", no_work)
+            monkeypatch.setattr(fleet, "evaluate_stream", no_work)
+            what = "report log"
+        elif command == "synth":
+            argv = ["synth"]
+            monkeypatch.setattr(cli, "synth_normal", no_work)
+        elif command == "export-plot":
+            (tmp_path / "w.csv").write_text("index,value\n0,1.0\n1,0.5\n")
+            argv = ["export-plot", "w.csv"]
+            monkeypatch.setattr(cli, "read_waveform_csv", no_work)
+            monkeypatch.setattr(cli, "read_report_log", no_work)
+        else:
+            argv = [command, "--frames", frames]
+            if command != "train":
+                argv += ["--checkpoint", checkpoint]
+            monkeypatch.setattr(cli, "read_frames", no_work)
+        before = sorted(tmp_path.rglob("*"))
+        line = self.one_error_line(capsys, argv + ["--out", out], "ConfigurationError")
+        assert line == "error: ConfigurationError: " + (
+            "%s directory missing not found" % what if out == "missing/out"
+            else "%s adir is a directory" % what
+        )
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_train_refuses_a_loss_curve_path_that_is_a_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        frames = frames_file(tmp_path / "f.frames", seed=6, count=3)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "read_frames", no_training)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.ckpt.loss.csv").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        line = self.one_error_line(
+            capsys, ["train", "--frames", frames, "--out", "m.ckpt"], "ConfigurationError"
+        )
+        assert line == "error: ConfigurationError: loss curve m.ckpt.loss.csv is a directory"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("command", ["synth", "synth-axes", "train", "ingest-nasa"])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
         # each once ended in a ValueError traceback from numpy's seeding

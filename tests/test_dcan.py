@@ -401,3 +401,11 @@ class TestStrideBlockEnds:
             else:
                 assert np.array_equal(g, ref_grads[name]), name
         assert loss == pytest.approx(ref_loss, rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 16), (2, 2, 3, 16)], ids=["3-d", "two-channels"])
+def test_report_refuses_tensors_that_are_not_single_channel_batches(shape):
+    x = np.zeros(shape)
+    with pytest.raises(DimensionError) as raised:
+        dcan.reconstruction_report(x, x.copy())
+    assert str(raised.value) == "expected (B, 1, A, L) tensors, got %s" % (shape,)

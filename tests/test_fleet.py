@@ -740,6 +740,35 @@ class TestRunFleet:
         assert override.exists()
         assert not (tmp_path / "default.log").exists()
 
+    @pytest.mark.parametrize(
+        "report_log, log_path, message",
+        [("r.log", "", "empty report log path"),
+         ("", None, "empty report log path"),
+         ("r.log", "missing/r.log", "report log directory missing not found"),
+         ("missing/r.log", None, "report log directory missing not found"),
+         ("r.log", "adir", "report log adir is a directory")],
+        ids=["empty-log-path", "empty-report-log", "missing-dir", "config-missing-dir",
+             "directory"],
+    )
+    def test_unwritable_log_is_refused_before_scoring(
+        self, checkpoint, tmp_path, monkeypatch, report_log, log_path, message
+    ):
+        # log_path="" once scored every stream and wrote no log; a missing
+        # directory failed only after every stream was scored
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scoring started")
+
+        monkeypatch.setattr("vibanom.fleet.load_checkpoint", no_scoring)
+        monkeypatch.setattr("vibanom.fleet.evaluate_stream", no_scoring)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        fleet = one_predictor_fleet(checkpoint, ScoreNormalization(mu=1.0, sigma=0.5), report_log)
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(ConfigurationError) as raised:
+            run_fleet(fleet, {"motor-left": make_frames(seed=14, count=2)}, log_path=log_path)
+        assert str(raised.value) == message
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestStreamForms:
     """A list of Frames, a FrameBlock and a FRME file score alike.
@@ -776,10 +805,10 @@ class TestStreamForms:
         for form in (block, read_frames(tmp_path / "in_order.frames")):
             assert self.outcome(calibrate_predictor, checkpoint, form) == want
         fleet = one_predictor_fleet(checkpoint, spec.normalization, tmp_path / "r.log")
-        want = run_fleet(fleet, {"motor-left": frames}, log_path="")
+        want = run_fleet(fleet, {"motor-left": frames}, log_path=tmp_path / "x.log")
         assert want == evaluate_stream(spec, model, stats, frames)
         for form in (block, from_file, tmp_path / "shuffled.frames", str(tmp_path / "shuffled.frames")):
-            assert run_fleet(fleet, {"motor-left": form}, log_path="") == want
+            assert run_fleet(fleet, {"motor-left": form}, log_path=tmp_path / "x.log") == want
 
     def test_header_only_file_is_an_empty_stream(self, checkpoint, tmp_path):
         path = tmp_path / "empty.frames"

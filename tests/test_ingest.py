@@ -690,3 +690,30 @@ class TestBuildNasaSplits:
             SplitSpec(train_size=0)
         with pytest.raises(ConfigurationError):
             SplitSpec(test_channels=(("first", 5),))
+
+
+def _splits_of_captures_one_second_apart(tmp_path):
+    # each capture's two windows are stamped t and t + 1, so a capture one
+    # second later repeats a held-out channel's timestamp t + 1
+    build_mini_ims(tmp_path)
+    first = tmp_path / "1st_test"
+    (first / "2004.02.12.10.42.39").rename(first / "2004.02.12.10.32.40")
+    build_nasa_splits(tmp_path, SplitSpec(train_size=1))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda _: FrameBlock(np.array([0.5]), np.zeros((1, 1, FRAME_LEN), np.float32)),
+      DimensionError, "timestamps must be a 1-D integer column, got float64 of shape (1,)"),
+     (lambda _: stack_frames(FrameBlock(np.zeros(0, np.int64), np.zeros((0, 3, FRAME_LEN)))),
+      DimensionError, "cannot stack an empty frame list"),
+     (lambda _: ImsRecording(timestamp=0, matrix=np.zeros(8)),
+      DimensionError, "recording matrix must be 2-D"),
+     (_splits_of_captures_one_second_apart,
+      IngestError, "test sequence Set1/Ch5 is not strictly chronological")],
+    ids=["float-timestamps", "stack-empty-block", "one-d-recording", "held-out-out-of-order"],
+)
+def test_bad_input_is_refused(tmp_path, call, error, message):
+    with pytest.raises(error) as raised:
+        call(tmp_path)
+    assert str(raised.value) == message

@@ -663,3 +663,26 @@ class TestInit:
     def test_preserves_layer_dtype(self):
         layer = nn.init_params(nn.DenseLayer.zeros(8, 8, dtype=np.float32), seed=3)
         assert layer.weight.dtype == np.float32
+
+
+def _transpose_backward_with_a_wrong_map():
+    layer = nn.ConvTranspose2dLayer.zeros(2, 3, (1, 3), (1, 2), dtype=np.float64)
+    ho, wo = nn.conv_transpose_output_hw(1, 5, layer.kernel, layer.stride)
+    nn.conv_transpose2d_backward(np.zeros((1, 2, 1, 5)), layer, np.zeros((1, 3, ho, wo + 1)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(_transpose_backward_with_a_wrong_map, DimensionError, r"upstream gradient shape \(1, 3, 1, 12\)"),
+     (lambda: nn.dense_forward(np.zeros(5), nn.DenseLayer.zeros(5, 4)),
+      DimensionError, "dense input must be 2-D"),
+     (lambda: nn.dense_backward(np.zeros((2, 5)), nn.DenseLayer.zeros(5, 4), np.zeros((2, 5))),
+      DimensionError, r"upstream gradient shape \(2, 5\) != \(2, 4\)"),
+     (lambda: nn.init_params(object(), seed=0),
+      ConfigurationError, "cannot initialize object of type object")],
+    ids=["transpose-backward-upstream", "dense-forward-1d", "dense-backward-upstream",
+         "init-not-a-layer"],
+)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -122,6 +122,11 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="finite"):
             calibrate([0.2, float("nan"), 0.4])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1000), (5, 4, 25)])
+    def test_nested_values_calibrate_as_flat(self, shape):
+        values = np.random.default_rng(7).uniform(0.1, 2.0, size=shape)
+        assert calibrate(values.tolist()) == calibrate(values.ravel().tolist())
+
 
 class TestScore:
     def test_zero_at_mu(self):
@@ -384,6 +389,11 @@ class TestEvaluate:
             assert decision.anomalous_in_window == window_count
             if decision.alarm_fired:
                 assert decision.level >= AlarmLevel.LOW
+
+    def test_negative_window_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="anomalous_in_window must be >= 0"):
+            AlarmDecision(score=0.0, level=AlarmLevel.NONE, alarm_fired=False,
+                          anomalous_in_window=-1)
 
     def test_decision_invariant_enforced(self):
         with pytest.raises(ConfigurationError):

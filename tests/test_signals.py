@@ -331,3 +331,27 @@ class TestWaveformCsv:
         path.write_text("index,value\n0,1.0\n2,2.0\n")
         with pytest.raises(ParseError):
             signals.read_waveform_csv(path)
+
+
+def _read_a_row_of_three_fields(tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text("index,value\n0,1.0\n1,2.0,3.0\n")
+    signals.read_waveform_csv(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda _: Waveform(np.zeros((2, 8))), DimensionError, "waveform samples must be 1-D, got 2-D"),
+     (lambda _: Waveform(np.zeros(8), sample_rate=0.0),
+      SignalSpecError, "sample rate must be positive, got 0.0"),
+     (lambda _: signals.fft_complex(np.zeros((2, 8))), DimensionError, "fft input must be 1-D, got 2-D"),
+     (lambda _: signals.time_scale(Waveform(np.zeros(1)), 2.0),
+      DimensionError, "time_scale needs at least 2 samples"),
+     (_read_a_row_of_three_fields, ParseError, "three.csv:3: expected 2 fields, got 3")],
+    ids=["two-d-waveform", "zero-sample-rate", "fft-two-d", "time-scale-one-sample",
+         "csv-three-fields"],
+)
+def test_bad_input_is_refused(tmp_path, call, error, message):
+    with pytest.raises(error) as raised:
+        call(tmp_path)
+    assert str(raised.value).endswith(message)

@@ -90,6 +90,14 @@ class TestStandardization:
         with pytest.raises(DimensionError):
             training.fit_standardization(np.zeros((4, 3, 8), dtype=np.float32))
 
+    @pytest.mark.parametrize(
+        "mean, std", [(np.zeros(3), np.ones(2)), (np.zeros((1, 3)), np.ones((1, 3)))],
+        ids=["unequal-lengths", "two-d"],
+    )
+    def test_stats_of_unequal_or_nested_columns_rejected(self, mean, std):
+        with pytest.raises(DimensionError, match="mean and std must be 1-D arrays of equal length"):
+            StandardizationStats(mean, std)
+
 
 class TestTrainConfig:
     def test_defaults_are_valid(self):
