@@ -68,8 +68,8 @@ def _read_some_frames(path):
 
 def cmd_train(args) -> int:
     loss_csv = str(args.out) + ".loss.csv"
-    ingest._destination(args.out, "--out")
-    ingest._destination(loss_csv, "loss curve")
+    ingest._destination(args.out, "--out", [args.frames])
+    ingest._destination(loss_csv, "loss curve", [args.frames])
     frames = _read_some_frames(args.frames)
     batch = stack_frames(frames)
     stats = fit_standardization(batch)
@@ -95,7 +95,7 @@ def cmd_train(args) -> int:
 
 def cmd_calibrate(args) -> int:
     if args.out is not None:
-        ingest._destination(args.out, "--out")
+        ingest._destination(args.out, "--out", [args.checkpoint, args.frames])
     frames = _read_some_frames(args.frames)
     norm = calibrate_predictor(args.checkpoint, frames)
     line = '{"mu": %r, "sigma": %r}' % (norm.mu, norm.sigma)
@@ -119,7 +119,7 @@ def _config_spec(args) -> PredictorSpec:
 
 def cmd_score(args) -> int:
     if args.out is not None:
-        ingest._destination(args.out, "--out")
+        ingest._destination(args.out, "--out", [args.checkpoint, args.frames, args.config])
     frames = _read_some_frames(args.frames)
     spec = _config_spec(args) if args.config else None
     model, stats = load_checkpoint(args.checkpoint)
@@ -139,6 +139,7 @@ def cmd_score(args) -> int:
 def cmd_monitor(args) -> int:
     fleet = load_fleet_config(args.config)
     log_path = fleet.report_log if args.out is None else args.out
+    ingest._destination(log_path, "report log", [args.config])
     stream_dir = Path(args.frames)
     if not stream_dir.is_dir():
         raise ConfigurationError("stream directory %s not found" % stream_dir)
@@ -212,7 +213,7 @@ def cmd_ingest_nasa(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
-    ingest._destination(args.out, "--out")
+    ingest._destination(args.out, "--out", [args.input])
     # sniff the first line only; each reader decodes and checks the rest
     with open(args.input, "rb") as fh:
         first = fh.readline().strip()

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, _count, _number
 
 __all__ = [
     "ConvSpec",
@@ -94,39 +94,35 @@ class DcanConfig:
         self.fc_widths = tuple(self.fc_widths)
 
     def _check_types(self) -> None:
-        """Every size is an int (not a bool), so a checkpoint's metadata
-        of the wrong type fails here rather than deep in a comparison."""
-        fields = [("axes", self.axes), ("frame_len", self.frame_len)]
+        """Every size is a count and leaky_slope a number, so a checkpoint's
+        metadata of the wrong type fails here, not deep in a comparison."""
+        _count("axes", self.axes)
+        _count("frame_len", self.frame_len)
         for i, spec in enumerate(self.conv_specs, start=1):
-            fields += [(f"conv{i}.in_channels", spec.in_channels),
-                       (f"conv{i}.out_channels", spec.out_channels)]
+            _count(f"conv{i}.in_channels", spec.in_channels)
+            _count(f"conv{i}.out_channels", spec.out_channels)
             for name in ("kernel", "stride"):
                 pair = getattr(spec, name)
                 if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
                     raise ConfigurationError(f"conv{i}.{name} must be a pair of ints, got {pair!r}")
-                fields += [(f"conv{i}.{name}", v) for v in pair]
-        fields += [(f"fc_widths[{i}]", w) for i, w in enumerate(self.fc_widths)]
-        for name, value in fields:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an int, got {value!r}")
+                for v in pair:
+                    _count(f"conv{i}.{name}", v)
+        for i, w in enumerate(self.fc_widths):
+            _count(f"fc_widths[{i}]", w)
+        _number("leaky_slope", self.leaky_slope)
 
     def validate(self) -> None:
         """Raise ConfigurationError unless the layer table chains exactly."""
         self._check_types()
         if self.axes not in (1, 3):
             raise ConfigurationError(f"unsupported axis count {self.axes}; expected 1 or 3")
-        if self.frame_len < 1:
-            raise ConfigurationError(f"frame_len must be positive, got {self.frame_len}")
-        slope = self.leaky_slope
-        if isinstance(slope, bool) or not (isinstance(slope, (int, float)) and 0.0 <= slope <= 1.0):
+        if not 0.0 <= self.leaky_slope <= 1.0:
             # nn.leaky_relu is max(x, slope * x), which needs this range
-            raise ConfigurationError(f"leaky_slope must be a number in [0, 1], got {slope!r}")
+            raise ConfigurationError(f"leaky_slope must be in [0, 1], got {self.leaky_slope!r}")
         if len(self.conv_specs) != 3:
             raise ConfigurationError(f"expected 3 conv_specs, got {len(self.conv_specs)}")
         if len(self.fc_widths) != 4:
             raise ConfigurationError(f"expected 4 fc_widths, got {len(self.fc_widths)}")
-        if min(self.fc_widths) < 1:
-            raise ConfigurationError(f"fc_widths must be positive, got {self.fc_widths}")
         if self.conv_specs[0].in_channels != 1:
             raise ConfigurationError(
                 f"conv1.in_channels must be 1, got {self.conv_specs[0].in_channels}"
@@ -137,10 +133,6 @@ class DcanConfig:
                 raise ConfigurationError(
                     f"conv{i} expects {spec.in_channels} channels but conv{i - 1} "
                     f"produces {self.conv_specs[i - 2].out_channels}"
-                )
-            if min(*spec.kernel, *spec.stride) < 1:
-                raise ConfigurationError(
-                    f"conv{i} kernel {spec.kernel} and stride {spec.stride} must be >= 1"
                 )
             kh, kw = spec.kernel
             if kh != h:

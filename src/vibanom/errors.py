@@ -2,6 +2,9 @@
 
 Every error raised by this package derives from VibanomError so callers can
 catch the whole family at an API boundary (the CLI does exactly that).
+Every count and number a fleet config or a checkpoint hands in passes
+_count (an int >= 1) or _number (an int or float that fits a float); a
+bool, a string or a numpy scalar (bar np.float64, a float) is neither.
 """
 
 from __future__ import annotations
@@ -17,6 +20,22 @@ class DimensionError(VibanomError):
 
 class ConfigurationError(VibanomError):
     """A config object or file violates its invariants."""
+
+
+def _count(name, value):
+    """Refuse value, naming the field, unless it is an int (not a bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError("%s must be an integer >= 1, got %r" % (name, value))
+
+
+def _number(name, value):
+    """value as a float, if it is an int or float (not a bool) that fits one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError("%s must be a number, got %r" % (name, value))
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError("%s is too large for a float" % name) from None
 
 
 class CalibrationError(VibanomError):

@@ -462,7 +462,8 @@ def run_fleet(
     holding it runs. Each predictor processes its frames in timestamp
     order, independently of the others; an empty stream is skipped.
     Reports are appended to log_path (default: the fleet's report_log,
-    checked before any scoring) and returned in fleet order, then frame order.
+    checked against the checkpoints and stream paths before any scoring)
+    and returned in fleet order, then frame order.
     """
     unknown = sorted(set(frame_streams) - {p.id for p in fleet.predictors})
     if unknown:
@@ -470,7 +471,9 @@ def run_fleet(
             "no predictor for stream id(s): %s" % ", ".join(unknown)
         )
     destination = fleet.report_log if log_path is None else log_path
-    ingest._destination(destination, "report log")
+    inputs = [p.checkpoint for p in fleet.predictors]
+    inputs += [s for s in frame_streams.values() if isinstance(s, (str, os.PathLike))]
+    ingest._destination(destination, "report log", inputs)
     all_reports: List[StatusReport] = []
     for spec in fleet.predictors:
         if spec.id in frame_streams:

@@ -542,15 +542,20 @@ def _record_dtype(axes: int) -> np.dtype:
     return np.dtype([("ts", "<u8"), ("data", "<f4", (axes, FRAME_LEN))])
 
 
-def _destination(path, what):
-    """Refuse a path that is empty, a directory or in a missing directory;
-    what names it. Commands call this before any work."""
+def _destination(path, what, inputs=()):
+    """Refuse a path that is empty, a directory, in a missing directory or
+    the same file as one of the command's inputs (None for an input not
+    given); what names it. Commands call this before any work."""
     if not path:
         raise ConfigurationError("empty %s path" % what)
     if os.path.isdir(path):
         raise ConfigurationError("%s %s is a directory" % (what, path))
     if not Path(path).parent.is_dir():
         raise ConfigurationError("%s directory %s not found" % (what, Path(path).parent))
+    if os.path.exists(path):
+        for source in inputs:
+            if source is not None and os.path.exists(source) and os.path.samefile(path, source):
+                raise ConfigurationError("%s %s is also the input %s" % (what, path, source))
 
 
 @contextlib.contextmanager

@@ -24,7 +24,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigurationError
+from .errors import CalibrationError, ConfigurationError, _count, _number
 
 
 class AlarmLevel(IntEnum):
@@ -36,16 +36,6 @@ class AlarmLevel(IntEnum):
     HIGH = 3
 
 
-def _check_float_range(name: str, value) -> None:
-    """Refuse an int too large for a float, naming the field, where float()
-    and math.isfinite would raise a bare OverflowError."""
-    if isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            raise ConfigurationError("%s is too large for a float" % name) from None
-
-
 @dataclass(frozen=True)
 class ScoreNormalization:
     """Location/scale of the calibration MSE distribution."""
@@ -54,16 +44,13 @@ class ScoreNormalization:
     sigma: float
 
     def __post_init__(self):
-        for name, value in (("mu", self.mu), ("sigma", self.sigma)):
-            if isinstance(value, bool):
-                raise ConfigurationError("%s must be a number, got %r" % (name, value))
-            _check_float_range(name, value)
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+        mu, sigma = _number("mu", self.mu), _number("sigma", self.sigma)
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
             raise CalibrationError("normalization parameters must be finite")
-        if self.sigma <= 0.0:
-            raise CalibrationError(
-                "sigma must be positive, got %r" % (self.sigma,)
-            )
+        if sigma <= 0.0:
+            raise CalibrationError("sigma must be positive, got %r" % (sigma,))
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
 
 
 def calibrate(mse_values: Iterable[float]) -> ScoreNormalization:
@@ -116,11 +103,7 @@ class AlarmConfig:
     trigger_sensitized: int = 12
 
     def __post_init__(self):
-        if any(isinstance(t, bool) for t in self.level_thresholds):
-            raise ConfigurationError("level_thresholds must be numbers, not bools")
-        for t in self.level_thresholds:
-            _check_float_range("level_thresholds", t)
-        thresholds = tuple(float(t) for t in self.level_thresholds)
+        thresholds = tuple(_number("level_thresholds", t) for t in self.level_thresholds)
         if len(thresholds) != 3:
             raise ConfigurationError(
                 "level_thresholds needs exactly 3 values, got %d"
@@ -135,16 +118,9 @@ class AlarmConfig:
             )
         object.__setattr__(self, "level_thresholds", thresholds)
         for name in ("window_len", "trigger_fresh", "trigger_sensitized"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError("%s must be an integer, got %r" % (name, value))
+            _count(name, getattr(self, name))
         # must allow a fresh trigger to fit in the window, and the
         # sensitized trigger must genuinely lower the bar
-        if self.trigger_sensitized < 1:
-            raise ConfigurationError(
-                "trigger_sensitized must be >= 1, got %d"
-                % self.trigger_sensitized
-            )
         if self.trigger_fresh <= self.trigger_sensitized:
             raise ConfigurationError(
                 "trigger_fresh (%d) must exceed trigger_sensitized (%d)"

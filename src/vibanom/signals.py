@@ -250,7 +250,7 @@ def _csv_rows(path, reader):
 
 
 def read_waveform_csv(path) -> Waveform:
-    """Read a waveform written by write_waveform_csv, at DEFAULT_SAMPLE_RATE."""
+    """Read a finite waveform written by write_waveform_csv, at DEFAULT_SAMPLE_RATE."""
     values = []
     # a byte that is not UTF-8 reads as U+FFFD, which fails the header or
     # number checks below with a ParseError naming the file and line
@@ -267,6 +267,8 @@ def read_waveform_csv(path) -> Waveform:
                 val = float(row[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(val):
+                raise ParseError(f"{path}:{lineno}: non-finite value {row[1]!r}")
             if idx != lineno - 2:
                 raise ParseError(f"{path}:{lineno}: index {idx} out of order")
             values.append(val)

@@ -627,6 +627,20 @@ class TestMonitor:
             ({"predictors": [{"id": "a", "location": "a", "checkpoint": "m.ckpt",
                               "alarm": {"window_len": 30.0}}]},
              "window_len must be an integer"),
+            # string thresholds once loaded as floats, and a string mu was
+            # refused with a message that named no field
+            ({"predictors": [{"id": "a", "location": "a", "checkpoint": "m.ckpt",
+                              "alarm": {"level_thresholds": ["3", "5", "8"]}}]},
+             "level_thresholds must be a number, got '3'"),
+            ({"predictors": [{"id": "a", "location": "a", "checkpoint": "m.ckpt",
+                              "normalization": {"mu": "1.0", "sigma": 0.5}}]},
+             "mu must be a number, got '1.0'"),
+            ({"predictors": [{"id": "a", "location": "a", "checkpoint": "m.ckpt",
+                              "alarm": {"window_len": 0}}]},
+             "window_len must be an integer >= 1, got 0"),
+            ({"predictors": [{"id": "a", "location": "a", "checkpoint": "m.ckpt",
+                              "alarm": {"trigger_sensitized": True}}]},
+             "trigger_sensitized must be an integer >= 1, got True"),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, capsys, config, message):
@@ -812,6 +826,17 @@ class TestErrorSurface:
         assert line.startswith("error: ParseError: %s:3: field larger than field limit" % source)
         assert not out.exists()
 
+    def test_export_plot_refuses_a_non_finite_sample(self, tmp_path, capsys):
+        # a nan sample once gave a spectrum of 2,049 nan rows and exit 0
+        source = tmp_path / "wave.csv"
+        source.write_text("index,value\n0,1.5\n1,nan\n2,0.5\n")
+        out = tmp_path / "out.csv"
+        line = self.one_error_line(
+            capsys, ["export-plot", str(source), "--out", str(out)], "ParseError"
+        )
+        assert line == "error: ParseError: %s:3: non-finite value 'nan'" % source
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "metadata, message",
         [(b"[]", "metadata block is not a JSON object"),
@@ -873,11 +898,12 @@ class TestErrorSurface:
           "tensor 'fc1.weight' has shape (200, 912), expected (200, 39999999999904)"),
          (("conv_specs", 0, 2), [2, 64], "ConfigurationError", "conv1 kernel height 2 differs"),
          (("conv_specs", 1, 2), [3, 13], "ConfigurationError", "conv2 kernel height 3 differs"),
-         (("conv_specs", 0, 2), [3, 0], "ConfigurationError", "conv1 kernel (3, 0) and stride"),
+         (("conv_specs", 0, 2), [3, 0], "ConfigurationError",
+          "conv1.kernel must be an integer >= 1, got 0"),
          (("conv_specs",), [[1, 8, [3, 64], [1, 16]], [8, 16, [1, 13], [1, 4]]],
           "ConfigurationError", "expected 3 conv_specs, got 2"),
          (("fc_widths",), [200, 200, 200], "ConfigurationError", "expected 4 fc_widths, got 3"),
-         (("fc_widths", 1), 0, "ConfigurationError", "fc_widths must be positive, got (200, 0, 200, 200)"),
+         (("fc_widths", 1), 0, "ConfigurationError", "fc_widths[1] must be an integer >= 1, got 0"),
          (("conv_specs", 0, 0), 2, "ConfigurationError", "conv1.in_channels must be 1, got 2"),
          (("conv_specs", 1, 0), 9, "ConfigurationError",
           "conv2 expects 9 channels but conv1 produces 8"),
@@ -885,22 +911,31 @@ class TestErrorSurface:
           "conv3 kernel (1, 62) exceeds input 1x61"),
          (("conv_specs", 1, 3), [1, 7], "ConfigurationError",
           "conv2 stride (1, 7) does not tile input 1x253"),
-         (("frame_len",), 0, "ConfigurationError", "frame_len must be positive, got 0"),
+         (("frame_len",), 0, "ConfigurationError", "frame_len must be an integer >= 1, got 0"),
          (("conv_specs", 0, 2), [3, 64, 1], "ConfigurationError",
           "conv1.kernel must be a pair of ints, got (3, 64, 1)"),
          (("conv_specs",), None, "CheckpointFormatError",
-          "invalid architecture metadata: 'conv_specs'")],
+          "invalid architecture metadata: 'conv_specs'"),
+         (("conv_specs", 2, 1), 0, "ConfigurationError",
+          "conv3.out_channels must be an integer >= 1, got 0"),
+         (("conv_specs", 1, 0), 0, "ConfigurationError",
+          "conv2.in_channels must be an integer >= 1, got 0"),
+         (("axes",), 0, "ConfigurationError", "axes must be an integer >= 1, got 0"),
+         (("leaky_slope",), "0.01", "ConfigurationError",
+          "leaky_slope must be a number, got '0.01'")],
         ids=["vast-frame-len", "conv1-short-kernel", "conv2-tall-kernel", "zero-width-kernel",
              "two-conv-specs", "three-fc-widths", "zero-fc-width", "conv1-two-channels",
              "conv2-channel-chain", "conv3-wide-kernel", "conv2-stride-7", "zero-frame-len",
-             "three-element-kernel", "no-conv-specs"],
+             "three-element-kernel", "no-conv-specs", "zero-conv3-out-channels",
+             "zero-conv2-in-channels", "zero-axes", "string-leaky-slope"],
     )
     def test_calibrate_refuses_checkpoint_architecture(
         self, tmp_path, capsys, where, value, kind, message
     ):
         # the tensors of the default 3-axis model under other metadata, its
         # config entry at where set to value (None: deleted); a vast
-        # frame_len once made load_checkpoint try to allocate 28.4 PiB
+        # frame_len once made load_checkpoint try to allocate 28.4 PiB, and
+        # a zero conv3.out_channels loaded and then ended in a traceback
         ckpt = tmp_path / "bad.ckpt"
         stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
         save_checkpoint(dcan.build(dcan.DcanConfig(), seed=21), stats, ckpt)
@@ -1027,26 +1062,33 @@ class TestErrorSurface:
         )
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("out", ["missing/out", "adir"], ids=["missing-dir", "directory"])
     @pytest.mark.parametrize(
-        "command", ["train", "score", "calibrate", "monitor", "synth", "export-plot"]
+        "command, kind",
+        [(command, kind)
+         for command in ["train", "score", "calibrate", "monitor", "synth", "export-plot"]
+         for kind in ["missing-dir", "directory", "input"]
+         if (command, kind) != ("synth", "input")],  # synth reads no file
     )
     def test_unwritable_out_is_refused_before_any_work(
-        self, checkpoint, tmp_path, capsys, monkeypatch, command, out
+        self, checkpoint, tmp_path, capsys, monkeypatch, command, kind
     ):
         # score, calibrate and monitor once scored every frame (and score and
         # calibrate printed their output), and train trained to the end,
-        # before failing to write; train only checked a missing directory
+        # before failing to write; train only checked a missing directory.
+        # An output onto an input once replaced or corrupted that input:
+        # the frames by a checkpoint or report lines, the checkpoint by
+        # calibrate's JSON, the fleet config by report lines
         monkeypatch.chdir(tmp_path)
         (tmp_path / "adir").mkdir()
         frames = frames_file(tmp_path / "f.frames", seed=6, count=3)
+        Path("m.ckpt").write_bytes(Path(checkpoint).read_bytes())
 
         def no_work(*args, **kwargs):
             raise AssertionError("the work started")
 
-        what = "--out"
+        what, source, out = "--out", frames, "f.frames"  # out: the input kind's
         if command == "monitor":
-            spec = PredictorSpec(id="a", location="a", checkpoint=checkpoint,
+            spec = PredictorSpec(id="a", location="a", checkpoint="m.ckpt",
                                  normalization=ScoreNormalization(mu=1.0, sigma=0.5))
             save_fleet_config(FleetConfig(predictors=(spec,), report_log="r.log"), "fleet.json")
             (tmp_path / "streams").mkdir()
@@ -1054,7 +1096,7 @@ class TestErrorSurface:
             argv = ["monitor", "--config", "fleet.json", "--frames", "streams"]
             monkeypatch.setattr(fleet, "read_frames", no_work)
             monkeypatch.setattr(fleet, "evaluate_stream", no_work)
-            what = "report log"
+            what, source, out = "report log", "fleet.json", "fleet.json"
         elif command == "synth":
             argv = ["synth"]
             monkeypatch.setattr(cli, "synth_normal", no_work)
@@ -1063,18 +1105,23 @@ class TestErrorSurface:
             argv = ["export-plot", "w.csv"]
             monkeypatch.setattr(cli, "read_waveform_csv", no_work)
             monkeypatch.setattr(cli, "read_report_log", no_work)
+            source = out = "w.csv"
         else:
             argv = [command, "--frames", frames]
             if command != "train":
-                argv += ["--checkpoint", checkpoint]
+                argv += ["--checkpoint", "m.ckpt"]
+            if command == "calibrate":
+                source = out = "m.ckpt"
             monkeypatch.setattr(cli, "read_frames", no_work)
-        before = sorted(tmp_path.rglob("*"))
+        out = {"missing-dir": "missing/out", "directory": "adir"}.get(kind, out)
+        before = {p: p.is_file() and p.read_bytes() for p in sorted(tmp_path.rglob("*"))}
         line = self.one_error_line(capsys, argv + ["--out", out], "ConfigurationError")
-        assert line == "error: ConfigurationError: " + (
-            "%s directory missing not found" % what if out == "missing/out"
-            else "%s adir is a directory" % what
-        )
-        assert sorted(tmp_path.rglob("*")) == before
+        assert line == "error: ConfigurationError: " + {
+            "missing-dir": "%s directory missing not found" % what,
+            "directory": "%s adir is a directory" % what,
+            "input": "%s %s is also the input %s" % (what, out, source),
+        }[kind]
+        assert {p: p.is_file() and p.read_bytes() for p in sorted(tmp_path.rglob("*"))} == before
 
     def test_train_refuses_a_loss_curve_path_that_is_a_directory(
         self, tmp_path, capsys, monkeypatch
@@ -1093,6 +1140,27 @@ class TestErrorSurface:
         )
         assert line == "error: ConfigurationError: loss curve m.ckpt.loss.csv is a directory"
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_train_refuses_a_loss_curve_path_that_is_its_input(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the frames, named as --out's loss curve, were once replaced by it
+        frames = frames_file(tmp_path / "m.ckpt.loss.csv", seed=6, count=3)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "read_frames", no_training)
+        monkeypatch.chdir(tmp_path)
+        before = Path(frames).read_bytes()
+        line = self.one_error_line(
+            capsys, ["train", "--frames", frames, "--out", "m.ckpt"], "ConfigurationError"
+        )
+        assert line == (
+            "error: ConfigurationError: loss curve m.ckpt.loss.csv is also the input %s" % frames
+        )
+        assert sorted(tmp_path.rglob("*")) == [Path(frames)]
+        assert Path(frames).read_bytes() == before
 
     @pytest.mark.parametrize("command", ["synth", "synth-axes", "train", "ingest-nasa"])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):

@@ -137,7 +137,7 @@ class TestParameters:
     def test_kernel_and_stride_sizes_must_be_positive(self, field, value):
         specs = list(tiny_config().conv_specs)
         specs[0] = replace(specs[0], **{field: value})
-        with pytest.raises(ConfigurationError, match="conv1 kernel .* must be >= 1"):
+        with pytest.raises(ConfigurationError, match=rf"^conv1\.{field} must be an integer >= 1, got 0$"):
             dcan.build(replace(tiny_config(), conv_specs=tuple(specs)), seed=0)
 
     @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan"), "0.01"])

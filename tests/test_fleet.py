@@ -15,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -746,28 +747,34 @@ class TestRunFleet:
          ("", None, "empty report log path"),
          ("r.log", "missing/r.log", "report log directory missing not found"),
          ("missing/r.log", None, "report log directory missing not found"),
-         ("r.log", "adir", "report log adir is a directory")],
+         ("r.log", "adir", "report log adir is a directory"),
+         ("r.log", "m.ckpt", "report log m.ckpt is also the input m.ckpt"),
+         ("s.frames", None, "report log s.frames is also the input s.frames")],
         ids=["empty-log-path", "empty-report-log", "missing-dir", "config-missing-dir",
-             "directory"],
+             "directory", "onto-checkpoint", "onto-stream"],
     )
     def test_unwritable_log_is_refused_before_scoring(
         self, checkpoint, tmp_path, monkeypatch, report_log, log_path, message
     ):
         # log_path="" once scored every stream and wrote no log; a missing
-        # directory failed only after every stream was scored
+        # directory failed only after every stream was scored; a log onto
+        # a checkpoint or a stream file was once appended to it
         def no_scoring(*args, **kwargs):
             raise AssertionError("scoring started")
 
+        monkeypatch.setattr("vibanom.fleet.read_frames", no_scoring)
         monkeypatch.setattr("vibanom.fleet.load_checkpoint", no_scoring)
         monkeypatch.setattr("vibanom.fleet.evaluate_stream", no_scoring)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "adir").mkdir()
-        fleet = one_predictor_fleet(checkpoint, ScoreNormalization(mu=1.0, sigma=0.5), report_log)
-        before = sorted(tmp_path.rglob("*"))
+        Path("m.ckpt").write_bytes(Path(checkpoint).read_bytes())
+        write_frames("s.frames", make_frames(seed=14, count=2))
+        fleet = one_predictor_fleet("m.ckpt", ScoreNormalization(mu=1.0, sigma=0.5), report_log)
+        before = {p: p.is_file() and p.read_bytes() for p in sorted(tmp_path.rglob("*"))}
         with pytest.raises(ConfigurationError) as raised:
-            run_fleet(fleet, {"motor-left": make_frames(seed=14, count=2)}, log_path=log_path)
+            run_fleet(fleet, {"motor-left": "s.frames"}, log_path=log_path)
         assert str(raised.value) == message
-        assert sorted(tmp_path.rglob("*")) == before
+        assert {p: p.is_file() and p.read_bytes() for p in sorted(tmp_path.rglob("*"))} == before
 
 
 class TestStreamForms:

@@ -5,13 +5,17 @@ and recomputes every decision from the rule definition by slicing; the
 library's bounded 30-bit state machine must match it step for step.
 """
 
+import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
 
+from vibanom import dcan
 from vibanom.errors import CalibrationError, ConfigurationError
 from vibanom.scoring import (
     AlarmConfig,
@@ -190,6 +194,101 @@ class TestAlarmConfig:
             ConfigurationError, match="^level_thresholds is too large for a float$"
         ):
             AlarmConfig(level_thresholds=(1, 2, 10**400))
+
+
+class TestNumberRule:
+    """Every number and count of the fleet config (AlarmConfig,
+    ScoreNormalization) and of a checkpoint (DcanConfig and its ConvSpecs)
+    passes one rule: a count is an int of at least 1, a number an int or
+    float that fits in a float, as JSON reads them."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [(lambda: ScoreNormalization(mu=np.float32(1.0), sigma=1.0), "mu must be a number"),
+         (lambda: AlarmConfig(window_len=np.int64(30)),
+          "window_len must be an integer >= 1"),
+         (lambda: AlarmConfig(level_thresholds=(3.0, "5", 8.0)),
+          "level_thresholds must be a number, got '5'"),
+         (lambda: ScoreNormalization(mu="1", sigma=1.0), "mu must be a number, got '1'")],
+        ids=["float32-mu", "int64-window-len", "string-threshold", "string-mu"],
+    )
+    def test_only_json_number_types_are_accepted(self, make, message):
+        # numpy scalars were once accepted and then broke the JSON writers;
+        # strings raised a bare TypeError or ValueError
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
+            make()
+
+    def test_numbers_are_stored_as_floats(self):
+        norm = ScoreNormalization(mu=np.float64(1.5), sigma=2)
+        assert (type(norm.mu), type(norm.sigma)) == (float, float)
+        assert (norm.mu, norm.sigma) == (1.5, 2.0)
+
+
+def _leaves(obj, prefix=""):
+    """(name, is_count, path) of every number and count in the dataclass
+    obj, a tuple field element by element; path is the field names and
+    tuple indices that reach it. DcanConfig's conv_specs are walked as
+    ConvSpecs named conv1., conv2., ..."""
+    hints = typing.get_type_hints(type(obj))
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if field.name == "conv_specs":
+            for i, spec in enumerate(value):
+                for name, is_count, path in _leaves(spec, "conv%d." % (i + 1)):
+                    yield name, is_count, (field.name, i) + path
+            continue
+        hint = hints[field.name]
+        is_count = (typing.get_args(hint) or (hint,))[0] is int
+        if isinstance(value, tuple):
+            for i in range(len(value)):
+                yield prefix + field.name, is_count, (field.name, i)
+        else:
+            yield prefix + field.name, is_count, (field.name,)
+
+
+def _replaced(obj, path, value):
+    """obj with the entry at path set to value; a dataclass is rebuilt
+    through dataclasses.replace, so its own checks run."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(obj, tuple):
+        return obj[:head] + (_replaced(obj[head], rest, value),) + obj[head + 1:]
+    return dataclasses.replace(obj, **{head: _replaced(getattr(obj, head), rest, value)})
+
+
+_VALID = (AlarmConfig(), ScoreNormalization(mu=1.0, sigma=1.0), dcan.DcanConfig())
+_RULE_CASES = [
+    pytest.param(base, name, is_count, path, value,
+                 id="%s.%s-%r" % (type(base).__name__, ".".join(map(str, path)), value))
+    for base in _VALID
+    for name, is_count, path in _leaves(base)
+    for value in ((True, "1", 0) if is_count else (True, "1"))
+]
+
+
+@pytest.mark.parametrize("base, name, is_count, path, value", _RULE_CASES)
+def test_every_number_and_count_passes_the_rule(base, name, is_count, path, value):
+    with pytest.raises(ConfigurationError) as raised:
+        config = _replaced(base, path, value)
+        if isinstance(config, dcan.DcanConfig):
+            config.validate()
+    what = "an integer >= 1" if is_count else "a number"
+    index = r"(\[%d\])?" % path[-1] if isinstance(path[-1], int) else ""
+    assert re.fullmatch(
+        re.escape(name) + index + re.escape(" must be %s, got %r" % (what, value)),
+        str(raised.value),
+    )
+
+
+def test_the_rule_walks_every_field():
+    names = {name for base in _VALID for name, _, _ in _leaves(base)}
+    assert names == {
+        "level_thresholds", "window_len", "trigger_fresh", "trigger_sensitized", "mu", "sigma",
+        "axes", "frame_len", "leaky_slope", "fc_widths",
+        *("conv%d.%s" % (i, f) for i in (1, 2, 3)
+          for f in ("in_channels", "out_channels", "kernel", "stride")),
+    }
 
 
 class TestClassify:

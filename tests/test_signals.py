@@ -339,6 +339,14 @@ def _read_a_row_of_three_fields(tmp_path):
     signals.read_waveform_csv(path)
 
 
+def _read_a_sample(value):
+    def read(tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("index,value\n0,1.0\n1,%s\n" % value)
+        signals.read_waveform_csv(path)
+    return read
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [(lambda _: Waveform(np.zeros((2, 8))), DimensionError, "waveform samples must be 1-D, got 2-D"),
@@ -347,9 +355,11 @@ def _read_a_row_of_three_fields(tmp_path):
      (lambda _: signals.fft_complex(np.zeros((2, 8))), DimensionError, "fft input must be 1-D, got 2-D"),
      (lambda _: signals.time_scale(Waveform(np.zeros(1)), 2.0),
       DimensionError, "time_scale needs at least 2 samples"),
-     (_read_a_row_of_three_fields, ParseError, "three.csv:3: expected 2 fields, got 3")],
+     (_read_a_row_of_three_fields, ParseError, "three.csv:3: expected 2 fields, got 3"),
+     (_read_a_sample("nan"), ParseError, "sample.csv:3: non-finite value 'nan'"),
+     (_read_a_sample("-inf"), ParseError, "sample.csv:3: non-finite value '-inf'")],
     ids=["two-d-waveform", "zero-sample-rate", "fft-two-d", "time-scale-one-sample",
-         "csv-three-fields"],
+         "csv-three-fields", "csv-nan", "csv-inf"],
 )
 def test_bad_input_is_refused(tmp_path, call, error, message):
     with pytest.raises(error) as raised:
