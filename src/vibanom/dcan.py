@@ -25,10 +25,11 @@ loss gradient into every parameter gradient.
 Training keeps the two frame-sized ends of the network, conv1's input and
 deconv3's output, as stride blocks (see nn): the frames are read as
 blocks once, deconv3's output is never folded, and the residual is
-deconv3's output minus those blocks, in place. The training loss is
-nn.residual_mse of that float32 residual: its squares summed in float64
-over the frame samples. Validation applies the same definition to
-reconstruct's output.
+deconv3's output minus those blocks, in place. Every MSE of the package
+is nn.residual_mse of a float32 residual, its squares summed in float64:
+the training loss over a task's samples, validation over reconstruct's
+output, and reconstruction_report, the scores and the calibration, over
+each axis of each frame.
 """
 
 from __future__ import annotations
@@ -163,9 +164,6 @@ class DcanConfig:
         return c * h * w
 
 
-# frames whose squared errors reconstruction_report holds in float64 at once
-_REPORT_GROUP = 8
-
 # The two layers with no LeakyReLU after them: the auto-encoder's output
 # code and the reconstruction itself.
 _LINEAR = ("fc5", "deconv3")
@@ -275,23 +273,15 @@ def reconstruct(model: DcanModel, frames: np.ndarray) -> np.ndarray:
     return _walk(model, frames)
 
 
-def _report_scratch(inputs: np.ndarray) -> np.ndarray:
-    """reconstruction_report's float64 buffer for inputs: up to
-    _REPORT_GROUP frames shaped like inputs' frames."""
-    return np.empty((min(len(inputs), _REPORT_GROUP),) + inputs.shape[1:], np.float64)
-
-
-def reconstruction_report(inputs: np.ndarray, reconstructions: np.ndarray, *,
-                          _scratch: np.ndarray | None = None):
+def reconstruction_report(inputs: np.ndarray, reconstructions: np.ndarray):
     """Reconstruction MSE of each frame of a (B, 1, A, L) batch, as two
     float64 columns: per_axis (B, A), each axis's MSE, and total (B,), the
-    MSE over all of a frame's samples.
+    MSE over all of a frame's samples, which is the mean of its axes'.
 
-    The squared errors are formed in float64, _REPORT_GROUP frames at a
-    time, in one reused buffer. Each frame's means are its own, so the
-    grouping does not change them. _scratch is that buffer, allocated by
-    _report_scratch(inputs); only fleet's scoring walk passes it, so that
-    it holds the buffer before its first-round rendezvous.
+    Each axis's MSE is nn.residual_mse of the residual, reconstructions
+    minus inputs in their dtype (float32 when scoring), so it has
+    the training loss's definition, and a frame's values are the same
+    bits whatever batch it is in.
     """
     if inputs.shape != reconstructions.shape:
         raise DimensionError(
@@ -299,18 +289,8 @@ def reconstruction_report(inputs: np.ndarray, reconstructions: np.ndarray, *,
         )
     if inputs.ndim != 4 or inputs.shape[1] != 1:
         raise DimensionError(f"expected (B, 1, A, L) tensors, got {inputs.shape}")
-    buf = _report_scratch(inputs) if _scratch is None else _scratch
-    per_axis = np.empty((len(inputs), inputs.shape[2]))
-    total = np.empty(len(inputs))
-    for start in range(0, len(inputs), _REPORT_GROUP):
-        part = inputs[start:start + _REPORT_GROUP]
-        sq = buf[:len(part)]
-        np.copyto(sq, part)
-        sq -= reconstructions[start:start + _REPORT_GROUP]
-        np.square(sq, out=sq)
-        per_axis[start:start + len(part)] = sq[:, 0].mean(axis=2)
-        total[start:start + len(part)] = sq.reshape(len(sq), -1).mean(axis=1)
-    return per_axis, total
+    per_axis = nn.residual_mse(reconstructions - inputs, inputs.shape[3])[:, 0]
+    return per_axis, per_axis.mean(axis=1)
 
 
 def loss_and_gradients(model: DcanModel, frames: np.ndarray):
@@ -335,7 +315,7 @@ def loss_and_gradients(model: DcanModel, frames: np.ndarray):
     # deconv3's upstream gradient
     g = _walk(model, frames, tape, blocks)
     g -= blocks
-    loss = nn.residual_mse(g, frames.size)
+    loss = float(nn.residual_mse(g.reshape(-1), frames.size))
     g *= 2.0 / frames.size
 
     grads = {}

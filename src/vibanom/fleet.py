@@ -12,15 +12,15 @@ FrameFile (ingest.read_frames); a Sequence[Frame] is stacked into a block
 once, as it comes in, and run_fleet also takes the path of a FRME file
 and opens it with read_frames. Scoring and calibration take one walk,
 _columns: it checks a stream against the checkpoint, orders it by one
-stable argsort of its timestamps (calibration keeps the given order) and
-cuts that order into fixed _TASK-frame tasks, each of which gathers (for
-a FrameFile, reads and checks its records), standardizes, reconstructs
-and reports its frames. The tasks run on the task runner that training
-shares (parallel.run_in_order): one thread per usable CPU, the caller
-included, takes them in order, and their reports, and the first error,
-come back in task order, as from a sequential walk. At most _IN_FLIGHT
-frames, one task per thread, are worked on at once, however long the
-stream; of a FrameFile nothing else is held but its timestamp column and
+stable argsort of its timestamps and cuts that order into fixed
+_TASK-frame tasks, each of which gathers (for a FrameFile, reads and
+checks its records), standardizes, reconstructs and reports its frames,
+with the training loss's MSE (dcan.reconstruction_report). The tasks run
+on the task runner that training shares (parallel.run_in_order): one
+thread per usable CPU, the caller included, takes them in order, and
+their reports, and the first error, come back in task order, as from a
+sequential walk. At most _IN_FLIGHT frames, one task per thread, are
+worked on at once, however long the stream; of a FrameFile nothing else is held but its timestamp column and
 the reports, about 0.4 KB per frame. Every package error of a fleet
 predictor's stream or checkpoint starts "predictor <id>: " (_named).
 
@@ -333,13 +333,12 @@ def load_fleet_config(path) -> FleetConfig:
 
 def _task_reports(model, stats, stream: FrameBlock | FrameFile, rows: np.ndarray, meet=None):
     """Stack, standardize, reconstruct and report the frames at rows,
-    calling meet(), if given, once the report's working set is allocated."""
+    calling meet(), if given, once the reconstruction is held."""
     batch = standardize(stack_frames(stream[rows]), stats)
     recon = dcan.reconstruct(model, batch)
-    scratch = dcan._report_scratch(batch)
     if meet is not None:
         meet()
-    return dcan.reconstruction_report(batch, recon, _scratch=scratch)
+    return dcan.reconstruction_report(batch, recon)
 
 
 @contextlib.contextmanager
@@ -353,17 +352,17 @@ def _named(spec: PredictorSpec):
         raise
 
 
-def _columns(model, stats, frames: Frames, in_time_order: bool = True):
+def _columns(model, stats, frames: Frames):
     """The walk over one stream: its timestamps (a list) and the MSE
     columns (per_axis, total) of dcan.reconstruction_report, in timestamp
-    order or, if not in_time_order, in the order given.
+    order, whatever order the frames come in.
 
     An empty stream, mixed axis counts, the wrong axis count for the
-    checkpoint and, in timestamp order, two frames with one timestamp are
-    refused. Each _TASK-frame slice of the order is one task of
-    parallel.run_in_order. Each thread's first task meets the others once
-    it holds its report working set (standardized frames, reconstruction,
-    report buffer), so every walk reaches that many such sets at once.
+    checkpoint and two frames with one timestamp are refused. Each
+    _TASK-frame slice of the order is one task of parallel.run_in_order.
+    Each thread's first task meets the others once it holds its
+    standardized frames and their reconstruction, so every walk reaches
+    that many such working sets at once.
     """
     if len(frames) == 0:
         raise DimensionError("the stream has no frames")
@@ -373,12 +372,11 @@ def _columns(model, stats, frames: Frames, in_time_order: bool = True):
             "checkpoint expects %d axes but frames have %d"
             % (model.config.axes, stream.axes)
         )
-    order = (np.argsort(stream.timestamps, kind="stable") if in_time_order
-             else np.arange(len(stream)))
+    order = np.argsort(stream.timestamps, kind="stable")
     stamps = stream.timestamps[order]
     repeats = np.flatnonzero(stamps[1:] == stamps[:-1])
-    if in_time_order and repeats.size:
-        raise RoutingError("two frames for timestamp %d; one report per "
+    if repeats.size:
+        raise RoutingError("two frames for timestamp %d; one frame per "
                            "sampling time" % stamps[repeats[0]])
     tasks = [order[start:start + _TASK] for start in range(0, len(order), _TASK)]
     results = parallel.run_in_order(
@@ -485,8 +483,11 @@ def run_fleet(
 def calibrate_predictor(checkpoint_path, frames: Frames) -> ScoreNormalization:
     """Fit score normalization from normal frames via a checkpoint.
 
-    The frames are reconstructed in the order given.
+    The frames are walked in timestamp order, as score walks them, so any
+    order of one set of frames gives the same normalization, the one that
+    evaluate_self_calibrated fits to them. Two frames with one timestamp
+    are refused.
     """
     model, stats = load_checkpoint(checkpoint_path)
-    return calibrate(_columns(model, stats, frames, in_time_order=False)[2])
+    return calibrate(_columns(model, stats, frames)[2])
 

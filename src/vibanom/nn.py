@@ -2,8 +2,8 @@
 
 Forward and backward passes for the only layer types the model needs: valid
 (unpadded) 2-D convolution, 2-D transposed convolution, fully connected
-layers, LeakyReLU, training's mean squared error (residual_mse, formed
-in float64), uniform parameter initialization and a
+layers, LeakyReLU, the package's one mean squared error (residual_mse,
+formed in float64), uniform parameter initialization and a
 bias-corrected Adam update (Kingma & Ba, 2015), the formula applied to each
 whole tensor, with the standard moment decays (0.9, 0.999) and denominator
 guard 1e-8; only its learning rate is settable.
@@ -485,16 +485,19 @@ def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.01
     return d
 
 
-def residual_mse(residual: np.ndarray, count: int) -> float:
-    """Mean squared error of count samples whose residual (reconstruction
-    minus target, in its own dtype) is stored in residual, any other
-    entries zero: sum(residual ** 2) / count, squared and summed in float64.
+def residual_mse(residual: np.ndarray, count: int):
+    """Mean squared error of residuals (reconstruction minus target, in
+    their own dtype) along the last axis: sum(residual ** 2, axis=-1) /
+    count, squared and summed in float64, one value per row. Entries past
+    the count samples must be zero.
 
-    The squares and their sum take no frame-sized float64 copy: einsum
-    casts the operands in small buffered chunks.
+    Training passes a whole flat residual and gets one number;
+    dcan.reconstruction_report passes (B, 1, A, L) and gets each axis's
+    MSE. A row's value is the same bits as that row alone. The squares and
+    their sum take no float64 copy: einsum casts the operands in small
+    buffered chunks.
     """
-    d = residual.reshape(-1)
-    return float(np.einsum("i,i->", d, d, dtype=np.float64)) / count
+    return np.einsum("...i,...i->...", residual, residual, dtype=np.float64) / count
 
 
 # standard Adam moment decays and denominator guard (Kingma & Ba, 2015)

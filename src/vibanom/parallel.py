@@ -165,7 +165,8 @@ def run_in_order(task, count: int) -> list:
     peak of a short run depends on whether the threads' peaks happen to
     overlap (a long walk's peak pinned within 1.2 x a short one's reached
     1.179 without meet in 20 runs, 1.057 with it). Either all first tasks
-    call meet or none do; scoring's tasks call it, training's do not.
+    call meet or none do; fleet's scoring and calibration tasks call it,
+    training's do not.
     Later tasks do not wait for each other.
     """
     _raise_mmap_threshold()

@@ -91,8 +91,8 @@ class AlarmConfig:
     """Thresholds and hysteresis parameters.
 
     level_thresholds are in score (z) units, strictly increasing
-    (low, medium, high). A sample is anomalous when its score strictly
-    exceeds the low threshold. window_len bounds the hysteresis window;
+    (low, medium, high). A sample is anomalous when its level is at least
+    low (see classify). window_len bounds the hysteresis window;
     trigger_fresh / trigger_sensitized are the anomalous-count triggers
     for windows without / with a previously fired alarm.
     """
@@ -134,10 +134,12 @@ class AlarmConfig:
 
 
 def classify(score_value: float, config: AlarmConfig) -> AlarmLevel:
-    """Map a score to the highest alarm level it strictly exceeds."""
+    """Map a score to the highest alarm level it strictly exceeds. A NaN
+    score, from a frame whose reconstruction overflowed, exceeds nothing
+    but is no sign of health: it is HIGH."""
     low, medium, high = config.level_thresholds
     s = float(score_value)
-    if s > high:
+    if not s <= high:
         return AlarmLevel.HIGH
     if s > medium:
         return AlarmLevel.MEDIUM

@@ -11,11 +11,11 @@ Every GEMM of training runs on the task runner that scoring shares
 step cuts its batch, and validation its frames, into fixed
 _MICRO_BATCH-frame tasks. A step's task scales its dcan.loss_and_gradients
 by its share of the frames, and a validation task its MSE by its frame
-count; the results are summed in task order. The training loss and the
-validation MSE share one definition, nn.residual_mse (see dcan). So the
-GEMM shapes and the order of every sum are fixed by the frames alone:
-the loss history and the trained parameters
-are the same bits for any worker count, and, where OpenBLAS is found and
+count; the results are summed in task order. The training loss, the
+validation MSE and the scores share one definition, nn.residual_mse (see
+dcan). So the GEMM shapes and the order of every sum are fixed by the
+frames alone: the loss history and the trained parameters are the same
+bits for any worker count, and, where OpenBLAS is found and
 pinned, for any number of cores. A step runs on at most ceil(batch_size /
 32) threads and validation on ceil(n_val / 32); other CPUs stay idle.
 
@@ -131,8 +131,9 @@ def _check_frame_stack(frames: np.ndarray) -> None:
 def fit_standardization(frames: np.ndarray) -> StandardizationStats:
     """Per-axis mean and population standard deviation over all points.
 
-    Requires at least 2 frames; a near-constant axis (std below 1e-8) is a
-    calibration failure naming the axis.
+    Requires at least 2 frames; a near-constant axis (std below 1e-8), or
+    one with a NaN or infinite sample, is a calibration failure naming the
+    axis.
     """
     _check_frame_stack(frames)
     if frames.shape[0] < 2:
@@ -141,6 +142,8 @@ def fit_standardization(frames: np.ndarray) -> StandardizationStats:
     stds = []
     for axis in range(frames.shape[2]):
         values = frames[:, 0, axis, :]
+        if not np.isfinite(values).all():
+            raise CalibrationError(f"axis {axis} contains non-finite values")
         mean = float(values.mean(dtype=np.float64))
         std = float(values.std(dtype=np.float64))  # population (divide by N)
         if std < STD_FLOOR:
@@ -194,7 +197,7 @@ def batched_mse(model: dcan.DcanModel, frames: np.ndarray) -> float:
     def task(part):
         residual = dcan.reconstruct(model, part)
         residual -= part
-        return nn.residual_mse(residual, part.size) * part.shape[0]
+        return float(nn.residual_mse(residual.reshape(-1), part.size)) * part.shape[0]
 
     return sum(_by_micro_batch(task, frames)) / frames.shape[0]
 

@@ -6,8 +6,9 @@ and quadruple-loop convolutions, a forward evaluator that records which
 LeakyReLU branch every activation took (finite differences are only a
 valid oracle while a perturbation stays inside one linear region), and a
 frame-layout chain of the nn pass functions that training's stride-block
-ends must match bit for bit. Also the float64 reference MSE and a cast of
-a model's parameters to another dtype, which only the tests use.
+ends must match bit for bit. Also the float64 reference MSE, a cast of
+a model's parameters to another dtype, which only the tests use, and the
+small model configuration the gradient and training tests share.
 """
 
 from dataclasses import replace
@@ -39,6 +40,25 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     d -= b
     np.square(d, out=d)
     return float(d.mean())
+
+
+def tiny_config(slope: float = 0.01):
+    """The full model's topology shrunk to 64-sample frames and halved
+    channel counts, so exact gradient work and the exhaustive
+    finite-difference sweep stay fast."""
+    from vibanom import dcan
+
+    return dcan.DcanConfig(
+        axes=3,
+        frame_len=64,
+        leaky_slope=slope,
+        conv_specs=(
+            dcan.ConvSpec(1, 4, (3, 8), (1, 2)),
+            dcan.ConvSpec(4, 8, (1, 5), (1, 2)),
+            dcan.ConvSpec(8, 8, (1, 3), (1, 1)),
+        ),
+        fc_widths=(20, 20, 20, 20),
+    )
 
 
 def cast(model, dtype):

@@ -25,6 +25,7 @@ from helpers import (
     numeric_grad,
     reference_alarm_replay,
     rel_err,
+    tiny_config,
 )
 
 from vibanom import dcan, nn
@@ -104,22 +105,6 @@ class TestA1:
 
 class TestA2:
     pytestmark = pytest.mark.criterion("A2", "analytic gradients match finite differences")
-
-    # Shrunken topology (frame length 64, channel counts halved) keeps the
-    # exhaustive end-to-end sweep under the one-minute budget.
-    @staticmethod
-    def tiny_config(slope: float = 0.01) -> dcan.DcanConfig:
-        return dcan.DcanConfig(
-            axes=3,
-            frame_len=64,
-            leaky_slope=slope,
-            conv_specs=(
-                dcan.ConvSpec(1, 4, (3, 8), (1, 2)),
-                dcan.ConvSpec(4, 8, (1, 5), (1, 2)),
-                dcan.ConvSpec(8, 8, (1, 3), (1, 1)),
-            ),
-            fc_widths=(20, 20, 20, 20),
-        )
 
     def test_conv2d_layer_gradients(self):
         rng = np.random.default_rng(30)
@@ -230,7 +215,7 @@ class TestA2:
         coordinate is only trusted when both perturbed passes reproduce
         the unperturbed LeakyReLU branch pattern.
         """
-        model = cast(dcan.build(self.tiny_config(slope), seed=seed), np.float64)
+        model = cast(dcan.build(tiny_config(slope), seed=seed), np.float64)
         x = np.random.default_rng(seed + 1).standard_normal((2, 1, 3, 64))
         _, grads = dcan.loss_and_gradients(model, x)
         _, base_branches = dcan_loss_and_branches(model, x)

@@ -12,24 +12,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import cast, dcan_loss_and_branches, frame_layout_loss_and_gradients, mse, rel_err
+from helpers import (
+    cast,
+    dcan_loss_and_branches,
+    frame_layout_loss_and_gradients,
+    mse,
+    rel_err,
+    tiny_config,
+)
 
 from vibanom import blas, dcan, nn, training
 from vibanom.errors import ConfigurationError, DimensionError
-
-
-def tiny_config() -> dcan.DcanConfig:
-    # Same topology as the full model, shrunk for fast exact gradient work.
-    return dcan.DcanConfig(
-        axes=3,
-        frame_len=64,
-        conv_specs=(
-            dcan.ConvSpec(1, 4, (3, 8), (1, 2)),
-            dcan.ConvSpec(4, 8, (1, 5), (1, 2)),
-            dcan.ConvSpec(8, 8, (1, 3), (1, 1)),
-        ),
-        fc_widths=(20, 20, 20, 20),
-    )
 
 
 def padded_config(slope: float = 0.01) -> dcan.DcanConfig:
@@ -220,15 +213,22 @@ class TestReport:
         "shape", [(1, 1, 1, 4096), (64, 1, 3, 4096), (5, 1, 2, 33), (17, 1, 3, 33)]
     )
     def test_bit_identical_to_per_frame_float64_formula(self, shape, dtype):
+        # the reference takes each axis of each frame alone: its residual in
+        # the frames' dtype, the squares summed in float64; and, up to that
+        # dtype's rounding of the residual, the float64 residual's MSE
         rng = np.random.default_rng(14)
         x = rng.standard_normal(shape).astype(dtype)
         y = rng.standard_normal(shape).astype(dtype)
         per_axis, total = dcan.reconstruction_report(x, y)
         assert len(per_axis) == len(total) == shape[0]
         for f in range(shape[0]):
+            alone = [float(np.einsum("i,i->", d, d, dtype=np.float64)) / shape[3]
+                     for d in y[f, 0] - x[f, 0]]
+            assert per_axis[f].tolist() == alone
+            assert total[f] == float(np.mean(alone))
             sq = np.square(x[f].astype(np.float64) - y[f].astype(np.float64))
-            assert per_axis[f].tolist() == [float(v) for v in sq[0].mean(axis=1)]
-            assert total[f] == float(sq.mean())
+            assert per_axis[f] == pytest.approx(sq[0].mean(axis=1), rel=1e-6)
+            assert total[f] == pytest.approx(float(sq.mean()), rel=1e-6)
 
 
 class TestGradients:

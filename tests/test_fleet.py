@@ -15,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -651,6 +652,24 @@ class TestRunFleet:
         with pytest.raises(ConfigurationError, match="no calibration"):
             run_fleet(fleet, {"motor-left": make_frames(seed=5, count=2)})
 
+    def test_a_saturated_frame_is_scored_high(self, checkpoint):
+        # samples of +-3e38 g are finite, but the reconstruction overflows:
+        # a NaN score is no sign of health, and the frame counts toward the
+        # window (compared as log lines, since NaN != NaN)
+        model, stats = load_checkpoint(checkpoint)
+        frames = make_frames(seed=8, count=3)
+        saturated = np.where(np.arange(FRAME_LEN) % 2, -3e38, 3e38).astype(np.float32)
+        frames[1] = Frame(data=np.tile(saturated, (3, 1)), timestamp=frames[1].timestamp, source="s")
+        spec = PredictorSpec(id="p", location="p", checkpoint=checkpoint,
+                             normalization=ScoreNormalization(mu=1.0, sigma=0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lines = [format_report(r) for r in evaluate_stream(spec, model, stats, frames)]
+        assert lines[1] == (
+            "ts:1001 predictor:p location:p axis_mse:nan,nan,nan total_mse:nan score:nan "
+            "level:high alarm:0 window_anomalous:1"
+        )
+        assert lines[2].endswith(" level:none alarm:0 window_anomalous:1")
+
     def test_duplicate_timestamps_rejected(self, checkpoint, tmp_path):
         norm = ScoreNormalization(mu=1.0, sigma=0.1)
         fleet = one_predictor_fleet(checkpoint, norm, tmp_path / "r.log")
@@ -658,6 +677,8 @@ class TestRunFleet:
         clash = [frames[0], Frame(data=frames[1].data, timestamp=50, source="s")]
         with pytest.raises(RoutingError, match="timestamp 50"):
             run_fleet(fleet, {"motor-left": clash})
+        with pytest.raises(RoutingError, match="^two frames for timestamp 50; one frame per sampling time$"):
+            calibrate_predictor(checkpoint, clash)
 
     def test_axes_mismatch_names_predictor(self, checkpoint, tmp_path):
         norm = ScoreNormalization(mu=1.0, sigma=0.1)
@@ -807,10 +828,15 @@ class TestStreamForms:
             want = self.outcome(score, spec, model, stats, frames)
             for form in (block, shuffled, from_file):
                 assert self.outcome(score, spec, model, stats, form) == want
-        # calibration takes the frames in the order given
+        # calibration walks in timestamp order too: every form and order
+        # gives the normalization that self-calibrated scoring fits
         want = self.outcome(calibrate_predictor, checkpoint, frames)
-        for form in (block, read_frames(tmp_path / "in_order.frames")):
+        for form in (block, shuffled, read_frames(tmp_path / "in_order.frames"), from_file):
             assert self.outcome(calibrate_predictor, checkpoint, form) == want
+        fitted = self.outcome(evaluate_self_calibrated, spec, model, stats, frames)
+        if isinstance(want, ScoreNormalization):
+            want = evaluate_stream(replace(spec, normalization=want), model, stats, frames)
+        assert fitted == want
         fleet = one_predictor_fleet(checkpoint, spec.normalization, tmp_path / "r.log")
         want = run_fleet(fleet, {"motor-left": frames}, log_path=tmp_path / "x.log")
         assert want == evaluate_stream(spec, model, stats, frames)

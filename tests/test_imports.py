@@ -1,7 +1,8 @@
 """Every name a vibanom module imports is used in that module, every
 private module-level name is used somewhere in the package, and every
 public one somewhere besides its definition: in the package, a bench or
-demo script, or the README.
+demo script, or the README. No function of the package takes a parameter
+whose name starts with an underscore.
 
 The package's __init__.py is exempt from the import check: its imports are
 the public re-exports. A name listed in a module's __all__ counts as used,
@@ -59,6 +60,33 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import os\nimport re\nfrom typing import List, Tuple\nx: List = re.compile('a')\n"
     assert unused_imports(source) == [(1, "os"), (3, "Tuple")]
+
+
+def private_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter of a function in
+    source whose name starts with an underscore: a private knob that only
+    some callers are meant to turn."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            found += [(node.lineno, node.name, p.arg) for p in params if p.arg.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_parameters(path):
+    assert private_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_private_parameter():
+    source = ("def report(x, *, _scratch=None):\n    return x\n"
+              "class A:\n    def f(self, _n, m, *_rest, **_extra):\n        return m\n"
+              "g = lambda _: 0\n")
+    assert private_parameters(source) == [
+        (1, "report", "_scratch"), (4, "f", "_n"), (4, "f", "_rest"), (4, "f", "_extra")
+    ]
 
 
 def _bound_names(stmt) -> list:

@@ -471,18 +471,29 @@ class TestResidualMse:
     def test_float64_sum_of_squares_over_count(self, dtype):
         d = np.random.default_rng(7).standard_normal((32, 48)).astype(dtype)
         exact = math.fsum(float(v) ** 2 for v in d.ravel())
-        assert nn.residual_mse(d, d.size) == pytest.approx(exact / d.size, rel=1e-13)
+        assert nn.residual_mse(d.reshape(-1), d.size) == pytest.approx(exact / d.size, rel=1e-13)
 
     def test_zeros_past_the_samples_count_nothing(self):
         d = np.zeros((4, 6), np.float32)
         d[:, :5] = 3.0
-        assert nn.residual_mse(d, 20) == 9.0
+        assert nn.residual_mse(d.reshape(-1), 20) == 9.0
+        assert nn.residual_mse(d, 5).tolist() == [9.0] * 4
 
     def test_is_the_mse_of_the_float32_residual(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((5, 1, 3, 64)).astype(np.float32)
         b = rng.standard_normal((5, 1, 3, 64)).astype(np.float32)
-        assert nn.residual_mse(a - b, a.size) == pytest.approx(mse(a, b), rel=1e-6)
+        assert nn.residual_mse((a - b).reshape(-1), a.size) == pytest.approx(mse(a, b), rel=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_value_per_row_each_as_if_alone(self, dtype):
+        d = np.random.default_rng(9).standard_normal((4, 1, 3, 4096)).astype(dtype)
+        rows = nn.residual_mse(d, 4096)
+        assert rows.shape == (4, 1, 3) and rows.dtype == np.float64
+        for index in np.ndindex(rows.shape):
+            assert rows[index] == nn.residual_mse(d[index].copy(), 4096)
+            exact = math.fsum(float(v) ** 2 for v in d[index])
+            assert rows[index] == pytest.approx(exact / 4096, rel=1e-13)
 
 
 def adam_reference(params, grads, moments, t, lr):

@@ -306,6 +306,10 @@ class TestClassify:
         config = AlarmConfig()
         assert classify(-100.0, config) == AlarmLevel.NONE
         assert classify(1e9, config) == AlarmLevel.HIGH
+        assert classify(float("inf"), config) == AlarmLevel.HIGH
+        assert classify(float("-inf"), config) == AlarmLevel.NONE
+        # NaN exceeds no threshold, but is no sign of health
+        assert classify(float("nan"), config) == AlarmLevel.HIGH
 
     def test_custom_thresholds(self):
         config = AlarmConfig(level_thresholds=(0.5, 1.0, 1.5))

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import cast, mse
+from helpers import cast, mse, tiny_config
 
 from vibanom import blas, dcan, nn, parallel, training
 from vibanom.errors import (
@@ -27,19 +27,6 @@ from vibanom.errors import (
     TrainingError,
 )
 from vibanom.training import StandardizationStats, TrainConfig
-
-
-def tiny_config():
-    return dcan.DcanConfig(
-        axes=3,
-        frame_len=64,
-        conv_specs=(
-            dcan.ConvSpec(1, 4, (3, 8), (1, 2)),
-            dcan.ConvSpec(4, 8, (1, 5), (1, 2)),
-            dcan.ConvSpec(8, 8, (1, 3), (1, 1)),
-        ),
-        fc_widths=(20, 20, 20, 20),
-    )
 
 
 def easy_frames(count=16, seed=0):
@@ -68,6 +55,13 @@ class TestStandardization:
         frames = np.random.default_rng(0).standard_normal((3, 1, 3, 8)).astype(np.float32)
         frames[:, 0, 1, :] = 5.0
         with pytest.raises(CalibrationError, match="axis 1"):
+            training.fit_standardization(frames)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_axis_names_the_axis(self, bad):
+        frames = np.random.default_rng(0).standard_normal((3, 1, 3, 8)).astype(np.float32)
+        frames[1, 0, 2, 5] = bad
+        with pytest.raises(CalibrationError, match="^axis 2 contains non-finite values$"):
             training.fit_standardization(frames)
 
     def test_needs_two_frames(self):
@@ -353,7 +347,8 @@ class TestTrainingTasks:
         frames = np.random.default_rng(36).standard_normal((70, 1, 3, 64)).astype(np.float32)
         with blas.one_thread():
             loop = sum(
-                nn.residual_mse(dcan.reconstruct(model, part) - part, part.size) * len(part)
+                float(nn.residual_mse((dcan.reconstruct(model, part) - part).reshape(-1), part.size))
+                * len(part)
                 for part in (frames[:32], frames[32:64], frames[64:])
             ) / 70
             whole = mse(dcan.reconstruct(model, frames), frames)
