@@ -355,14 +355,15 @@ def _named(spec: PredictorSpec):
 def _columns(model, stats, frames: Frames):
     """The walk over one stream: its timestamps (a list) and the MSE
     columns (per_axis, total) of dcan.reconstruction_report, in timestamp
-    order, whatever order the frames come in.
+    order, whatever order the frames come in; frames that share a
+    timestamp keep their given order.
 
-    An empty stream, mixed axis counts, the wrong axis count for the
-    checkpoint and two frames with one timestamp are refused. Each
-    _TASK-frame slice of the order is one task of parallel.run_in_order.
-    Each thread's first task meets the others once it holds its
-    standardized frames and their reconstruction, so every walk reaches
-    that many such working sets at once.
+    An empty stream, mixed axis counts and the wrong axis count for the
+    checkpoint are refused. Each _TASK-frame slice of the order is one
+    task of parallel.run_in_order. Each thread's first task meets the
+    others once it holds its standardized frames and their
+    reconstruction, so every walk reaches that many such pairs at once;
+    the report's residual, one more array of that size, comes after.
     """
     if len(frames) == 0:
         raise DimensionError("the stream has no frames")
@@ -374,10 +375,6 @@ def _columns(model, stats, frames: Frames):
         )
     order = np.argsort(stream.timestamps, kind="stable")
     stamps = stream.timestamps[order]
-    repeats = np.flatnonzero(stamps[1:] == stamps[:-1])
-    if repeats.size:
-        raise RoutingError("two frames for timestamp %d; one frame per "
-                           "sampling time" % stamps[repeats[0]])
     tasks = [order[start:start + _TASK] for start in range(0, len(order), _TASK)]
     results = parallel.run_in_order(
         lambda k, meet: _task_reports(model, stats, stream, tasks[k], meet),
@@ -412,7 +409,12 @@ def _status_reports(
     spec: PredictorSpec, stamps: List[int], per_axis: np.ndarray, total: np.ndarray
 ) -> List[StatusReport]:
     """Score reconstructed frames, given as the columns of _columns,
-    through the predictor's hysteresis window."""
+    through the predictor's hysteresis window. Two frames with one
+    timestamp are refused: a sampling time has one report."""
+    repeats = np.flatnonzero(np.diff(stamps) == 0)
+    if repeats.size:
+        raise RoutingError("two frames for timestamp %d; one report per "
+                           "sampling time" % stamps[repeats[0]])
     state = HysteresisState()
     reports = []
     for timestamp, axis_mse, mse in zip(stamps, per_axis.tolist(), total.tolist()):
@@ -457,7 +459,8 @@ def run_fleet(
     opened only when its predictor's turn comes, and its scoring tasks
     read their own records, so no stream file is held whole. A truncated
     file fails when its turn comes, a non-finite frame when the task
-    holding it runs. Each predictor processes its frames in timestamp
+    holding it runs, two frames at one timestamp once the stream's walk
+    is done. Each predictor processes its frames in timestamp
     order, independently of the others; an empty stream is skipped.
     Reports are appended to log_path (default: the fleet's report_log,
     checked against the checkpoints and stream paths before any scoring)
@@ -484,9 +487,10 @@ def calibrate_predictor(checkpoint_path, frames: Frames) -> ScoreNormalization:
     """Fit score normalization from normal frames via a checkpoint.
 
     The frames are walked in timestamp order, as score walks them, so any
-    order of one set of frames gives the same normalization, the one that
-    evaluate_self_calibrated fits to them. Two frames with one timestamp
-    are refused.
+    order of frames with distinct timestamps gives the same normalization,
+    the one that evaluate_self_calibrated fits to them. Frames may share a
+    timestamp, as the channels of one IMS recording do in ingest-nasa's
+    train.frames; those keep their given order.
     """
     model, stats = load_checkpoint(checkpoint_path)
     return calibrate(_columns(model, stats, frames)[2])

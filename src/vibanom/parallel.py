@@ -165,8 +165,11 @@ def run_in_order(task, count: int) -> list:
     peak of a short run depends on whether the threads' peaks happen to
     overlap (a long walk's peak pinned within 1.2 x a short one's reached
     1.179 without meet in 20 runs, 1.057 with it). Either all first tasks
-    call meet or none do; fleet's scoring and calibration tasks call it,
-    training's do not.
+    call meet or none do; fleet's scoring and calibration tasks call it
+    once they hold their frames and reconstruction, training's do not.
+    What a task allocates before or after its meet (fleet's: the layer
+    activations inside reconstruct, the report's residual) is not pinned
+    to overlap.
     Later tasks do not wait for each other.
     """
     _raise_mmap_threshold()

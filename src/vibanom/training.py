@@ -132,8 +132,8 @@ def fit_standardization(frames: np.ndarray) -> StandardizationStats:
     """Per-axis mean and population standard deviation over all points.
 
     Requires at least 2 frames; a near-constant axis (std below 1e-8), or
-    one with a NaN or infinite sample, is a calibration failure naming the
-    axis.
+    one with a NaN or infinite sample, whose mean or std is then not
+    finite, is a calibration failure naming the axis.
     """
     _check_frame_stack(frames)
     if frames.shape[0] < 2:
@@ -142,10 +142,11 @@ def fit_standardization(frames: np.ndarray) -> StandardizationStats:
     stds = []
     for axis in range(frames.shape[2]):
         values = frames[:, 0, axis, :]
-        if not np.isfinite(values).all():
-            raise CalibrationError(f"axis {axis} contains non-finite values")
         mean = float(values.mean(dtype=np.float64))
-        std = float(values.std(dtype=np.float64))  # population (divide by N)
+        with np.errstate(invalid="ignore"):  # inf - inf, for an infinite sample
+            std = float(values.std(dtype=np.float64))  # population (divide by N)
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise CalibrationError(f"axis {axis} contains non-finite values")
         if std < STD_FLOOR:
             raise CalibrationError(
                 f"axis {axis} is constant (std {std:.3e} below floor {STD_FLOOR:.0e})"

@@ -763,6 +763,24 @@ class TestIngestNasa:
         assert len(read_frames(out / "test_Set2_Ch1.frames")) == 4
         assert "train: 44 frames" in capsys.readouterr().out
 
+    def test_train_split_calibrates(self, tmp_path, capsys):
+        # the channels of one recording share its timestamp, so train.frames
+        # repeats timestamps; calibrate takes it, as the README's workflow does
+        root = tmp_path / "ims"
+        make_mini_ims(root)
+        out = tmp_path / "splits"
+        with pytest.warns(Warning):
+            assert main(["ingest-nasa", str(root), "--out", str(out), "--seed", "0"]) == 0
+        stamps = read_frames(out / "train.frames").timestamps
+        assert len(np.unique(stamps)) < len(stamps)
+        ckpt = tmp_path / "model.ckpt"
+        stats = StandardizationStats(np.zeros(1, np.float32), np.ones(1, np.float32))
+        save_checkpoint(dcan.build(dcan.DcanConfig(axes=1), seed=21), stats, ckpt)
+        capsys.readouterr()
+        rc = main(["calibrate", "--checkpoint", str(ckpt), "--frames", str(out / "train.frames")])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["sigma"] > 0
+
     def test_seed_determinism(self, tmp_path):
         root = tmp_path / "ims"
         make_mini_ims(root)

@@ -675,10 +675,11 @@ class TestRunFleet:
         fleet = one_predictor_fleet(checkpoint, norm, tmp_path / "r.log")
         frames = make_frames(seed=6, count=2, start_ts=50)
         clash = [frames[0], Frame(data=frames[1].data, timestamp=50, source="s")]
-        with pytest.raises(RoutingError, match="timestamp 50"):
+        with pytest.raises(RoutingError, match="^predictor motor-left: two frames for timestamp 50; one report per sampling time$"):
             run_fleet(fleet, {"motor-left": clash})
-        with pytest.raises(RoutingError, match="^two frames for timestamp 50; one frame per sampling time$"):
-            calibrate_predictor(checkpoint, clash)
+        # calibration gives no report per frame: the channels of one IMS
+        # recording share its timestamp in ingest-nasa's train.frames
+        assert calibrate_predictor(checkpoint, clash).sigma > 0
 
     def test_axes_mismatch_names_predictor(self, checkpoint, tmp_path):
         norm = ScoreNormalization(mu=1.0, sigma=0.1)
