@@ -48,6 +48,7 @@ import numpy as np
 
 from . import dcan, ingest, parallel
 from .errors import (
+    CalibrationError,
     ConfigurationError,
     DataWarning,
     DimensionError,
@@ -331,14 +332,17 @@ def load_fleet_config(path) -> FleetConfig:
     return fleet_config_from_dict(data)
 
 
-def _task_reports(model, stats, stream: FrameBlock | FrameFile, rows: np.ndarray, meet=None):
-    """Stack, standardize, reconstruct and report the frames at rows,
-    calling meet(), if given, once the reconstruction is held."""
-    batch = standardize(stack_frames(stream[rows]), stats)
-    recon = dcan.reconstruct(model, batch)
-    if meet is not None:
-        meet()
-    return dcan.reconstruction_report(batch, recon)
+def _task_reports(model, stats, stream: FrameBlock | FrameFile, rows: np.ndarray):
+    """Stack, standardize, reconstruct and report the frames at rows.
+
+    A finite frame too large for float32 once standardized overflows to a
+    non-finite MSE, which scoring reports as high and calibration refuses
+    (_calibration): numpy's overflow and invalid-value warnings on the way
+    there say nothing more, so they are not raised.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = standardize(stack_frames(stream[rows]), stats)
+        return dcan.reconstruction_report(batch, dcan.reconstruct(model, batch))
 
 
 @contextlib.contextmanager
@@ -360,10 +364,8 @@ def _columns(model, stats, frames: Frames):
 
     An empty stream, mixed axis counts and the wrong axis count for the
     checkpoint are refused. Each _TASK-frame slice of the order is one
-    task of parallel.run_in_order. Each thread's first task meets the
-    others once it holds its standardized frames and their
-    reconstruction, so every walk reaches that many such pairs at once;
-    the report's residual, one more array of that size, comes after.
+    task of parallel.run_in_order, so a walk holds at most one task's
+    frames, reconstruction and report per thread.
     """
     if len(frames) == 0:
         raise DimensionError("the stream has no frames")
@@ -377,7 +379,7 @@ def _columns(model, stats, frames: Frames):
     stamps = stream.timestamps[order]
     tasks = [order[start:start + _TASK] for start in range(0, len(order), _TASK)]
     results = parallel.run_in_order(
-        lambda k, meet: _task_reports(model, stats, stream, tasks[k], meet),
+        lambda k: _task_reports(model, stats, stream, tasks[k]),
         len(tasks),
     )
     per_axis, total = zip(*results)
@@ -402,7 +404,19 @@ def evaluate_self_calibrated(
     normalization are the ones scored. spec.normalization is ignored.
     """
     stamps, per_axis, total = _columns(model, stats, frames)
-    return _status_reports(replace(spec, normalization=calibrate(total)), stamps, per_axis, total)
+    spec = replace(spec, normalization=_calibration(stamps, total))
+    return _status_reports(spec, stamps, per_axis, total)
+
+
+def _calibration(stamps: List[int], total: np.ndarray) -> ScoreNormalization:
+    """scoring.calibrate of the total MSEs of _columns, after refusing the
+    first frame, in time order, whose MSE is not finite."""
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        raise CalibrationError(
+            "frame at timestamp %d has a non-finite reconstruction MSE" % stamps[bad[0]]
+        )
+    return calibrate(total)
 
 
 def _status_reports(
@@ -493,5 +507,6 @@ def calibrate_predictor(checkpoint_path, frames: Frames) -> ScoreNormalization:
     train.frames; those keep their given order.
     """
     model, stats = load_checkpoint(checkpoint_path)
-    return calibrate(_columns(model, stats, frames)[2])
+    stamps, _, total = _columns(model, stats, frames)
+    return _calibration(stamps, total)
 

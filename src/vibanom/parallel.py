@@ -30,9 +30,9 @@ a worker could share one CPU for seconds while the other idled: on a
 2-vCPU VM (Xeon, Linux 6.18), the first training steps after 20 s of idle
 took 21-27 ms a batch-64 step, against 13-18 ms with the threads apart.
 
-Threads that wait block (a lock, the barrier, a queue) and never spin in
-Python: a thread running Python holds the interpreter lock that a GEMM
-ending on another thread must take back.
+Threads that wait block (a lock, a queue) and never spin in Python: a
+thread running Python holds the interpreter lock that a GEMM ending on
+another thread must take back.
 """
 
 from __future__ import annotations
@@ -154,41 +154,20 @@ if hasattr(os, "register_at_fork"):  # POSIX only, as is fork
 
 
 def run_in_order(task, count: int) -> list:
-    """[task(0, meet), ..., task(count - 1, meet)], run as described in the
-    module docstring, on workers = min(_worker_count(), count) threads.
-
-    Tasks 0 to workers - 1 get a function meet, the later ones None. A
-    task may call meet() once, when it holds its working set: it waits
-    there until each of those first tasks has called it, so they run on
-    distinct threads and every run reaches that many working sets at
-    once. This is for the peak memory's sake, not speed: without it the
-    peak of a short run depends on whether the threads' peaks happen to
-    overlap (a long walk's peak pinned within 1.2 x a short one's reached
-    1.179 without meet in 20 runs, 1.057 with it). Either all first tasks
-    call meet or none do; fleet's scoring and calibration tasks call it
-    once they hold their frames and reconstruction, training's do not.
-    What a task allocates before or after its meet (fleet's: the layer
-    activations inside reconstruct, the report's residual) is not pinned
-    to overlap.
-    Later tasks do not wait for each other.
-    """
+    """[task(0), ..., task(count - 1)], run as described in the module
+    docstring, on min(_worker_count(), count) threads. A thread takes a
+    task only after its last one has returned, so a call holds at most
+    that many tasks' working sets at once."""
     _raise_mmap_threshold()
     workers = min(_worker_count(), count)
     results: list = [None] * count
     errors = {}  # task index -> its exception, under lock
     lock = threading.Lock()
     taken = itertools.count()
-    barrier = threading.Barrier(workers)
     # one CPU each for the threads when they are as many as the caller's
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     if workers == 1 or len(cpus) != workers:
         cpus = [None] * workers
-
-    def meet():
-        try:
-            barrier.wait()
-        except threading.BrokenBarrierError:
-            pass  # a task failed: go on alone
 
     def work():
         while True:
@@ -197,11 +176,10 @@ def run_in_order(task, count: int) -> list:
                 if k >= count or (errors and k > min(errors)):
                     return
             try:
-                results[k] = task(k, meet if k < workers else None)
+                results[k] = task(k)
             except BaseException as exc:
                 with lock:
                     errors[k] = exc
-                barrier.abort()
 
     done = threading.Semaphore(0)
     sent = 0
@@ -215,9 +193,6 @@ def run_in_order(task, count: int) -> list:
                 sent += 1
             _on_cpu(cpus[0], work)
         finally:
-            # frees a worker still waiting, which only a caller that
-            # failed outside a task can leave behind
-            barrier.abort()
             for _ in range(sent):
                 done.acquire()
     if errors:

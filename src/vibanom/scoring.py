@@ -74,7 +74,7 @@ def calibrate(mse_values: Iterable[float]) -> ScoreNormalization:
         raise CalibrationError("calibration values must be finite")
     mu = float(np.mean(values))
     sigma = float(np.std(values))  # population std
-    if sigma <= np.finfo(np.float32).eps * abs(mu):
+    if sigma <= float(np.finfo(np.float32).eps) * abs(mu):  # in float64
         raise CalibrationError(
             "calibration values are all equal; cannot derive a scale"
         )

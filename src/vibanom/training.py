@@ -184,7 +184,7 @@ def _by_micro_batch(task, frames: np.ndarray) -> list:
     """[task(part) for each _MICRO_BATCH-frame part of frames], run as
     tasks on the task runner; the results come back in task order."""
     return parallel.run_in_order(
-        lambda k, meet: task(frames[k * _MICRO_BATCH : (k + 1) * _MICRO_BATCH]),
+        lambda k: task(frames[k * _MICRO_BATCH : (k + 1) * _MICRO_BATCH]),
         -(-frames.shape[0] // _MICRO_BATCH),
     )
 

@@ -7,6 +7,7 @@ checkpoint, small FRME files of noise frames, and a miniature IMS tree.
 import json
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -271,6 +272,60 @@ class TestScore:
         )
         assert rc == 1
         assert "error: RoutingError:" in capsys.readouterr().err
+
+
+class TestSaturatedFrame:
+    """Frame 2 (timestamp 102) of five is all 3e38 g: finite, as FrameBlock
+    requires, but past float32 once a checkpoint with std 0.05
+    standardizes it. main runs with warnings as errors, since pytest
+    captures warnings that an stderr check alone would not see."""
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        data = np.random.default_rng(1).normal(size=(5, 3, FRAME_LEN)).astype(np.float32)
+        data[2] = 3e38
+        write_frames(tmp_path / "sat.frames", FrameBlock(np.arange(100, 105), data))
+        model = dcan.build(dcan.DcanConfig(), seed=21)
+        stats = StandardizationStats(np.zeros(3, np.float32), np.full(3, 0.05, np.float32))
+        save_checkpoint(model, stats, tmp_path / "tight.ckpt")
+        return tmp_path
+
+    def run(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(argv)
+
+    def test_scored_high_without_warnings(self, setup, capsys):
+        spec = PredictorSpec(id="p", location="p", checkpoint=str(setup / "tight.ckpt"),
+                             normalization=ScoreNormalization(mu=1.0, sigma=0.5))
+        save_fleet_config(FleetConfig(predictors=(spec,)), setup / "fleet.json")
+        rc = self.run(["score", "--checkpoint", str(setup / "tight.ckpt"),
+                       "--frames", str(setup / "sat.frames"), "--config", str(setup / "fleet.json")])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        reports = [parse_report(line) for line in captured.out.splitlines()]
+        assert [r.timestamp for r in reports] == [100, 101, 102, 103, 104]
+        assert reports[2].level == AlarmLevel.HIGH
+
+    @pytest.mark.parametrize("command", ["calibrate", "score"])
+    def test_calibration_names_the_frame(self, setup, capsys, command):
+        # score without --config calibrates on the frames it scores
+        rc = self.run([command, "--checkpoint", str(setup / "tight.ckpt"),
+                       "--frames", str(setup / "sat.frames")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: CalibrationError: frame at timestamp 102 has a non-finite "
+            "reconstruction MSE"
+        ]
+
+    def test_calibrates_under_unit_stats(self, setup, checkpoint, capsys):
+        # finite MSEs beyond float32's range still have a spread
+        rc = self.run(["calibrate", "--checkpoint", checkpoint,
+                       "--frames", str(setup / "sat.frames")])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert json.loads(captured.out)["sigma"] > 0
 
 
 def shuffled_streams(root, checkpoint, lengths, seed):

@@ -571,31 +571,6 @@ class TestScoringTasks:
         if blas_threads is not None:
             assert state["blas"] == {1}
 
-    def test_first_round_meets_before_reporting(self, checkpoint, monkeypatch):
-        # every worker's first task holds its reconstruction before any
-        # report starts, so a walk's peak memory reaches that level
-        events = []
-        lock = threading.Lock()
-        reconstruct, report = dcan.reconstruct, dcan.reconstruction_report
-
-        def reconstructed(model, batch):
-            result = reconstruct(model, batch)
-            with lock:
-                events.append("reconstructed")
-            return result
-
-        def reporting(*args, **kwargs):
-            with lock:
-                events.append("report")
-            return report(*args, **kwargs)
-
-        monkeypatch.setattr(parallel, "_worker_count", lambda: 4)
-        monkeypatch.setattr(dcan, "reconstruct", reconstructed)
-        monkeypatch.setattr(dcan, "reconstruction_report", reporting)
-        bounded(self.lines, checkpoint, make_frames(seed=23, count=16 * 6))
-        assert events[:4] == ["reconstructed"] * 4
-        assert events.count("report") == 6
-
     def test_first_error_in_task_order_wins(self, checkpoint, monkeypatch):
         # identity standardization keeps each frame's first sample, which
         # here numbers the frame, so a batch names its task; task 3 fails

@@ -2,7 +2,7 @@
 private module-level name is used somewhere in the package, and every
 public one somewhere besides its definition: in the package, a bench or
 demo script, or the README. No function of the package takes a parameter
-whose name starts with an underscore.
+whose name starts with an underscore, nor one that its body never reads.
 
 The package's __init__.py is exempt from the import check: its imports are
 the public re-exports. A name listed in a module's __all__ counts as used,
@@ -86,6 +86,44 @@ def test_detects_a_private_parameter():
               "g = lambda _: 0\n")
     assert private_parameters(source) == [
         (1, "report", "_scratch"), (4, "f", "_n"), (4, "f", "_rest"), (4, "f", "_extra")
+    ]
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter of a function or
+    lambda in source, other than self or cls, that its body never reads;
+    a read in a nested function counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            found += [
+                (node.lineno, name, p.arg) for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read
+            ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_an_unread_parameter():
+    source = ("def run(task, count, meet=None):\n    return task(count)\n"
+              "class A:\n    def f(self, n, *rest, **extra):\n        return extra\n"
+              "    @classmethod\n    def g(cls, m):\n        def inner():\n            return m\n"
+              "        return inner\n"
+              "h = lambda k, meet: k\n")
+    assert unread_parameters(source) == [
+        (1, "run", "meet"), (4, "f", "n"), (4, "f", "rest"), (11, "<lambda>", "meet")
     ]
 
 

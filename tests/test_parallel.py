@@ -1,9 +1,13 @@
 """Tests for the task runner that scoring and training share, and for the
 OpenBLAS pin it holds while its tasks run.
 
-The scoring walk's own tests (order, first error, first-round barrier,
-worker-count rule) are in test_fleet.py; training's are in
-test_training.py.
+The scoring walk's own tests (order, first error, worker-count rule) are
+in test_fleet.py; training's are in test_training.py.
+
+Tests that need a call's first tasks on distinct threads make those
+tasks wait at a barrier of their own: a thread takes a new task only
+after its last one returns, so the tasks held at the barrier are on as
+many threads.
 """
 
 import gc
@@ -92,7 +96,7 @@ class TestRunInOrder:
         monkeypatch.setattr(parallel, "_worker_count", lambda: workers)
         idents = set()
 
-        def task(k, meet):
+        def task(k):
             idents.add(threading.get_ident())
             return k * k
 
@@ -103,12 +107,13 @@ class TestRunInOrder:
     def test_tasks_keep_the_callers_numpy_error_state(self, monkeypatch, workers):
         # np.errstate is a context variable; each worker runs in a copy of
         # the caller's context, so an overflow raises on every thread. The
-        # first round puts tasks 0 to workers - 1 on distinct threads.
+        # barrier puts tasks 0 to workers - 1 on distinct threads.
         monkeypatch.setattr(parallel, "_worker_count", lambda: workers)
         big = np.full(4, 3e38, np.float32)
+        meet = threading.Barrier(workers)
 
-        def task(k, meet):
-            meet()
+        def task(k):
+            meet.wait()
             try:
                 big * np.float32(2)
             except FloatingPointError:
@@ -132,9 +137,10 @@ class TestWorkers:
 
         def idents():
             seen = set()
+            meet = threading.Barrier(3)
 
-            def task(k, meet):
-                meet()  # the three tasks run on three distinct threads
+            def task(k):
+                meet.wait()  # the three tasks run on three distinct threads
                 seen.add(threading.get_ident())
 
             parallel.run_in_order(task, 3)
@@ -159,7 +165,7 @@ class TestWorkers:
 
         def call():
             payload = Payload()
-            parallel.run_in_order(lambda k, meet: payload, 2)
+            parallel.run_in_order(lambda k: payload, 2)
             return weakref.ref(payload)
 
         ref = bounded(call)
@@ -171,12 +177,17 @@ class TestWorkers:
         interval = sys.getswitchinterval()
 
         def calls(offset):
-            def task(k, meet):
-                if meet is not None:
-                    meet()  # hangs unless every call has distinct threads
-                return offset + k
+            def call():
+                meet = threading.Barrier(4)
 
-            return [parallel.run_in_order(task, 9) for _ in range(40)]
+                def task(k):
+                    if k < 4:
+                        meet.wait()  # hangs unless every call has distinct threads
+                    return offset + k
+
+                return parallel.run_in_order(task, 9)
+
+            return [call() for _ in range(40)]
 
         def run():
             out = {}
@@ -202,16 +213,21 @@ class TestWorkers:
     def test_a_forked_child_runs_tasks(self, monkeypatch):
         monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
 
-        def task(k, meet):
-            meet()
-            return k
+        def call():
+            meet = threading.Barrier(2)
 
-        assert bounded(lambda: parallel.run_in_order(task, 2)) == [0, 1]
+            def task(k):
+                meet.wait()
+                return k
+
+            return parallel.run_in_order(task, 2)
+
+        assert bounded(call) == [0, 1]
         pid = os.fork()
         if pid == 0:  # the child: the parent's worker thread is not here
             status = 1
             try:
-                status = 0 if parallel.run_in_order(task, 2) == [0, 1] else 1
+                status = 0 if call() == [0, 1] else 1
             finally:
                 os._exit(status)
         deadline = time.monotonic() + 30
@@ -237,10 +253,10 @@ class TestPinning:
         # the caller may use two CPUs; each task reports its thread's mask
         monkeypatch.setattr(parallel, "_worker_count", lambda: workers)
         two = set(sorted(os.sched_getaffinity(0))[:2])
+        meet = threading.Barrier(workers)
 
-        def task(k, meet):
-            if meet is not None:
-                meet()  # the first tasks run on distinct threads
+        def task(k):
+            meet.wait()  # the tasks run on distinct threads
             return threading.get_ident(), os.sched_getaffinity(0)
 
         def call():

@@ -11,6 +11,7 @@ import math
 import re
 import tracemalloc
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ class TestCalibrate:
         norm = calibrate(values)
         assert norm.mu == pytest.approx(float(np.mean(values)), rel=1e-12)
         assert norm.sigma == pytest.approx(float(np.std(values)), rel=1e-12)
+
+    def test_values_beyond_float32_range_calibrate(self):
+        # the all-equal rule is formed in float64: in float32, eps * |mu|
+        # overflows to inf above 3.4e38, which took any spread for none
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = calibrate([1e40, 2e40, 3e40])
+            with pytest.raises(CalibrationError, match="all equal"):
+                calibrate([1e40, 1e40, 1e40])
+        assert norm.mu == pytest.approx(2e40, rel=1e-12)
+        assert norm.sigma == pytest.approx(math.sqrt(2 / 3) * 1e40, rel=1e-12)
 
     @pytest.mark.parametrize("values", [[], [0.3]])
     def test_needs_two_values(self, values):
