@@ -13,7 +13,7 @@ from vibanom import dcan, nn
 config = dcan.DcanConfig()
 model = dcan.build(config, seed=0)
 
-print("input frame: 1 channel x %d axes x %d points" % (config.axes, config.frame_len))
+print("input frame: 1 channel x %d axes x %d points" % (config.axes, dcan.FRAME_LEN))
 print("parameters : %d" % dcan.parameter_count(model))
 print()
 
@@ -30,12 +30,12 @@ for name, layer in model.layers.items():
         print()
         print("auto-encoding core (dense)")
     elif name == "deconv1":
-        h = h.reshape(1, *config.latent_shape)
+        h = h.reshape(1, layer.in_channels, 1, -1)
         print()
         print("decoder (transposed convolutions)")
     h = layer.forward(h)
     if name not in ("fc5", "deconv3"):  # the two linear layers
-        h = nn.leaky_relu(h, config.leaky_slope)
+        h = nn.leaky_relu(h, dcan.LEAKY_SLOPE)
     if isinstance(layer, nn.DenseLayer):
         print("  %s %d -> %d" % (name, layer.in_features, layer.out_features))
     else:

@@ -1,24 +1,25 @@
 """Convolutional auto-encoding reconstruction network.
 
-Assembles the fixed three-stage architecture (convolutional feature
-extraction, fully connected auto-encoding, transposed-convolution
-reconstruction) over standardized vibration frames of shape
-(batch, 1, axes, frame_len), and computes each frame's reconstruction
-MSE as two float64 columns: one MSE per axis, and one over the frame.
+Assembles the paper's one architecture (convolutional feature extraction,
+fully connected auto-encoding, transposed-convolution reconstruction)
+over standardized vibration frames of shape (batch, 1, axes, FRAME_LEN),
+and computes each frame's reconstruction MSE as two float64 columns: one
+MSE per axis, and one over the frame.
 
-With the default configuration the encoder maps a 3 x 4096 frame to a
-16 x 1 x 57 feature block (912 values flat), the five fully connected
-layers auto-encode that vector through hidden width 200, and the decoder
-restores the original frame size exactly. Inference never mutates the
-model, so concurrent reconstruct calls on a shared model are safe;
-training updates parameters in place and needs exclusive access.
+The architecture is module constants, and DcanConfig.axes (1 or 3) its
+one setting. The encoder maps a 3 x 4096 frame to a 16 x 1 x 57 feature
+block (912 values flat), the five fully connected layers auto-encode that
+vector through hidden width 200, and the decoder restores the original
+frame size exactly. Every convolution kernel spans its input's full
+height: the first covers all the axes, so each encoder convolution
+outputs one row, and each transposed convolution reads one. Inference
+never mutates the model, so concurrent reconstruct calls on a shared
+model are safe; training updates parameters in place and needs exclusive
+access.
 
-Every convolution kernel spans its input's full height (DcanConfig.validate
-refuses any other): the first covers all the axes, so each encoder
-convolution outputs one row, and each transposed convolution reads one.
-
-The model is one table of its eleven layers in forward order. One walker
-runs it for reconstruct; for training it records each layer's input and
+The model is one table of its eleven layers in forward order, and code
+that runs a model reads its shapes from that table. One walker runs it
+for reconstruct; for training it records each layer's input and
 pre-activation on a tape, and one loop over the reversed tape turns the
 loss gradient into every parameter gradient.
 
@@ -39,10 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import ConfigurationError, DimensionError, _count, _number
+from .errors import ConfigurationError, DimensionError, _count
+from .signals import MODEL_FRAME_LEN as FRAME_LEN
 
 __all__ = [
-    "ConvSpec",
+    "LEAKY_SLOPE",
     "DcanConfig",
     "DcanModel",
     "build",
@@ -52,116 +54,24 @@ __all__ = [
     "parameter_count",
 ]
 
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """One encoder convolution: channels, kernel and stride."""
-
-    in_channels: int
-    out_channels: int
-    kernel: tuple[int, int]
-    stride: tuple[int, int]
-
-
-def default_conv_specs(axes: int) -> tuple[ConvSpec, ...]:
-    """The pinned encoder stack; the first kernel spans all input axes."""
-    return (
-        ConvSpec(1, 8, (axes, 64), (1, 16)),
-        ConvSpec(8, 16, (1, 13), (1, 4)),
-        ConvSpec(16, 16, (1, 5), (1, 1)),
-    )
+# (out channels, kernel width, stride) of conv1 ... conv3
+_CONVS = ((8, 64, 16), (16, 13, 4), (16, 5, 1))
+# the hidden widths of the five dense layers
+_FC_WIDTHS = (200, 200, 200, 200)
+# the negative slope of every LeakyReLU; nn.leaky_relu needs it in [0, 1]
+LEAKY_SLOPE = 0.01
 
 
 @dataclass
 class DcanConfig:
-    """Architecture hyperparameters.
-
-    axes is the frame height (1 or 3 vibration axes), frame_len the number
-    of points per axis. conv_specs defaults to the pinned three-layer stack;
-    fc_widths are the four hidden widths of the five-weight-layer
-    auto-encoding module.
-    """
+    """The architecture's one setting: axes, the frame height (1 or 3)."""
 
     axes: int = 3
-    frame_len: int = 4096
-    leaky_slope: float = 0.01
-    conv_specs: tuple[ConvSpec, ...] | None = None
-    fc_widths: tuple[int, ...] = (200, 200, 200, 200)
-
-    def __post_init__(self):
-        if self.conv_specs is None:
-            self.conv_specs = default_conv_specs(self.axes)
-        self.conv_specs = tuple(self.conv_specs)
-        self.fc_widths = tuple(self.fc_widths)
-
-    def _check_types(self) -> None:
-        """Every size is a count and leaky_slope a number, so a checkpoint's
-        metadata of the wrong type fails here, not deep in a comparison."""
-        _count("axes", self.axes)
-        _count("frame_len", self.frame_len)
-        for i, spec in enumerate(self.conv_specs, start=1):
-            _count(f"conv{i}.in_channels", spec.in_channels)
-            _count(f"conv{i}.out_channels", spec.out_channels)
-            for name in ("kernel", "stride"):
-                pair = getattr(spec, name)
-                if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-                    raise ConfigurationError(f"conv{i}.{name} must be a pair of ints, got {pair!r}")
-                for v in pair:
-                    _count(f"conv{i}.{name}", v)
-        for i, w in enumerate(self.fc_widths):
-            _count(f"fc_widths[{i}]", w)
-        _number("leaky_slope", self.leaky_slope)
 
     def validate(self) -> None:
-        """Raise ConfigurationError unless the layer table chains exactly."""
-        self._check_types()
+        _count("axes", self.axes)
         if self.axes not in (1, 3):
             raise ConfigurationError(f"unsupported axis count {self.axes}; expected 1 or 3")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            # nn.leaky_relu is max(x, slope * x), which needs this range
-            raise ConfigurationError(f"leaky_slope must be in [0, 1], got {self.leaky_slope!r}")
-        if len(self.conv_specs) != 3:
-            raise ConfigurationError(f"expected 3 conv_specs, got {len(self.conv_specs)}")
-        if len(self.fc_widths) != 4:
-            raise ConfigurationError(f"expected 4 fc_widths, got {len(self.fc_widths)}")
-        if self.conv_specs[0].in_channels != 1:
-            raise ConfigurationError(
-                f"conv1.in_channels must be 1, got {self.conv_specs[0].in_channels}"
-            )
-        h, w = self.axes, self.frame_len
-        for i, spec in enumerate(self.conv_specs, start=1):
-            if i > 1 and spec.in_channels != self.conv_specs[i - 2].out_channels:
-                raise ConfigurationError(
-                    f"conv{i} expects {spec.in_channels} channels but conv{i - 1} "
-                    f"produces {self.conv_specs[i - 2].out_channels}"
-                )
-            kh, kw = spec.kernel
-            if kh != h:
-                raise ConfigurationError(
-                    f"conv{i} kernel height {kh} differs from its input height {h}; "
-                    "every kernel spans its input's full height"
-                )
-            if kw > w:
-                raise ConfigurationError(f"conv{i} kernel {spec.kernel} exceeds input {h}x{w}")
-            if (w - kw) % spec.stride[1] != 0:
-                raise ConfigurationError(
-                    f"conv{i} stride {spec.stride} does not tile input {h}x{w}; "
-                    "the decoder could not restore the frame size"
-                )
-            h, w = nn.conv_output_hw(h, w, spec.kernel, spec.stride)
-
-    @property
-    def latent_shape(self) -> tuple[int, int, int]:
-        """(channels, height, width) after the last encoder convolution."""
-        h, w = self.axes, self.frame_len
-        for spec in self.conv_specs:
-            h, w = nn.conv_output_hw(h, w, spec.kernel, spec.stride)
-        return self.conv_specs[-1].out_channels, h, w
-
-    @property
-    def flat_size(self) -> int:
-        c, h, w = self.latent_shape
-        return c * h * w
 
 
 # The two layers with no LeakyReLU after them: the auto-encoder's output
@@ -194,15 +104,16 @@ def _layer_sizes(config: DcanConfig) -> list:
     """(name, layer class, sizes) of each of the eleven layers in forward
     order; raises ConfigurationError unless config validates."""
     config.validate()
-    specs = config.conv_specs
-    widths = [config.flat_size, *config.fc_widths, config.flat_size]
+    convs, channels, height, width = [], 1, config.axes, FRAME_LEN
+    for out, kernel, stride in _CONVS:
+        convs.append((channels, out, (height, kernel), (1, stride)))
+        channels, height, width = out, 1, (width - kernel) // stride + 1
+    widths = [channels * width, *_FC_WIDTHS, channels * width]
     return (
-        [(f"conv{i}", nn.Conv2dLayer, (s.in_channels, s.out_channels, s.kernel, s.stride))
-         for i, s in enumerate(specs, start=1)]
+        [(f"conv{i}", nn.Conv2dLayer, sizes) for i, sizes in enumerate(convs, start=1)]
         + [(f"fc{i}", nn.DenseLayer, (widths[i - 1], widths[i])) for i in range(1, len(widths))]
-        + [(f"deconv{i}", nn.ConvTranspose2dLayer,
-            (s.out_channels, s.in_channels, s.kernel, s.stride))
-           for i, s in enumerate(reversed(specs), start=1)]
+        + [(f"deconv{i}", nn.ConvTranspose2dLayer, (o, c, kernel, stride))
+           for i, (c, o, kernel, stride) in enumerate(reversed(convs), start=1)]
     )
 
 
@@ -234,11 +145,13 @@ def parameter_count(model: DcanModel) -> int:
 
 
 def _check_frames(model: DcanModel, frames: np.ndarray) -> None:
-    cfg = model.config
-    if frames.ndim != 4 or frames.shape[1:] != (1, cfg.axes, cfg.frame_len):
-        raise DimensionError(
-            f"frames must have shape (B, 1, {cfg.axes}, {cfg.frame_len}), got {frames.shape}"
-        )
+    """Refuse frames unless (B, 1, A, L), as the decoder restores them."""
+    layers = model.layers
+    hw = (1, layers["fc5"].out_features // layers["deconv1"].in_channels)
+    for name in ("deconv1", "deconv2", "deconv3"):
+        hw = nn.conv_transpose_output_hw(*hw, layers[name].kernel, layers[name].stride)
+    if frames.ndim != 4 or frames.shape[1:] != (1, *hw):
+        raise DimensionError("frames must have shape (B, 1, %d, %d), got %s" % (*hw, frames.shape))
 
 
 def _walk(model: DcanModel, h: np.ndarray, tape: list | None = None,
@@ -246,24 +159,23 @@ def _walk(model: DcanModel, h: np.ndarray, tape: list | None = None,
     """Run the layer table over h.
 
     A dense layer gets its input flattened to (B, features); a transposed
-    convolution fed flat features gets them reshaped to the latent block.
+    convolution fed flat features gets them as (B, in_channels, 1, -1).
     With a tape, each layer appends (name, input, pre-activation) to it.
     With blocks, h's stride blocks as the first layer reads them
     (nn.conv2d_blocks), the first layer reads those, and the last returns
     its output unfolded, in the same block layout.
     """
-    cfg = model.config
     first, *_, last = model.layers
     ends = {} if blocks is None else {first: {"blocks": blocks}, last: {"fold": False}}
     for name, layer in model.layers.items():
         if isinstance(layer, nn.DenseLayer):
             h = h.reshape(h.shape[0], -1)
         elif h.ndim == 2:
-            h = h.reshape(h.shape[0], *cfg.latent_shape)
+            h = h.reshape(h.shape[0], layer.in_channels, 1, -1)
         pre = layer.forward(h, **ends.get(name, {}))
         if tape is not None:
             tape.append((name, h, pre))
-        h = pre if name in _LINEAR else nn.leaky_relu(pre, cfg.leaky_slope)
+        h = pre if name in _LINEAR else nn.leaky_relu(pre, LEAKY_SLOPE)
     return h
 
 
@@ -325,7 +237,7 @@ def loss_and_gradients(model: DcanModel, frames: np.ndarray):
         name, x, pre = tape.pop()
         g = g.reshape(pre.shape)
         if name not in _LINEAR:
-            g = nn.leaky_relu_backward(pre, g, model.config.leaky_slope)
+            g = nn.leaky_relu_backward(pre, g, LEAKY_SLOPE)
         # No caller reads the gradient with respect to the frames.
         ends = {"input_grad": False, "blocks": blocks} if name == first else {}
         g, grads[f"{name}.weight"], grads[f"{name}.bias"] = model.layers[name].backward(x, g, **ends)

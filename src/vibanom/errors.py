@@ -2,7 +2,7 @@
 
 Every error raised by this package derives from VibanomError so callers can
 catch the whole family at an API boundary (the CLI does exactly that).
-Every count and number a fleet config or a checkpoint hands in passes
+Every count and number of a fleet config, and DcanConfig.axes, passes
 _count (an int >= 1) or _number (an int or float that fits a float); a
 bool, a string or a numpy scalar (bar np.float64, a float) is neither.
 """
@@ -55,7 +55,7 @@ class CheckpointError(VibanomError):
 
 
 class CheckpointFormatError(CheckpointError):
-    """Bad magic bytes or a structurally invalid checkpoint file."""
+    """Bad magic bytes, an unknown architecture or a malformed checkpoint."""
 
 
 class CheckpointVersionError(CheckpointError):

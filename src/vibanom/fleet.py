@@ -173,6 +173,10 @@ class StatusReport:
             raise ConfigurationError(
                 "a fired alarm requires at least the low level"
             )
+        if self.anomalous_in_window < 0:
+            raise ConfigurationError(
+                "anomalous_in_window must be >= 0, got %r" % self.anomalous_in_window
+            )
 
 
 def format_report(report: StatusReport) -> str:
@@ -229,7 +233,7 @@ def parse_report(line: str) -> StatusReport:
             alarm_fired=values["alarm"] == "1",
             anomalous_in_window=int(values["window_anomalous"]),
         )
-    except ValueError as exc:
+    except (ValueError, ConfigurationError) as exc:  # StatusReport refused it
         raise ParseError("bad report line %r: %s" % (line, exc)) from None
 
 
@@ -273,7 +277,8 @@ def read_report_log(path) -> List[StatusReport]:
 
     A last line without its trailing newline (a write cut short) is
     dropped with a DataWarning naming its byte offset; a malformed
-    complete line raises ParseError.
+    complete line raises ParseError, prefixed `<path>:<line number>: `,
+    counting every line of the file, blank ones included.
     """
     with open(path, "rb") as fh:
         torn = _torn_line_start(fh)
@@ -285,7 +290,14 @@ def read_report_log(path) -> List[StatusReport]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError("report log %s: not UTF-8 text: %s" % (path, exc)) from None
-    return [parse_report(line) for line in text.splitlines() if line.strip()]
+    reports = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.strip():
+            try:
+                reports.append(parse_report(line))
+            except ParseError as exc:
+                raise ParseError("%s:%d: %s" % (path, lineno, exc)) from None
+    return reports
 
 
 def _predictor_from_dict(entry: dict) -> PredictorSpec:

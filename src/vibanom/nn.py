@@ -477,8 +477,8 @@ def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
 
 def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.01) -> np.ndarray:
     """Upstream scaled by 1 where x >= 0 (including exactly 0) else by slope."""
-    # max(1, slope) = 1 and max(0, slope) = slope for 0 <= slope <= 1, which
-    # DcanConfig.validate enforces; this is branch-free, unlike np.where
+    # max(1, slope) = 1 and max(0, slope) = slope for 0 <= slope <= 1, as
+    # dcan.LEAKY_SLOPE is; this is branch-free, unlike np.where
     d = (x >= 0).astype(x.dtype)
     np.maximum(d, slope, out=d)
     d *= upstream

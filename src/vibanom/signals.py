@@ -1,15 +1,15 @@
 """Spectral analysis and synthetic vibration waveform generation.
 
-Provides a power-of-two FFT with one-sided magnitude spectra, dominant
+Provides an FFT of any length with one-sided magnitude spectra, dominant
 frequency extraction, and generators for the validation experiments: a
 multi-component normal bearing signal, time-scale modification (frequency
 shifting) and sawtooth injection. All operations are pure functions.
 The generators and the waveform CSV reader work at the paper's one frame
 geometry: MODEL_FRAME_LEN (4096) samples at DEFAULT_SAMPLE_RATE (1024 Hz).
 
-The FFT is numpy's (np.fft.fft), restricted to power-of-two lengths; its
+The FFT is numpy's (np.fft.fft), at any length of at least 1; its
 correctness contract is agreement with a direct DFT within 1e-6 relative
-error, which the test suite enforces on every size up to 4096.
+error, which the test suite enforces at lengths from 1 to 4096.
 """
 
 from __future__ import annotations
@@ -102,13 +102,13 @@ class NormalSignalSpec:
 
 
 def fft_complex(samples: np.ndarray) -> np.ndarray:
-    """Complex DFT of a power-of-two-length sequence, in complex128."""
+    """Complex DFT of a 1-D sequence of any length >= 1, in complex128."""
     x = np.asarray(samples)
     if x.ndim != 1:
         raise DimensionError(f"fft input must be 1-D, got {x.ndim}-D")
     n = x.shape[0]
-    if n < 1 or n & (n - 1) != 0:
-        raise DimensionError(f"fft length must be a power of two, got {n}")
+    if n < 1:
+        raise DimensionError("fft input is empty")
     return np.fft.fft(x.astype(np.complex128))
 
 
@@ -192,7 +192,7 @@ def time_scale(waveform: Waveform, factor: float) -> Waveform:
     if n < 2:
         raise DimensionError("time_scale needs at least 2 samples")
 
-    if factor < 1 and n & (n - 1) == 0:
+    if factor < 1:
         spectrum = fft_magnitude(waveform)
         mags = spectrum.magnitudes[1:]
         top = float(mags.max())

@@ -309,32 +309,28 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 
 
 def _config_to_metadata(config: dcan.DcanConfig) -> dict:
+    """The architecture block a checkpoint stores, from config's layer table."""
+    table = dcan._layer_sizes(config)
+    convs = [sizes for _, cls, sizes in table if cls is nn.Conv2dLayer]
+    widths = [sizes[1] for _, cls, sizes in table if cls is nn.DenseLayer]
     return {
         "axes": config.axes,
-        "frame_len": config.frame_len,
-        "leaky_slope": config.leaky_slope,
-        "conv_specs": [
-            [s.in_channels, s.out_channels, list(s.kernel), list(s.stride)]
-            for s in config.conv_specs
-        ],
-        "fc_widths": list(config.fc_widths),
+        "frame_len": dcan.FRAME_LEN,
+        "leaky_slope": dcan.LEAKY_SLOPE,
+        "conv_specs": [[i, o, list(kernel), list(stride)] for i, o, kernel, stride in convs],
+        "fc_widths": widths[:-1],
     }
 
 
-def _config_from_metadata(meta: dict) -> dcan.DcanConfig:
-    try:
-        specs = tuple(
-            dcan.ConvSpec(s[0], s[1], tuple(s[2]), tuple(s[3])) for s in meta["conv_specs"]
-        )
-        return dcan.DcanConfig(
-            axes=meta["axes"],
-            frame_len=meta["frame_len"],
-            leaky_slope=meta["leaky_slope"],
-            conv_specs=specs,
-            fc_widths=tuple(meta["fc_widths"]),
-        )
-    except (KeyError, IndexError, TypeError) as exc:
-        raise CheckpointFormatError(f"invalid architecture metadata: {exc}") from exc
+def _config_from_metadata(meta) -> dcan.DcanConfig:
+    """The config whose architecture block is meta, compared as JSON text,
+    so a value of another type (3.0, true or "3" for 3) is refused too."""
+    text = json.dumps(meta, sort_keys=True)
+    for axes in (1, 3):
+        config = dcan.DcanConfig(axes=axes)
+        if text == json.dumps(_config_to_metadata(config), sort_keys=True):
+            return config
+    raise CheckpointFormatError("architecture metadata is neither the 1-axis nor the 3-axis DCAN's")
 
 
 def save_checkpoint(

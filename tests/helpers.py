@@ -8,7 +8,8 @@ valid oracle while a perturbation stays inside one linear region), and a
 frame-layout chain of the nn pass functions that training's stride-block
 ends must match bit for bit. Also the float64 reference MSE, a cast of
 a model's parameters to another dtype, which only the tests use, and the
-small model configuration the gradient and training tests share.
+small models the gradient and training tests share, built as layer
+tables, since the package builds only the paper's architecture.
 """
 
 from dataclasses import replace
@@ -42,23 +43,41 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(d.mean())
 
 
-def tiny_config(slope: float = 0.01):
+def _table_model(convs, widths, seed):
+    """A 3-axis DcanModel of the full model's topology at other sizes:
+    convs the (in, out, kernel, stride) of conv1 ... conv3, mirrored by
+    deconv1 ... deconv3, and widths the six ends of the five dense layers.
+    Each layer is initialized as dcan.build initializes it, from its
+    SeedSequence(seed) child in forward order."""
+    from vibanom import dcan, nn
+
+    layers = {f"conv{i}": nn.Conv2dLayer.zeros(*sizes) for i, sizes in enumerate(convs, 1)}
+    layers.update(
+        (f"fc{i}", nn.DenseLayer.zeros(widths[i - 1], widths[i])) for i in range(1, 6)
+    )
+    layers.update(
+        (f"deconv{i}", nn.ConvTranspose2dLayer.zeros(o, c, kernel, stride))
+        for i, (c, o, kernel, stride) in enumerate(reversed(convs), 1)
+    )
+    for layer, child in zip(layers.values(), np.random.SeedSequence(seed).spawn(len(layers))):
+        nn.init_params(layer, child)
+    return dcan.DcanModel(dcan.DcanConfig(axes=3), layers)
+
+
+def tiny_model(seed):
     """The full model's topology shrunk to 64-sample frames and halved
     channel counts, so exact gradient work and the exhaustive
     finite-difference sweep stay fast."""
-    from vibanom import dcan
+    convs = ((1, 4, (3, 8), (1, 2)), (4, 8, (1, 5), (1, 2)), (8, 8, (1, 3), (1, 1)))
+    return _table_model(convs, (88, 20, 20, 20, 20, 88), seed)
 
-    return dcan.DcanConfig(
-        axes=3,
-        frame_len=64,
-        leaky_slope=slope,
-        conv_specs=(
-            dcan.ConvSpec(1, 4, (3, 8), (1, 2)),
-            dcan.ConvSpec(4, 8, (1, 5), (1, 2)),
-            dcan.ConvSpec(8, 8, (1, 3), (1, 1)),
-        ),
-        fc_widths=(20, 20, 20, 20),
-    )
+
+def padded_model(seed):
+    """tiny_model but for conv1's kernel width 10, which is no multiple of
+    its stride 3: its 22 stride blocks span 66 samples, 2 past the
+    frame's 64, so the padded tail of the stride-block ends is exercised."""
+    convs = ((1, 4, (3, 10), (1, 3)), (4, 8, (1, 5), (1, 2)), (8, 8, (1, 3), (1, 1)))
+    return _table_model(convs, (48, 20, 20, 20, 20, 48), seed)
 
 
 def cast(model, dtype):
@@ -127,9 +146,9 @@ def dcan_loss_and_branches(model, x):
     only if both perturbed passes reproduce the unperturbed branch pattern;
     otherwise the finite-difference window straddles an activation kink.
     """
-    from vibanom import nn
+    from vibanom import dcan, nn
 
-    slope = model.config.leaky_slope
+    slope = dcan.LEAKY_SLOPE
     layers = model.layers
     branches = []
     h = x
@@ -143,7 +162,7 @@ def dcan_loss_and_branches(model, x):
         branches.append(pre >= 0)
         h = nn.leaky_relu(pre, slope)
     h = nn.dense_forward(h, layers["fc5"])
-    h = h.reshape(h.shape[0], *model.config.latent_shape)
+    h = h.reshape(h.shape[0], layers["deconv1"].in_channels, 1, -1)
     for layer in (layers["deconv1"], layers["deconv2"]):
         pre = nn.conv_transpose2d_forward(h, layer)
         branches.append(pre >= 0)
@@ -158,9 +177,9 @@ def frame_layout_loss_and_gradients(model, x):
     pass fed and returning (B, C, H, W) maps, the float64 MSE of the
     folded reconstruction, and (2 / size) * (xhat - x) as the last layer's
     upstream gradient. Built from the nn pass functions alone."""
-    from vibanom import nn
+    from vibanom import dcan, nn
 
-    slope = model.config.leaky_slope
+    slope = dcan.LEAKY_SLOPE
     linear = ("fc5", "deconv3")
     passes = {
         nn.Conv2dLayer: (nn.conv2d_forward, nn.conv2d_backward),
@@ -173,7 +192,7 @@ def frame_layout_loss_and_gradients(model, x):
         if isinstance(layer, nn.DenseLayer):
             h = h.reshape(h.shape[0], -1)
         elif h.ndim == 2:
-            h = h.reshape(h.shape[0], *model.config.latent_shape)
+            h = h.reshape(h.shape[0], layer.in_channels, 1, -1)
         forward, backward = passes[type(layer)]
         pre = forward(h, layer)
         tape.append((name, layer, backward, h, pre))

@@ -25,7 +25,7 @@ from helpers import (
     numeric_grad,
     reference_alarm_replay,
     rel_err,
-    tiny_config,
+    tiny_model,
 )
 
 from vibanom import dcan, nn
@@ -83,18 +83,21 @@ class TestA1:
         t0 = time.perf_counter()
         model = dcan.build(dcan.DcanConfig(), seed=1)
         x = np.random.default_rng(2).standard_normal((2, 1, 3, 4096)).astype(np.float32)
-        slope = model.config.leaky_slope
+        slope = dcan.LEAKY_SLOPE
         h = x
         for name in ("conv1", "conv2", "conv3"):
             h = nn.leaky_relu(model.layers[name].forward(h), slope)
-        assert h.shape == (2, 16, 1, 57) and model.config.latent_shape == (16, 1, 57)
+        latent = (model.layers["deconv1"].in_channels, 1,
+                  model.layers["fc5"].out_features // model.layers["deconv1"].in_channels)
+        assert h.shape == (2, 16, 1, 57) and latent == (16, 1, 57)
+        assert model.layers["fc1"].in_features == 912
         h = h.reshape(2, -1)
         assert h.shape == (2, 912)
         for name in ("fc1", "fc2", "fc3", "fc4", "fc5"):
             h = model.layers[name].forward(h)
             h = h if name == "fc5" else nn.leaky_relu(h, slope)
         assert h.shape == (2, 912)
-        h = h.reshape(2, *model.config.latent_shape)
+        h = h.reshape(2, *latent)
         for name in ("deconv1", "deconv2", "deconv3"):
             h = model.layers[name].forward(h)
             h = h if name == "deconv3" else nn.leaky_relu(h, slope)
@@ -206,16 +209,17 @@ class TestA2:
 
         assert rel_err(analytic, numeric_grad(loss, a)) <= 1e-4
 
-    def _sweep(self, slope: float, seed: int, filter_branches: bool):
+    def _sweep(self, seed: int, filter_branches: bool):
         """Central differences over every parameter coordinate.
 
         Returns (per-tensor relative errors over trusted coordinates,
-        trusted fraction). With slope 1.0 the activation is the identity,
+        trusted fraction), at the slope dcan.LEAKY_SLOPE holds. With slope
+        1.0 the activation is the identity,
         so every coordinate is trustworthy; with the production slope a
         coordinate is only trusted when both perturbed passes reproduce
         the unperturbed LeakyReLU branch pattern.
         """
-        model = cast(dcan.build(tiny_config(slope), seed=seed), np.float64)
+        model = cast(tiny_model(seed), np.float64)
         x = np.random.default_rng(seed + 1).standard_normal((2, 1, 3, 64))
         _, grads = dcan.loss_and_gradients(model, x)
         _, base_branches = dcan_loss_and_branches(model, x)
@@ -245,10 +249,11 @@ class TestA2:
             errors[name] = rel_err(grads[name].ravel()[ok], fd[ok])
         return errors, trusted / total
 
-    def test_end_to_end_sweep_identity_slope(self):
+    def test_end_to_end_sweep_identity_slope(self, monkeypatch):
         # slope 1.0 removes the kink entirely: every coordinate is checked.
+        monkeypatch.setattr(dcan, "LEAKY_SLOPE", 1.0)
         t0 = time.perf_counter()
-        errors, fraction = self._sweep(slope=1.0, seed=22, filter_branches=False)
+        errors, fraction = self._sweep(seed=22, filter_branches=False)
         assert fraction == 1.0
         for name, err in errors.items():
             assert err <= 1e-4, name
@@ -256,7 +261,8 @@ class TestA2:
 
     def test_end_to_end_sweep_production_slope(self):
         t0 = time.perf_counter()
-        errors, fraction = self._sweep(slope=0.01, seed=23, filter_branches=True)
+        assert dcan.LEAKY_SLOPE == 0.01
+        errors, fraction = self._sweep(seed=23, filter_branches=True)
         assert fraction >= 0.98
         for name, err in errors.items():
             assert err <= 1e-4, name

@@ -8,7 +8,6 @@ import json
 import struct
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 
 from vibanom import cli, dcan, fleet, parallel
 from vibanom.cli import main
-from vibanom.errors import AliasingWarning, DataWarning
+from vibanom.errors import AliasingWarning, DataWarning, ParseError
 from vibanom.fleet import (
     FleetConfig,
     PredictorSpec,
@@ -25,10 +24,25 @@ from vibanom.fleet import (
 )
 from vibanom.ingest import FRAME_LEN, Frame, FrameBlock, read_frames, write_frames
 from vibanom.scoring import AlarmLevel, ScoreNormalization
-from vibanom.signals import DEFAULT_SAMPLE_RATE
+from vibanom.signals import DEFAULT_SAMPLE_RATE, Waveform, write_waveform_csv
 from vibanom.training import StandardizationStats, load_checkpoint, save_checkpoint
 
 from helpers import make_mini_ims
+
+REPORT = ("ts:1 predictor:p location:l axis_mse:1.0 total_mse:1.0 score:0.0 "
+          "level:%s alarm:%d window_anomalous:%d")
+ARCHITECTURE_REFUSED = "architecture metadata is neither the 1-axis nor the 3-axis DCAN's"
+
+
+def rewrite_architecture(path, edit):
+    """Rewrite the checkpoint at path with edit applied to its
+    architecture block, the metadata's config entry, in place."""
+    data = path.read_bytes()
+    end = 12 + struct.unpack_from("<I", data, 8)[0]
+    meta = json.loads(data[12:end])
+    edit(meta["config"])
+    blob = json.dumps(meta).encode()
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[end:])
 
 
 @pytest.fixture(scope="module")
@@ -204,21 +218,18 @@ class TestScore:
          ("leaky_slope", True)],
     )
     def test_mistyped_checkpoint_metadata_fails_cleanly(self, tmp_path, capsys, field, value):
-        model = dcan.build(dcan.DcanConfig(), seed=21)
-        model.config = replace(model.config, **{field: value})
         stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
         bad = tmp_path / "bad.ckpt"
-        save_checkpoint(model, stats, bad)
+        save_checkpoint(dcan.build(dcan.DcanConfig(), seed=21), stats, bad)
+        rewrite_architecture(bad, lambda entry: entry.update({field: value}))
         frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
-        rc = main(["score", "--checkpoint", str(bad), "--frames", frames])
+        out = tmp_path / "scores.log"
+        rc = main(["score", "--checkpoint", str(bad), "--frames", frames, "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ConfigurationError: ")
-        message = "must be a number" if field == "leaky_slope" else "must be an int"
-        assert field in lines[0] and message in lines[0]
+        assert captured.err == "error: CheckpointFormatError: %s\n" % ARCHITECTURE_REFUSED
+        assert not out.exists()
 
     @pytest.mark.parametrize("given", ["./m.ckpt", "absolute", "sub/../m.ckpt"])
     def test_config_matches_the_checkpoint_by_file(
@@ -759,6 +770,17 @@ class TestSynthAndExportPlot:
         main(["export-plot", str(wave_csv), "--out", str(spectrum_csv)])
         assert dominant_from_csv(spectrum_csv) == pytest.approx(272.0)
 
+    def test_spectrum_of_a_waveform_of_any_length(self, tmp_path, capsys):
+        # a 1,000-sample CSV once failed: the FFT took only powers of two
+        t = np.arange(1000) / DEFAULT_SAMPLE_RATE
+        wave_csv = tmp_path / "wave.csv"
+        write_waveform_csv(Waveform(np.sin(2 * np.pi * 102.4 * t)), wave_csv)
+        spectrum_csv = tmp_path / "spec.csv"
+        assert main(["export-plot", str(wave_csv), "--out", str(spectrum_csv)]) == 0
+        assert capsys.readouterr().out == "spectrum csv: %s (501 rows)\n" % spectrum_csv
+        assert len(spectrum_csv.read_text().splitlines()) == 1 + 501
+        assert dominant_from_csv(spectrum_csv) == pytest.approx(102.4)
+
     def test_synth_is_seed_deterministic(self, tmp_path):
         a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
         main(["synth", "--out", str(a), "--seed", "9"])
@@ -911,6 +933,32 @@ class TestErrorSurface:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "lines, lineno, message",
+        [([REPORT % ("none", 1, 0)], 1, "a fired alarm requires at least the low level"),
+         ([REPORT % ("none", 0, -3)], 1, "anomalous_in_window must be >= 0, got -3"),
+         ([REPORT % ("low", 1, 20), "", REPORT % ("purple", 0, 0)], 3,
+          "unknown alarm level 'purple'")],
+        ids=["alarm-below-low", "negative-window-count", "bad-third-line"],
+    )
+    def test_report_log_line_format_report_could_not_write(
+        self, tmp_path, capsys, lines, lineno, message
+    ):
+        # the first once ended export-plot in a ConfigurationError naming
+        # no file, and the second was accepted
+        log = tmp_path / "r.log"
+        log.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as raised:
+            fleet.read_report_log(log)
+        assert str(raised.value).startswith("%s:%d: " % (log, lineno))
+        assert message in str(raised.value)
+        out = tmp_path / "out.csv"
+        line = self.one_error_line(
+            capsys, ["export-plot", str(log), "--out", str(out)], "ParseError"
+        )
+        assert line == "error: ParseError: %s" % raised.value
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "metadata, message",
         [(b"[]", "metadata block is not a JSON object"),
          (b'{"config": ' + b"1" * 5000 + b"}", "unreadable metadata block")],
@@ -966,45 +1014,32 @@ class TestErrorSurface:
         assert not log.exists()
 
     @pytest.mark.parametrize(
-        "where, value, kind, message",
-        [(("frame_len",), 16 * 10**13 + 64, "CheckpointFormatError",
-          "tensor 'fc1.weight' has shape (200, 912), expected (200, 39999999999904)"),
-         (("conv_specs", 0, 2), [2, 64], "ConfigurationError", "conv1 kernel height 2 differs"),
-         (("conv_specs", 1, 2), [3, 13], "ConfigurationError", "conv2 kernel height 3 differs"),
-         (("conv_specs", 0, 2), [3, 0], "ConfigurationError",
-          "conv1.kernel must be an integer >= 1, got 0"),
-         (("conv_specs",), [[1, 8, [3, 64], [1, 16]], [8, 16, [1, 13], [1, 4]]],
-          "ConfigurationError", "expected 3 conv_specs, got 2"),
-         (("fc_widths",), [200, 200, 200], "ConfigurationError", "expected 4 fc_widths, got 3"),
-         (("fc_widths", 1), 0, "ConfigurationError", "fc_widths[1] must be an integer >= 1, got 0"),
-         (("conv_specs", 0, 0), 2, "ConfigurationError", "conv1.in_channels must be 1, got 2"),
-         (("conv_specs", 1, 0), 9, "ConfigurationError",
-          "conv2 expects 9 channels but conv1 produces 8"),
-         (("conv_specs", 2, 2), [1, 62], "ConfigurationError",
-          "conv3 kernel (1, 62) exceeds input 1x61"),
-         (("conv_specs", 1, 3), [1, 7], "ConfigurationError",
-          "conv2 stride (1, 7) does not tile input 1x253"),
-         (("frame_len",), 0, "ConfigurationError", "frame_len must be an integer >= 1, got 0"),
-         (("conv_specs", 0, 2), [3, 64, 1], "ConfigurationError",
-          "conv1.kernel must be a pair of ints, got (3, 64, 1)"),
-         (("conv_specs",), None, "CheckpointFormatError",
-          "invalid architecture metadata: 'conv_specs'"),
-         (("conv_specs", 2, 1), 0, "ConfigurationError",
-          "conv3.out_channels must be an integer >= 1, got 0"),
-         (("conv_specs", 1, 0), 0, "ConfigurationError",
-          "conv2.in_channels must be an integer >= 1, got 0"),
-         (("axes",), 0, "ConfigurationError", "axes must be an integer >= 1, got 0"),
-         (("leaky_slope",), "0.01", "ConfigurationError",
-          "leaky_slope must be a number, got '0.01'")],
+        "where, value",
+        [(("frame_len",), 16 * 10**13 + 64),
+         (("conv_specs", 0, 2), [2, 64]),
+         (("conv_specs", 1, 2), [3, 13]),
+         (("conv_specs", 0, 2), [3, 0]),
+         (("conv_specs",), [[1, 8, [3, 64], [1, 16]], [8, 16, [1, 13], [1, 4]]]),
+         (("fc_widths",), [200, 200, 200]),
+         (("fc_widths", 1), 0),
+         (("conv_specs", 0, 0), 2),
+         (("conv_specs", 1, 0), 9),
+         (("conv_specs", 2, 2), [1, 62]),
+         (("conv_specs", 1, 3), [1, 7]),
+         (("frame_len",), 0),
+         (("conv_specs", 0, 2), [3, 64, 1]),
+         (("conv_specs",), None),
+         (("conv_specs", 2, 1), 0),
+         (("conv_specs", 1, 0), 0),
+         (("axes",), 0),
+         (("leaky_slope",), "0.01")],
         ids=["vast-frame-len", "conv1-short-kernel", "conv2-tall-kernel", "zero-width-kernel",
              "two-conv-specs", "three-fc-widths", "zero-fc-width", "conv1-two-channels",
              "conv2-channel-chain", "conv3-wide-kernel", "conv2-stride-7", "zero-frame-len",
              "three-element-kernel", "no-conv-specs", "zero-conv3-out-channels",
              "zero-conv2-in-channels", "zero-axes", "string-leaky-slope"],
     )
-    def test_calibrate_refuses_checkpoint_architecture(
-        self, tmp_path, capsys, where, value, kind, message
-    ):
+    def test_calibrate_refuses_checkpoint_architecture(self, tmp_path, capsys, where, value):
         # the tensors of the default 3-axis model under other metadata, its
         # config entry at where set to value (None: deleted); a vast
         # frame_len once made load_checkpoint try to allocate 28.4 PiB, and
@@ -1012,25 +1047,23 @@ class TestErrorSurface:
         ckpt = tmp_path / "bad.ckpt"
         stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
         save_checkpoint(dcan.build(dcan.DcanConfig(), seed=21), stats, ckpt)
-        data = ckpt.read_bytes()
-        end = 12 + struct.unpack_from("<I", data, 8)[0]
-        meta = json.loads(data[12:end])
-        entry = meta["config"]
-        for key in where[:-1]:
-            entry = entry[key]
-        if value is None:
-            del entry[where[-1]]
-        else:
-            entry[where[-1]] = value
-        blob = json.dumps(meta).encode()
-        ckpt.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[end:])
+
+        def edit(entry):
+            for key in where[:-1]:
+                entry = entry[key]
+            if value is None:
+                del entry[where[-1]]
+            else:
+                entry[where[-1]] = value
+
+        rewrite_architecture(ckpt, edit)
         frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
         out = tmp_path / "norm.json"
         line = self.one_error_line(
             capsys, ["calibrate", "--checkpoint", str(ckpt), "--frames", frames,
-                     "--out", str(out)], kind,
+                     "--out", str(out)], "CheckpointFormatError",
         )
-        assert message in line
+        assert line == "error: CheckpointFormatError: " + ARCHITECTURE_REFUSED
         assert not out.exists()
 
     def test_calibrate_refuses_an_overflowing_tensor_shape(self, tmp_path, capsys):

@@ -6,8 +6,10 @@ spot-checked against finite differences (the full parameter sweep runs in
 the acceptance suite).
 """
 
+import dataclasses
+import re
 import tracemalloc
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,29 +19,13 @@ from helpers import (
     dcan_loss_and_branches,
     frame_layout_loss_and_gradients,
     mse,
+    padded_model,
     rel_err,
-    tiny_config,
+    tiny_model,
 )
 
 from vibanom import blas, dcan, nn, training
 from vibanom.errors import ConfigurationError, DimensionError
-
-
-def padded_config(slope: float = 0.01) -> dcan.DcanConfig:
-    # conv1's kernel width 10 is no multiple of its stride 3: its 22 stride
-    # blocks span 66 samples, 2 past the frame's 64, so the padded tail of
-    # the stride-block ends is exercised.
-    return dcan.DcanConfig(
-        axes=3,
-        frame_len=64,
-        leaky_slope=slope,
-        conv_specs=(
-            dcan.ConvSpec(1, 4, (3, 10), (1, 3)),
-            dcan.ConvSpec(4, 8, (1, 5), (1, 2)),
-            dcan.ConvSpec(8, 8, (1, 3), (1, 1)),
-        ),
-        fc_widths=(20, 20, 20, 20),
-    )
 
 
 class TestShapeChain:
@@ -75,13 +61,13 @@ class TestShapeChain:
     def test_encode_width_and_reconstruction_shape(self):
         model = dcan.build(dcan.DcanConfig(axes=3), seed=0)
         x = np.random.default_rng(3).standard_normal((4, 1, 3, 4096)).astype(np.float32)
-        assert model.config.flat_size == model.layers["fc1"].in_features == 912
+        assert model.layers["fc1"].in_features == model.layers["fc5"].out_features == 912
         assert dcan.reconstruct(model, x).shape == x.shape
 
     def test_single_axis_mode(self):
         model = dcan.build(dcan.DcanConfig(axes=1), seed=0)
         x = np.random.default_rng(4).standard_normal((2, 1, 1, 4096)).astype(np.float32)
-        assert model.config.latent_shape == (16, 1, 57)
+        assert model.layers["fc1"].in_features == 912
         assert model.layers["conv1"].kernel == (1, 64)
         assert dcan.reconstruct(model, x).shape == (2, 1, 1, 4096)
 
@@ -96,16 +82,16 @@ class TestParameters:
         assert dcan.parameter_count(model) == 493489
 
     def test_named_parameters_are_live_references(self):
-        model = dcan.build(tiny_config(), seed=0)
+        model = tiny_model(0)
         params = model.named_parameters()
         assert len(params) == 22
         params["conv1.weight"][...] = 0
         assert np.all(model.layers["conv1"].weight == 0)
 
     def test_build_is_reproducible(self):
-        a = dcan.build(tiny_config(), seed=11)
-        b = dcan.build(tiny_config(), seed=11)
-        c = dcan.build(tiny_config(), seed=12)
+        a = tiny_model(11)
+        b = tiny_model(11)
+        c = tiny_model(12)
         for k, v in a.named_parameters().items():
             assert np.array_equal(v, b.named_parameters()[k])
         assert any(
@@ -117,51 +103,52 @@ class TestParameters:
         with pytest.raises(ConfigurationError):
             dcan.build(dcan.DcanConfig(axes=2), seed=0)
 
-    @pytest.mark.parametrize("i, kernel", [(1, (2, 8)), (1, (1, 8)), (2, (3, 5)), (3, (2, 3))])
-    def test_kernel_must_span_its_input_height(self, i, kernel):
-        specs = list(tiny_config().conv_specs)
-        specs[i - 1] = replace(specs[i - 1], kernel=kernel)
-        with pytest.raises(ConfigurationError, match=f"conv{i} kernel height {kernel[0]} differs"):
-            dcan.build(replace(tiny_config(), conv_specs=tuple(specs)), seed=0)
+    def test_axes_is_the_one_setting(self):
+        assert [f.name for f in dataclasses.fields(dcan.DcanConfig)] == ["axes"]
+        assert dcan.DcanConfig() == dcan.DcanConfig(axes=3)
 
-    @pytest.mark.parametrize(
-        "field, value", [("stride", (1, 0)), ("stride", (0, 2)), ("kernel", (3, 0))]
-    )
-    def test_kernel_and_stride_sizes_must_be_positive(self, field, value):
-        specs = list(tiny_config().conv_specs)
-        specs[0] = replace(specs[0], **{field: value})
-        with pytest.raises(ConfigurationError, match=rf"^conv1\.{field} must be an integer >= 1, got 0$"):
-            dcan.build(replace(tiny_config(), conv_specs=tuple(specs)), seed=0)
-
-    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan"), "0.01"])
-    def test_leaky_slope_outside_unit_interval(self, slope):
-        with pytest.raises(ConfigurationError, match="leaky_slope"):
-            dcan.build(replace(tiny_config(), leaky_slope=slope), seed=0)
-
+    @pytest.mark.parametrize("axes", [1, 3])
+    def test_decoder_mirrors_encoder(self, axes):
+        layers = dcan.build(dcan.DcanConfig(axes=axes), seed=0).layers
+        for i in (1, 2, 3):
+            conv, deconv = layers[f"conv{i}"], layers[f"deconv{4 - i}"]
+            assert (deconv.in_channels, deconv.out_channels, deconv.kernel, deconv.stride) == (
+                conv.out_channels, conv.in_channels, conv.kernel, conv.stride)
+        assert layers["conv1"].kernel == (axes, 64)
 
 class TestForward:
     def test_reconstruct_is_deterministic(self):
-        model = dcan.build(tiny_config(), seed=5)
+        model = tiny_model(5)
         x = np.random.default_rng(6).standard_normal((3, 1, 3, 64)).astype(np.float32)
         assert np.array_equal(dcan.reconstruct(model, x), dcan.reconstruct(model, x))
 
     def test_zero_input_zero_bias_gives_zero_features(self):
-        model = dcan.build(tiny_config(), seed=9)
+        model = tiny_model(9)
         for conv in (model.layers["conv1"], model.layers["conv2"], model.layers["conv3"]):
             conv.bias[...] = 0
         h = np.zeros((1, 1, 3, 64), dtype=np.float32)
         for name in ("conv1", "conv2", "conv3"):
             h = nn.leaky_relu(model.layers[name].forward(h))
-        assert h.shape == (1, *model.config.latent_shape) and np.all(h == 0)
+        assert h.shape == (1, 8, 1, 11) and np.all(h == 0)
 
     def test_untrained_model_has_positive_error(self):
-        model = dcan.build(tiny_config(), seed=10)
+        model = tiny_model(10)
         x = np.random.default_rng(11).standard_normal((2, 1, 3, 64)).astype(np.float32)
         _, total = dcan.reconstruction_report(x, dcan.reconstruct(model, x))
         assert all(total > 0)
 
+    @pytest.mark.parametrize("length", [4095, 4100, 4112])
+    def test_frames_longer_or_shorter_than_the_decoder_restores(self, length):
+        # conv1 alone would read 4100 or 4112 samples and drop the tail
+        model = dcan.build(dcan.DcanConfig(axes=3), seed=0)
+        x = np.zeros((2, 1, 3, length), np.float32)
+        message = re.escape("frames must have shape (B, 1, 3, 4096), got (2, 1, 3, %d)" % length)
+        for run in (dcan.reconstruct, dcan.loss_and_gradients):
+            with pytest.raises(DimensionError, match="^%s$" % message):
+                run(model, x)
+
     def test_wrong_shape_raises(self):
-        model = dcan.build(tiny_config(), seed=0)
+        model = tiny_model(0)
         with pytest.raises(DimensionError):
             dcan.reconstruct(model, np.zeros((2, 1, 3, 65), dtype=np.float32))
         with pytest.raises(DimensionError):
@@ -233,7 +220,7 @@ class TestReport:
 
 class TestGradients:
     def test_loss_matches_mse_of_reconstruction(self):
-        model = cast(dcan.build(tiny_config(), seed=20), np.float64)
+        model = cast(tiny_model(20), np.float64)
         x = np.random.default_rng(21).standard_normal((2, 1, 3, 64))
         loss, _ = dcan.loss_and_gradients(model, x)
         assert loss == pytest.approx(mse(dcan.reconstruct(model, x), x), rel=1e-12)
@@ -243,7 +230,7 @@ class TestGradients:
         # parameters. Coordinates whose difference window crosses a LeakyReLU
         # kink or falls below central-difference resolution are skipped (the
         # estimate is not a valid oracle there).
-        model = cast(dcan.build(tiny_config(), seed=22), np.float64)
+        model = cast(tiny_model(22), np.float64)
         x = np.random.default_rng(23).standard_normal((2, 1, 3, 64))
         _, grads = dcan.loss_and_gradients(model, x)
         _, base_branches = dcan_loss_and_branches(model, x)
@@ -279,7 +266,7 @@ class TestGradients:
         assert checked >= 20
 
     def test_gradient_keys_match_parameters(self):
-        model = cast(dcan.build(tiny_config(), seed=25), np.float64)
+        model = cast(tiny_model(25), np.float64)
         x = np.random.default_rng(26).standard_normal((1, 1, 3, 64))
         _, grads = dcan.loss_and_gradients(model, x)
         params = model.named_parameters()
@@ -293,24 +280,25 @@ class TestPaddedBlocks:
     ends then carry a padded tail past the frame."""
 
     @staticmethod
-    def model(seed, slope=0.01):
+    def model(seed):
         # nonzero biases: deconv3's bias reaches the padded tail of its
         # unfolded output, where the residual must stay zero
-        model = cast(dcan.build(padded_config(slope), seed=seed), np.float64)
+        model = cast(padded_model(seed), np.float64)
         rng = np.random.default_rng(seed)
         for layer in model.layers.values():
             layer.bias[...] = 0.5 * rng.standard_normal(layer.bias.shape)
         return model
 
     def test_geometry_pads_past_the_frame(self):
-        model = dcan.build(padded_config(), seed=50)
+        model = padded_model(50)
         x = np.zeros((2, 1, 3, 64), np.float32)
         assert nn.conv2d_blocks(x, model.layers["conv1"]).shape == (2 * 22, 3 * 3)
 
-    def test_every_parameter_matches_central_differences(self):
+    def test_every_parameter_matches_central_differences(self, monkeypatch):
         # slope 1 makes every activation linear, so every coordinate of
         # every parameter is a valid finite-difference point
-        model = self.model(51, slope=1.0)
+        monkeypatch.setattr(dcan, "LEAKY_SLOPE", 1.0)
+        model = self.model(51)
         x = np.random.default_rng(52).standard_normal((2, 1, 3, 64))
         _, grads = dcan.loss_and_gradients(model, x)
         eps = 1e-5
@@ -336,7 +324,7 @@ class TestPaddedBlocks:
     def test_train_runs(self):
         frames = np.random.default_rng(55).standard_normal((40, 1, 3, 64)).astype(np.float32)
         stats = training.fit_standardization(frames)
-        model = dcan.build(padded_config(), seed=56)
+        model = padded_model(56)
         cfg = training.TrainConfig(batch_size=16, max_epochs=3, patience=3, seed=57)
         _, history = training.train(model, frames, stats, cfg)
         assert len(history) == 3
@@ -409,3 +397,38 @@ def test_report_refuses_tensors_that_are_not_single_channel_batches(shape):
     with pytest.raises(DimensionError) as raised:
         dcan.reconstruction_report(x, x.copy())
     assert str(raised.value) == "expected (B, 1, A, L) tensors, got %s" % (shape,)
+
+
+class TestReadme:
+    """README's "The model" states the layer table and parameter counts
+    of dcan.build, so the constants and the README cannot drift apart."""
+
+    SECTION = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8").split("\n## The model\n")[1].split("\n## ")[0]
+
+    def test_shape_chain(self):
+        model = dcan.build(dcan.DcanConfig(axes=3), seed=0)
+        layers = model.layers
+        x = np.zeros((1, 1, 3, 4096), np.float32)
+        parts = ["(1, 3, 4096)"]
+        h, w = 3, 4096
+        for name in ("conv1", "conv2", "conv3"):
+            conv = layers[name]
+            h, w = nn.conv_output_hw(h, w, conv.kernel, conv.stride)
+            stride = "" if conv.stride == (1, 1) else "/s%d" % conv.stride[1]
+            parts.append("-conv %dx(%d,%d)%s-> (%d, %d, %d)"
+                         % (conv.out_channels, *conv.kernel, stride, conv.out_channels, h, w))
+        fcs = [layers["fc%d" % i] for i in range(1, 6)]
+        parts.append("-flatten-> %d -FC-> %s" % (
+            fcs[0].in_features, " -> ".join(str(fc.out_features) for fc in fcs)))
+        parts.append("-reshape + mirrored transposed convolutions-> (%d, %d, %d)"
+                     % dcan.reconstruct(model, x).shape[1:])
+        block = re.search(r"\n```\n(.*?)```", self.SECTION, re.S).group(1)
+        assert " ".join(block.split()) == " ".join(parts)
+
+    def test_parameter_counts(self):
+        counts = re.search(r"three-axis model has exactly ([\d,]+) parameters, the\s+"
+                           r"single-axis one ([\d,]+)\.", self.SECTION).groups()
+        assert [int(c.replace(",", "")) for c in counts] == [
+            dcan.parameter_count(dcan.build(dcan.DcanConfig(axes=a), seed=0)) for a in (3, 1)
+        ] == [495537, 493489]

@@ -210,8 +210,7 @@ class TestAlarmConfig:
 
 class TestNumberRule:
     """Every number and count of the fleet config (AlarmConfig,
-    ScoreNormalization) and of a checkpoint (DcanConfig and its ConvSpecs)
-    passes one rule: a count is an int of at least 1, a number an int or
+    ScoreNormalization) and DcanConfig's axes pass one rule: a count is an int of at least 1, a number an int or
     float that fits in a float, as JSON reads them."""
 
     @pytest.mark.parametrize(
@@ -236,26 +235,20 @@ class TestNumberRule:
         assert (norm.mu, norm.sigma) == (1.5, 2.0)
 
 
-def _leaves(obj, prefix=""):
+def _leaves(obj):
     """(name, is_count, path) of every number and count in the dataclass
     obj, a tuple field element by element; path is the field names and
-    tuple indices that reach it. DcanConfig's conv_specs are walked as
-    ConvSpecs named conv1., conv2., ..."""
+    tuple indices that reach it."""
     hints = typing.get_type_hints(type(obj))
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
-        if field.name == "conv_specs":
-            for i, spec in enumerate(value):
-                for name, is_count, path in _leaves(spec, "conv%d." % (i + 1)):
-                    yield name, is_count, (field.name, i) + path
-            continue
         hint = hints[field.name]
         is_count = (typing.get_args(hint) or (hint,))[0] is int
         if isinstance(value, tuple):
             for i in range(len(value)):
-                yield prefix + field.name, is_count, (field.name, i)
+                yield field.name, is_count, (field.name, i)
         else:
-            yield prefix + field.name, is_count, (field.name,)
+            yield field.name, is_count, (field.name,)
 
 
 def _replaced(obj, path, value):
@@ -297,9 +290,7 @@ def test_the_rule_walks_every_field():
     names = {name for base in _VALID for name, _, _ in _leaves(base)}
     assert names == {
         "level_thresholds", "window_len", "trigger_fresh", "trigger_sensitized", "mu", "sigma",
-        "axes", "frame_len", "leaky_slope", "fc_widths",
-        *("conv%d.%s" % (i, f) for i in (1, 2, 3)
-          for f in ("in_channels", "out_channels", "kernel", "stride")),
+        "axes",
     }
 
 

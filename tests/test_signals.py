@@ -33,7 +33,7 @@ class TestFft:
         assert len(spec.magnitudes) == n // 2 + 1
         assert np.allclose(spec.magnitudes, 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [8, 64, 256, 1024, 4096])
+    @pytest.mark.parametrize("n", [1, 3, 8, 64, 256, 1000, 1024, 4095, 4096])
     def test_matches_direct_dft(self, n):
         for seed in range(3):
             x = np.random.default_rng(seed).standard_normal(n)
@@ -48,10 +48,16 @@ class TestFft:
         spec = signals.fft_magnitude(Waveform(np.zeros(8), 1024.0))
         assert np.allclose(spec.bin_freqs, [0, 128, 256, 384, 512])
 
-    @pytest.mark.parametrize("n", [0, 3, 12, 4095])
-    def test_non_power_of_two_raises(self, n):
-        with pytest.raises(DimensionError):
-            signals.fft_complex(np.zeros(n))
+    def test_empty_input_raises(self):
+        with pytest.raises(DimensionError, match="^fft input is empty$"):
+            signals.fft_complex(np.zeros(0))
+
+    @pytest.mark.parametrize("n", [3, 12, 1000, 4095])
+    def test_any_length_gives_its_one_sided_bins(self, n):
+        spec = signals.fft_magnitude(Waveform(np.ones(n), 1024.0))
+        assert len(spec.magnitudes) == n // 2 + 1
+        assert spec.bin_freqs[1] == pytest.approx(1024.0 / n)
+        assert spec.magnitudes[0] == pytest.approx(n)
 
     def test_parseval(self):
         for seed in range(5):
@@ -195,6 +201,12 @@ class TestTimeScale:
         with pytest.warns(AliasingWarning):
             signals.time_scale(wf, 0.5)
 
+    def test_aliasing_warning_at_any_length(self):
+        # a 400 Hz line in 1,000 samples lands at 800 Hz, past 512
+        t = np.arange(1000) / 1024.0
+        with pytest.warns(AliasingWarning):
+            signals.time_scale(Waveform(np.sin(2 * np.pi * 400.0 * t), 1024.0), 0.5)
+
     def test_no_warning_when_components_stay_below_nyquist(self):
         spec = NormalSignalSpec(harmonics=(), noise_std=0.002)
         wf = signals.synth_normal(spec, seed=14)  # 136 and 60 Hz only
@@ -214,6 +226,9 @@ class TestTimeScale:
         with pytest.raises(SignalSpecError, match="got %s" % factor):
             signals.time_scale(sine(136.0), factor)
 
+    # compressing white noise by 0.5 moves half its spectrum past Nyquist,
+    # which warns at this non-power-of-two length too
+    @pytest.mark.filterwarnings("ignore::vibanom.errors.AliasingWarning")
     @pytest.mark.parametrize("factor", [0.5, 1.0, 1.5, 2.7])
     def test_same_bits_as_every_position_built(self, factor):
         wave = Waveform(np.random.default_rng(21).standard_normal(1000), 1024.0)

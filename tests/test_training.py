@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import cast, mse, tiny_config
+from helpers import cast, mse, tiny_model
 
 from vibanom import blas, dcan, nn, parallel, training
 from vibanom.errors import (
@@ -28,17 +28,60 @@ from vibanom.errors import (
 )
 from vibanom.training import StandardizationStats, TrainConfig
 
+# the two architecture blocks a checkpoint may hold, as
+# json.dumps(..., sort_keys=True) writes them
+ARCHITECTURE = {
+    3: '{"axes": 3, "conv_specs": [[1, 8, [3, 64], [1, 16]], [8, 16, [1, 13], [1, 4]], '
+       '[16, 16, [1, 5], [1, 1]]], "fc_widths": [200, 200, 200, 200], "frame_len": 4096, '
+       '"leaky_slope": 0.01}',
+    1: '{"axes": 1, "conv_specs": [[1, 8, [1, 64], [1, 16]], [8, 16, [1, 13], [1, 4]], '
+       '[16, 16, [1, 5], [1, 1]]], "fc_widths": [200, 200, 200, 200], "frame_len": 4096, '
+       '"leaky_slope": 0.01}',
+}
 
-def easy_frames(count=16, seed=0):
+# the names of the four entries of a conv spec in an architecture block
+_CONV_SPEC_FIELDS = ("in_channels", "out_channels", "kernel", "stride")
+
+
+def _block_leaves(obj, path=()):
+    """(path, value) of every number in the parsed architecture block obj;
+    path is the keys and list indices that reach it."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _block_leaves(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _block_leaves(item, path + (i,))
+    else:
+        yield path, obj
+
+
+def _leaf_id(path, value):
+    names = [_CONV_SPEC_FIELDS[key] if len(path) > 2 and i == 2 else str(key)
+             for i, key in enumerate(path)]
+    return "%s-%r" % (".".join(names), value)
+
+
+# Each number of the 3-axis block replaced by the same number as another
+# type (which Python's == would take for it), by True, and, for an
+# integer, by 0: each must make the block unlike both canonical texts.
+_LEAF_CASES = [
+    pytest.param(path, value, id=_leaf_id(path, value))
+    for path, leaf in _block_leaves(json.loads(ARCHITECTURE[3]))
+    for value in ((float(leaf), str(leaf), True, 0) if isinstance(leaf, int) else (str(leaf), True))
+]
+
+
+def easy_frames(count=16, seed=0, length=64):
     # Low-rank content plus light noise: quickly learnable.
     rng = np.random.default_rng(seed)
-    t = np.arange(64) / 64.0
+    t = np.arange(length) / length
     base = np.sin(2 * np.pi * 4 * t)
-    frames = np.empty((count, 1, 3, 64), dtype=np.float32)
+    frames = np.empty((count, 1, 3, length), dtype=np.float32)
     for i in range(count):
         for a in range(3):
             amp = 1.0 + 0.2 * rng.standard_normal()
-            frames[i, 0, a] = amp * base + 0.01 * rng.standard_normal(64)
+            frames[i, 0, a] = amp * base + 0.01 * rng.standard_normal(length)
     return frames
 
 
@@ -132,7 +175,7 @@ class TestTrain:
     def test_loss_decreases_on_easy_data(self):
         frames = easy_frames(24)
         stats = training.fit_standardization(frames)
-        model = dcan.build(tiny_config(), seed=1)
+        model = tiny_model(1)
         cfg = TrainConfig(batch_size=8, max_epochs=15, patience=15, seed=2)
         _, history = training.train(model, frames, stats, cfg)
         assert history[-1].train_mse < history[0].train_mse
@@ -145,7 +188,7 @@ class TestTrain:
         cfg = TrainConfig(batch_size=4, max_epochs=4, patience=4, seed=9)
 
         def run():
-            model = dcan.build(tiny_config(), seed=3)
+            model = tiny_model(3)
             _, history = training.train(model, frames, stats, cfg)
             return model, history
 
@@ -175,7 +218,7 @@ class TestTrain:
                 assert len(matches) == 1
                 ids.add(matches[0])
 
-        model = dcan.build(tiny_config(), seed=6)
+        model = tiny_model(6)
         training.train(model, frames, stats, cfg, on_batch=on_batch)
 
         id_sets = list(seen.values())
@@ -188,7 +231,7 @@ class TestTrain:
         # frames; the full standardized stack must not outlive the split
         frames = np.random.default_rng(12).normal(size=(2000, 1, 3, 64)).astype(np.float32)
         stats = training.fit_standardization(frames)
-        model = dcan.build(tiny_config(), seed=12)
+        model = tiny_model(12)
         held = []
         tracemalloc.start()
         try:
@@ -203,7 +246,7 @@ class TestTrain:
     def test_non_finite_loss_raises(self):
         frames = easy_frames(8)
         stats = training.fit_standardization(frames)
-        model = dcan.build(tiny_config(), seed=7)
+        model = tiny_model(7)
         cfg = TrainConfig(lr=1e12, batch_size=4, max_epochs=10, patience=10, seed=8)
         with np.errstate(all="ignore"), pytest.raises(TrainingError):
             training.train(model, frames, stats, cfg)
@@ -211,7 +254,7 @@ class TestTrain:
     def test_early_stop_triggers_before_max_epochs(self):
         frames = easy_frames(16)
         stats = training.fit_standardization(frames)
-        model = dcan.build(tiny_config(), seed=10)
+        model = tiny_model(10)
         # High enough lr that validation loss plateaus well before the cap.
         cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=80, patience=3, seed=11)
         _, history = training.train(model, frames, stats, cfg)
@@ -222,7 +265,7 @@ class TestTrain:
     def test_needs_two_frames(self):
         frames = easy_frames(2)[:1]
         stats = StandardizationStats(np.zeros(3), np.ones(3))
-        model = dcan.build(tiny_config(), seed=0)
+        model = tiny_model(0)
         with pytest.raises(TrainingError):
             training.train(model, frames, stats, TrainConfig())
 
@@ -243,7 +286,7 @@ class TestTrainingTasks:
         monkeypatch.setattr(parallel, "_worker_count", lambda: workers)
         frames = easy_frames(200, seed=30)
         stats = training.fit_standardization(frames)
-        model = dcan.build(tiny_config(), seed=31)
+        model = tiny_model(31)
         cfg = TrainConfig(batch_size=80, max_epochs=epochs, patience=epochs, seed=32,
                           validation_fraction=validation_fraction)
         _, history = training.train(model, frames, stats, cfg, on_batch=on_batch)
@@ -278,7 +321,7 @@ class TestTrainingTasks:
         # against one loss_and_gradients call over the whole batch: the
         # same objective, up to float32 rounding of the gradient sums
         monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
-        model = dcan.build(tiny_config(), seed=33)
+        model = tiny_model(33)
         batch = np.random.default_rng(34).standard_normal((80, 1, 3, 64)).astype(np.float32)
         loss, grads = training._loss_and_gradients(model, batch)
         whole_loss, whole_grads = dcan.loss_and_gradients(model, batch)
@@ -343,7 +386,7 @@ class TestTrainingTasks:
         # training loss's residual MSE of its reconstruction, and, up to
         # rounding, the float64 MSE of one reconstruction of every frame
         monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
-        model = dcan.build(tiny_config(), seed=35)
+        model = tiny_model(35)
         frames = np.random.default_rng(36).standard_normal((70, 1, 3, 64)).astype(np.float32)
         with blas.one_thread():
             loop = sum(
@@ -404,9 +447,9 @@ class TestLossCsv:
 
 class TestCheckpoint:
     def trained_pair(self):
-        frames = easy_frames(8)
+        frames = easy_frames(8, length=4096)
         stats = training.fit_standardization(frames)
-        model = dcan.build(tiny_config(), seed=13)
+        model = dcan.build(dcan.DcanConfig(axes=3), seed=13)
         training.train(model, frames, stats, TrainConfig(batch_size=4, max_epochs=2, patience=2, seed=14))
         return model, stats
 
@@ -426,7 +469,7 @@ class TestCheckpoint:
         path = tmp_path / "model.dcan"
         training.save_checkpoint(model, stats, path)
         loaded, _ = training.load_checkpoint(path)
-        x = np.random.default_rng(15).standard_normal((3, 1, 3, 64)).astype(np.float32)
+        x = np.random.default_rng(15).standard_normal((3, 1, 3, 4096)).astype(np.float32)
         assert np.array_equal(dcan.reconstruct(model, x), dcan.reconstruct(loaded, x))
 
     def test_metadata_round_trip(self, tmp_path):
@@ -445,7 +488,7 @@ class TestCheckpoint:
         # header and the first tensors' bytes are written
         path = tmp_path / "model.dcan"
         stats = training.fit_standardization(easy_frames(4))
-        training.save_checkpoint(dcan.build(tiny_config(), seed=0), stats, path)
+        training.save_checkpoint(dcan.build(dcan.DcanConfig(axes=3), seed=0), stats, path)
         old = path.read_bytes()
         calls = []
 
@@ -459,7 +502,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(training, "struct", FailingStruct)
         with pytest.raises(type(interrupt)):
-            training.save_checkpoint(dcan.build(tiny_config(), seed=1), stats, path)
+            training.save_checkpoint(dcan.build(dcan.DcanConfig(axes=3), seed=1), stats, path)
         assert len(calls) == 20
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["model.dcan"]
@@ -468,7 +511,7 @@ class TestCheckpoint:
         # The byte layout follows named_parameters() order, then the stats.
         path = tmp_path / "model.dcan"
         stats = training.fit_standardization(easy_frames(4))
-        training.save_checkpoint(dcan.build(tiny_config(), seed=0), stats, path)
+        training.save_checkpoint(dcan.build(dcan.DcanConfig(axes=3), seed=0), stats, path)
         data = path.read_bytes()
         offset = 12 + struct.unpack_from("<I", data, 8)[0]
         (count,) = struct.unpack_from("<I", data, offset)
@@ -519,7 +562,7 @@ class TestCheckpoint:
     def test_missing_tensor(self, tmp_path):
         # Valid header and metadata but an empty tensor section.
         path = tmp_path / "empty.dcan"
-        meta = b'{"config": {"axes": 3, "frame_len": 64, "leaky_slope": 0.01, "conv_specs": [[1, 4, [3, 8], [1, 2]], [4, 8, [1, 5], [1, 2]], [8, 8, [1, 3], [1, 1]]], "fc_widths": [20, 20, 20, 20]}, "training": {}}'
+        meta = ('{"config": %s, "training": {}}' % ARCHITECTURE[3]).encode()
         with open(path, "wb") as fh:
             fh.write(b"DCAN")
             fh.write(struct.pack("<I", 1))
@@ -532,69 +575,71 @@ class TestCheckpoint:
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.dcan"
         stats = training.fit_standardization(easy_frames(4))
-        training.save_checkpoint(dcan.build(tiny_config(), seed=0), stats, path)
+        training.save_checkpoint(dcan.build(dcan.DcanConfig(axes=3), seed=0), stats, path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointFormatError, match="trailing bytes"):
             training.load_checkpoint(path)
 
     def test_tensor_shape_must_match_metadata(self, tmp_path):
-        # tensors of a (20, 20, 20, 20) model under metadata declaring a
-        # narrower fourth hidden layer
+        # tensors of the 3-axis model under the 1-axis architecture block
         path = tmp_path / "model.dcan"
         stats = training.fit_standardization(easy_frames(4))
-        training.save_checkpoint(dcan.build(tiny_config(), seed=0), stats, path)
+        training.save_checkpoint(dcan.build(dcan.DcanConfig(axes=3), seed=0), stats, path)
         data = path.read_bytes()
         meta_end = 12 + struct.unpack_from("<I", data, 8)[0]
         with open(path, "rb") as fh:
             meta = training._read_header(fh)
-        meta["config"]["fc_widths"] = [20, 20, 20, 19]
+        meta["config"] = json.loads(ARCHITECTURE[1])
         blob = json.dumps(meta).encode("utf-8")
         path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[meta_end:])
         with pytest.raises(
             CheckpointFormatError,
-            match=r"tensor 'fc4\.weight' has shape \(\d+, \d+\), expected",
+            match=r"^tensor 'conv1\.weight' has shape \(8, 1, 3, 64\), expected \(8, 1, 1, 64\)$",
         ):
             training.load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "case, error, message",
         [("overflowing", CheckpointFormatError,
-          "tensor 'conv1.weight' has shape (65535, 65535, 65535, 65535), expected (4, 1, 3, 8)"),
+          "tensor 'conv1.weight' has shape (65535, 65535, 65535, 65535), expected (8, 1, 3, 64)"),
          ("vast", CheckpointFormatError,
-          "tensor 'fc1.weight' has shape (65535, 65535), expected (20, 88)"),
+          "tensor 'fc1.weight' has shape (65535, 65535), expected (200, 912)"),
          ("vast-as-declared", CheckpointTruncatedError,
-          "data of 'fc1.weight': wanted 1408000000000 bytes, got "),
+          "metadata: wanted 4000000000 bytes, got "),
          ("unknown", CheckpointFormatError, "unexpected tensor 'extra' (unknown or repeated)"),
          ("repeated", CheckpointFormatError, "unexpected tensor 'conv1.bias' (unknown or repeated)")],
         ids=["overflowing", "vast", "vast-as-declared", "unknown", "repeated"],
     )
     def test_tensor_headers_checked_before_their_data(self, tmp_path, case, error, message):
-        # a tensor header is refused before its data is read, so none of
+        # a tensor header is refused before its data is read, and a vast
+        # declared length reads no more than the file holds, so none of
         # these allocates more than the small file holds; an overflowing
         # shape once ended in a ValueError from a negative read length
-        config = tiny_config()
+        config = dcan.DcanConfig(axes=3)
         model = dcan.build(config, seed=0)
         entries = [(name, a.shape, a.tobytes()) for name, a in model.named_parameters().items()]
         entries += [("stats.mean", (3,), np.zeros(3, "<f4").tobytes()),
                     ("stats.std", (3,), np.ones(3, "<f4").tobytes())]
-        meta = {"config": training._config_to_metadata(config), "training": {}}
+        blob = json.dumps({"config": training._config_to_metadata(config), "training": {}}).encode()
+        declared = len(blob)
         if case == "overflowing":
             entries[0] = ("conv1.weight", (65535,) * 4, b"")
         elif case == "vast":
             entries[6] = ("fc1.weight", (65535, 65535), b"")
         elif case == "vast-as-declared":
-            meta["config"]["fc_widths"] = [4_000_000_000, 20, 20, 20]
-            entries[6] = ("fc1.weight", (4_000_000_000, 88), b"")
+            # the file ends with the metadata, whose length is declared vast
+            declared, entries = 4_000_000_000, None
         elif case == "unknown":
             entries.insert(2, ("extra", (3,), np.zeros(3, "<f4").tobytes()))
         else:
             entries.insert(2, entries[1])
-        blob = json.dumps(meta).encode("utf-8")
-        parts = [b"DCAN", struct.pack("<II", 1, len(blob)), blob, struct.pack("<I", len(entries))]
-        for name, shape, data in entries:
-            encoded = name.encode("utf-8")
-            parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", len(shape)),
-                      struct.pack("<%dI" % len(shape), *shape), data]
+        parts = [b"DCAN", struct.pack("<II", 1, declared), blob]
+        if entries is not None:
+            parts.append(struct.pack("<I", len(entries)))
+            for name, shape, data in entries:
+                encoded = name.encode("utf-8")
+                parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", len(shape)),
+                          struct.pack("<%dI" % len(shape), *shape), data]
         path = tmp_path / "model.dcan"
         path.write_bytes(b"".join(parts))
         tracemalloc.start()
@@ -611,3 +656,80 @@ class TestCheckpoint:
         model, stats = self.trained_pair()
         with pytest.raises(CheckpointError):
             training.save_checkpoint(cast(model, np.float64), stats, tmp_path / "m.dcan")
+
+
+class TestArchitectureBlock:
+    """A checkpoint's architecture block is one of two texts."""
+
+    @pytest.mark.parametrize("axes", [1, 3])
+    def test_the_two_blocks_are_pinned(self, axes):
+        config = dcan.DcanConfig(axes=axes)
+        assert json.dumps(training._config_to_metadata(config), sort_keys=True) == ARCHITECTURE[axes]
+        assert training._config_from_metadata(json.loads(ARCHITECTURE[axes])) == config
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"axes": 3', '"axes": 3.0'), ('"axes": 3', '"axes": true'), ('"axes": 3', '"axes": "3"'),
+         ('"axes": 3', '"axes": 1'), ('"frame_len": 4096', '"frame_len": 4096.0'),
+         ('"leaky_slope": 0.01', '"leaky_slope": 0.02'), ('[200, 200, 200, 200]', '[200, 200, 200]'),
+         ('"leaky_slope": 0.01}', '"leaky_slope": 0.01, "extra": 1}'),
+         ('"frame_len": 4096, ', '')],
+        ids=["float-axes", "bool-axes", "string-axes", "other-axes-kernel", "float-frame-len",
+             "other-slope", "three-fc-widths", "extra-key", "missing-key"],
+    )
+    def test_any_other_block_is_refused(self, old, new):
+        assert old in ARCHITECTURE[3]
+        meta = json.loads(ARCHITECTURE[3].replace(old, new))
+        with pytest.raises(
+            CheckpointFormatError,
+            match=r"^architecture metadata is neither the 1-axis nor the 3-axis DCAN's$",
+        ):
+            training._config_from_metadata(meta)
+
+    @pytest.mark.parametrize("path, value", _LEAF_CASES)
+    def test_every_leaf_of_the_block_is_type_strict(self, path, value):
+        meta = json.loads(ARCHITECTURE[3])
+        parent = meta
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(
+            CheckpointFormatError,
+            match=r"^architecture metadata is neither the 1-axis nor the 3-axis DCAN's$",
+        ):
+            training._config_from_metadata(meta)
+
+    def test_the_leaf_walk_reaches_every_number(self):
+        # axes, frame_len, leaky_slope, 3 conv specs of 6 and 4 fc widths
+        assert len({path for path, _ in (case.values for case in _LEAF_CASES)}) == 25
+
+    @pytest.mark.parametrize("meta", [None, [], {}, "3"], ids=["null", "list", "empty", "string"])
+    def test_a_block_that_is_no_object_is_refused(self, meta):
+        with pytest.raises(CheckpointFormatError, match="^architecture metadata is neither"):
+            training._config_from_metadata(meta)
+
+    @pytest.mark.parametrize("axes", [1, 3])
+    def test_a_checkpoint_of_the_earlier_writer_loads(self, tmp_path, axes):
+        # the version-1 layout, written field by field as the writer before
+        # the fixed architecture did, with its architecture block as text
+        model = dcan.build(dcan.DcanConfig(axes=axes), seed=0)
+        mean = np.linspace(-1, 1, axes).astype(np.float32)
+        std = np.linspace(0.5, 2, axes).astype(np.float32)
+        tensors = {**model.named_parameters(), "stats.mean": mean, "stats.std": std}
+        blob = ('{"config": %s, "training": {"epochs_run": 2}}' % ARCHITECTURE[axes]).encode()
+        parts = [b"DCAN", struct.pack("<II", 1, len(blob)), blob, struct.pack("<I", len(tensors))]
+        for name, arr in tensors.items():
+            parts += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", arr.ndim),
+                      struct.pack("<%dI" % arr.ndim, *arr.shape), arr.astype("<f4").tobytes()]
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(b"".join(parts))
+        loaded, stats = training.load_checkpoint(old)
+        assert loaded.config == model.config
+        for name, param in model.named_parameters().items():
+            assert loaded.named_parameters()[name].tobytes() == param.tobytes(), name
+        assert stats.per_axis_mean.tobytes() == mean.tobytes()
+        assert stats.per_axis_std.tobytes() == std.tobytes()
+        new = tmp_path / "new.ckpt"
+        training.save_checkpoint(model, StandardizationStats(mean, std), new,
+                                 training_meta={"epochs_run": 2})
+        assert new.read_bytes() == old.read_bytes()
