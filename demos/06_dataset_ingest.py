@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from vibanom.ingest import SplitSpec, build_nasa_splits, read_frames, write_frames
+from vibanom.ingest import DEFAULT_TRAIN_SIZE, build_nasa_splits, read_frames, write_frames
 
 root = os.environ.get("VIBANOM_IMS_ROOT", "")
 if root:
     print("ingesting real archive at %s" % root)
-    spec = SplitSpec()
+    train_size = DEFAULT_TRAIN_SIZE
 else:
     print("VIBANOM_IMS_ROOT not set; building a miniature stand-in tree")
     base = Path(tempfile.mkdtemp(prefix="vibanom-ingest-demo-"))
@@ -39,13 +39,13 @@ else:
     root = str(base)
     print("stand-in tree at %s" % root)
     # The miniature tree only has 44 candidate windows; ask for 32.
-    spec = SplitSpec(train_size=32)
+    train_size = 32
 
 print()
 import warnings
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    train_frames, test_sequences = build_nasa_splits(root, spec=spec, seed=0)
+    train_frames, test_sequences = build_nasa_splits(root, train_size=train_size, seed=0)
 
 print("training split: %d single-axis frames (reservoir-sampled from all" % len(train_frames))
 print("                non-test channels into one preallocated block)")

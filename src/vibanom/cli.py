@@ -200,13 +200,18 @@ def cmd_ingest_nasa(args) -> int:
         raise ConfigurationError("empty --out path")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_frames, test_sequences = build_nasa_splits(args.root, seed=args.seed)
     train_path = out_dir / "train.frames"
+    test_paths = {
+        label: out_dir / ("test_%s.frames" % label.replace("/", "_"))
+        for label in ingest._TEST_LABELS
+    }
+    for path in [train_path, *test_paths.values()]:
+        ingest._destination(path, "output file")
+    train_frames, test_sequences = build_nasa_splits(args.root, seed=args.seed)
     write_frames(train_path, train_frames)
     print("train: %d frames -> %s" % (len(train_frames), train_path))
     for label in sorted(test_sequences):
-        frames = test_sequences[label]
-        path = out_dir / ("test_%s.frames" % label.replace("/", "_"))
+        frames, path = test_sequences[label], test_paths[label]
         write_frames(path, frames)
         print("%s: %d frames -> %s" % (label, len(frames), path))
     return 0

@@ -177,6 +177,13 @@ class StatusReport:
             raise ConfigurationError(
                 "anomalous_in_window must be >= 0, got %r" % self.anomalous_in_window
             )
+        if self.timestamp < 0:
+            raise ConfigurationError("timestamp must be >= 0, got %r" % self.timestamp)
+        # NaN and inf pass: a frame whose reconstruction overflows logs them
+        for name, values in (("axis_mse", self.per_axis_mse), ("total_mse", (self.total_mse,))):
+            for value in values:
+                if value < 0:
+                    raise ConfigurationError("%s must be >= 0, got %r" % (name, value))
 
 
 def format_report(report: StatusReport) -> str:
@@ -333,7 +340,8 @@ def save_fleet_config(config: FleetConfig, path):
 def load_fleet_config(path) -> FleetConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long int
+    # bad JSON, bad UTF-8, an over-long int, or nesting too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(
             "fleet config %s is not valid JSON: %s" % (path, exc)
         ) from exc

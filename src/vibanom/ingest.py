@@ -5,13 +5,15 @@ one (N, A, 4096) float32 column of samples (A axes of acceleration),
 checked once with vectorised checks. A Frame is one such sampling event
 handed in by a caller, a plain record; FrameBlock.of stacks and checks a
 Sequence[Frame] as a block, where it comes in. Nothing walks Frames.
-IMS files are whitespace-separated channel columns named by their capture
-time (YYYY.MM.DD.HH.MM.SS, interpreted as UTC for determinism); each
-channel column is cut into non-overlapping FRAME_LEN-point windows, the
-rows of a single-axis FrameBlock. Window k of a file gets timestamp
-file_ts + k: a synthetic one-second tiebreaker that keeps per-channel
-sequences strictly chronological (files are 600 s apart, so order is
-never disturbed).
+IMS files are whitespace-separated channel columns of numbers named by
+their capture time (YYYY.MM.DD.HH.MM.SS, interpreted as UTC for
+determinism); each channel column is cut into non-overlapping
+FRAME_LEN-point windows, the rows of a single-axis FrameBlock. Window k
+of a file gets timestamp file_ts + k: a synthetic one-second tiebreaker
+that keeps per-channel sequences strictly chronological (files are 600 s
+apart, so order is never disturbed). build_nasa_splits serves one split
+of IMS sets 1-3: Set1/Ch5, Set1/Ch7 and Set2/Ch1 are held out as test
+sequences, and every other channel is training data.
 
 The binary frame format "FRME" is the bit-exact interchange format: one
 packed 13-byte _HEADER record, then one _record_dtype(axes) record per
@@ -34,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .errors import (
     DimensionError,
     IngestError,
     ParseError,
+    _count,
 )
 from .signals import MODEL_FRAME_LEN as FRAME_LEN
 
@@ -53,6 +56,8 @@ _HEADER = np.dtype(
     [("magic", "S4"), ("version", "<u4"), ("axes", "u1"), ("frame_len", "<u4")]
 )
 DEFAULT_TRAIN_SIZE = 30000
+# the held-out IMS channels as SetK/ChN labels, channels 1-based
+_TEST_LABELS = ("Set1/Ch5", "Set1/Ch7", "Set2/Ch1")
 
 # capture-time file names, e.g. 2004.02.12.10.32.39
 _TIMESTAMP_NAME = re.compile(r"^\d{4}\.\d{2}\.\d{2}\.\d{2}\.\d{2}\.\d{2}$")
@@ -270,80 +275,15 @@ def stack_frames(frames: Frames) -> np.ndarray:
     return np.ascontiguousarray(block.data)[:, None]
 
 
-@dataclass(frozen=True, eq=False)
-class ImsRecording:
-    """One IMS capture file: rows x channels of acceleration values."""
-
-    timestamp: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise DimensionError("recording matrix must be 2-D")
-        if matrix.shape[0] < 1 or matrix.shape[1] < 1:
-            raise DimensionError(
-                "recording matrix must be non-empty, got shape %r"
-                % (matrix.shape,)
-            )
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "timestamp", int(self.timestamp))
-
-    @property
-    def channel_count(self) -> int:
-        return int(self.matrix.shape[1])
-
-    def channel(self, number: int) -> np.ndarray:
-        """1-based channel column, matching the dataset's Ch naming."""
-        if not 1 <= number <= self.channel_count:
-            raise DimensionError(
-                "channel %d out of range 1..%d" % (number, self.channel_count)
-            )
-        return self.matrix[:, number - 1]
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/test split by (set, channel); channels are 1-based."""
-
-    test_channels: Tuple[Tuple[str, int], ...] = (
-        ("Set1", 5),
-        ("Set1", 7),
-        ("Set2", 1),
-    )
-    train_size: int = DEFAULT_TRAIN_SIZE
-
-    def __post_init__(self):
-        if self.train_size < 1:
-            raise ConfigurationError("train_size must be >= 1")
-        for entry in self.test_channels:
-            set_name, channel = entry
-            if not re.match(r"^Set[1-9]\d*$", set_name) or channel < 1:
-                raise ConfigurationError(
-                    "bad test channel entry %r (expected ('SetK', n))"
-                    % (entry,)
-                )
-
-    def is_test_channel(self, set_name: str, channel: int) -> bool:
-        return (set_name, channel) in self.test_channels
-
-
-def timestamp_from_filename(filename: str) -> int:
+def timestamp_from_filename(name: str) -> int:
     """Parse a YYYY.MM.DD.HH.MM.SS capture name to UTC epoch seconds."""
-    name = os.path.basename(filename)
-    candidates = [name]
-    stem, ext = os.path.splitext(name)
-    if ext and stem not in candidates:
-        candidates.append(stem)
-    for candidate in candidates:
-        try:
-            moment = datetime.strptime(candidate, "%Y.%m.%d.%H.%M.%S")
-        except ValueError:
-            continue
-        return int(moment.replace(tzinfo=timezone.utc).timestamp())
-    raise ParseError(
-        "%s: file name is not a YYYY.MM.DD.HH.MM.SS timestamp" % filename
-    )
+    try:
+        moment = datetime.strptime(name, "%Y.%m.%d.%H.%M.%S")
+    except ValueError:
+        raise ParseError(
+            "%s: file name is not a YYYY.MM.DD.HH.MM.SS timestamp" % name
+        ) from None
+    return int(moment.replace(tzinfo=timezone.utc).timestamp())
 
 
 def _diagnose_table(text: str, filename: str):
@@ -372,19 +312,23 @@ def _diagnose_table(text: str, filename: str):
             )
 
 
-def parse_ims_file(text: str, filename: str) -> ImsRecording:
-    """Parse one whitespace-separated IMS capture file."""
+def parse_ims_file(text: str, filename: str) -> Tuple[int, np.ndarray]:
+    """Parse one whitespace-separated IMS capture file into its capture
+    timestamp and its (rows, channels) float64 matrix, at least 1 x 1.
+
+    The file is numbers only: a '#' is a non-numeric token, not a comment.
+    """
     timestamp = timestamp_from_filename(filename)
     if not text.strip():
         raise ParseError("%s: empty file" % filename)
     try:
-        matrix = np.loadtxt(io.StringIO(text), dtype=np.float64, ndmin=2)
+        matrix = np.loadtxt(io.StringIO(text), dtype=np.float64, ndmin=2, comments=None)
     except ValueError as exc:
         _diagnose_table(text, filename)
         raise ParseError("%s: %s" % (filename, exc)) from exc
     if not np.all(np.isfinite(matrix)):
         raise ParseError("%s: non-finite value in data" % filename)
-    return ImsRecording(timestamp=timestamp, matrix=matrix)
+    return timestamp, matrix
 
 
 def windowize(channel_series, *, timestamp: int = 0) -> FrameBlock:
@@ -481,38 +425,31 @@ def resolve_set_dir(root_dir, set_number: int) -> Path:
 
 
 def build_nasa_splits(
-    root_dir,
-    spec: Optional[SplitSpec] = None,
-    seed: int = 0,
+    root_dir, *, train_size: int = DEFAULT_TRAIN_SIZE, seed: int = 0
 ) -> Tuple[FrameBlock, Dict[str, FrameBlock]]:
-    """Split the IMS dataset into train frames and test sequences.
+    """Split IMS sets 1-3 into train frames and test sequences.
 
-    Test channels keep their full chronological frame sequences; every
-    other channel feeds a seeded reservoir subsample of spec.train_size
-    frames (Algorithm R, its rows written into one preallocated block).
-    Returns (train_block, {"SetK/ChN": block}), all single-axis.
+    The held-out channels, Set1/Ch5, Set1/Ch7 and Set2/Ch1, keep their
+    full chronological frame sequences; every other channel feeds a
+    seeded reservoir subsample of train_size frames (Algorithm R, its
+    rows written into one preallocated block). Returns (train_block,
+    {"SetK/ChN": block}), all single-axis.
     """
-    if spec is None:
-        spec = SplitSpec()
+    _count("train_size", train_size)
     rng = np.random.default_rng(seed)
-    size, seen = spec.train_size, 0
+    size, seen = train_size, 0
     train = FrameBlock._checked(
         np.empty(size, dtype="<u8"), np.empty((size, 1, FRAME_LEN), dtype=np.float32)
     )
-    test_parts: Dict[str, List[FrameBlock]] = {
-        "%s/Ch%d" % (set_name, channel): [train[:0]]
-        for set_name, channel in spec.test_channels
-    }
-    set_numbers = sorted({int(s[3:]) for s, _ in spec.test_channels} | {1, 2, 3})
-    for set_number in set_numbers:
-        set_name = "Set%d" % set_number
-        set_dir = resolve_set_dir(root_dir, set_number)
-        for path in _data_files(set_dir):
-            recording = parse_ims_file(path.read_text(), path.name)
-            for channel in range(1, recording.channel_count + 1):
-                block = windowize(recording.channel(channel), timestamp=recording.timestamp)
-                if spec.is_test_channel(set_name, channel):
-                    test_parts["%s/Ch%d" % (set_name, channel)].append(block)
+    test_parts: Dict[str, List[FrameBlock]] = {label: [train[:0]] for label in _TEST_LABELS}
+    for set_number in (1, 2, 3):
+        for path in _data_files(resolve_set_dir(root_dir, set_number)):
+            timestamp, matrix = parse_ims_file(path.read_text(), path.name)
+            for column in range(matrix.shape[1]):
+                block = windowize(matrix[:, column], timestamp=timestamp)
+                label = "Set%d/Ch%d" % (set_number, column + 1)
+                if label in test_parts:
+                    test_parts[label].append(block)
                     continue
                 for k in range(len(block)):
                     slot = seen if seen < size else int(rng.integers(0, seen + 1))

@@ -6,7 +6,8 @@ layers, LeakyReLU, the package's one mean squared error (residual_mse,
 formed in float64), uniform parameter initialization and a
 bias-corrected Adam update (Kingma & Ba, 2015), the formula applied to each
 whole tensor, with the standard moment decays (0.9, 0.999) and denominator
-guard 1e-8; only its learning rate is settable.
+guard 1e-8. The LeakyReLU slope and the Adam learning rate have no default
+here: every caller passes them, from dcan.LEAKY_SLOPE and TrainConfig.lr.
 
 Every operation is a plain function over numpy arrays in NCHW or
 (batch, features) layout. The layer classes hold parameters; their
@@ -466,7 +467,7 @@ def dense_backward(
     return grad_input, grad_weight, grad_bias
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
+def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     """Elementwise x if x >= 0 else slope * x, for 0 <= slope <= 1.
 
     In that range max(x, slope * x) picks the same value bit for bit,
@@ -475,7 +476,7 @@ def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
     return np.maximum(x, x * slope)
 
 
-def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.01) -> np.ndarray:
+def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float) -> np.ndarray:
     """Upstream scaled by 1 where x >= 0 (including exactly 0) else by slope."""
     # max(1, slope) = 1 and max(0, slope) = slope for 0 <= slope <= 1, as
     # dcan.LEAKY_SLOPE is; this is branch-free, unlike np.where
@@ -510,7 +511,7 @@ ADAM_EPSILON = 1e-8
 class AdamState:
     """Optimizer state: one first/second moment pair per named parameter."""
 
-    lr: float = 1e-3
+    lr: float
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
@@ -520,7 +521,7 @@ class AdamState:
             raise ConfigurationError("Adam learning rate must be positive")
 
     @classmethod
-    def for_params(cls, params: dict, lr: float = 1e-3) -> "AdamState":
+    def for_params(cls, params: dict, lr: float) -> "AdamState":
         state = cls(lr=lr)
         for name, p in params.items():
             state.first_moment[name] = np.zeros_like(p)

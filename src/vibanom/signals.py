@@ -4,8 +4,9 @@ Provides an FFT of any length with one-sided magnitude spectra, dominant
 frequency extraction, and generators for the validation experiments: a
 multi-component normal bearing signal, time-scale modification (frequency
 shifting) and sawtooth injection. All operations are pure functions.
-The generators and the waveform CSV reader work at the paper's one frame
-geometry: MODEL_FRAME_LEN (4096) samples at DEFAULT_SAMPLE_RATE (1024 Hz).
+Every waveform is sampled at the paper's one rate, SAMPLE_RATE (1024 Hz,
+so NYQUIST is 512 Hz), and the generators draw its one frame length,
+MODEL_FRAME_LEN (4096) samples.
 
 The FFT is numpy's (np.fft.fft), at any length of at least 1; its
 correctness contract is agreement with a direct DFT within 1e-6 relative
@@ -38,7 +39,8 @@ __all__ = [
 ]
 
 MODEL_FRAME_LEN = 4096
-DEFAULT_SAMPLE_RATE = 1024.0
+SAMPLE_RATE = 1024.0
+NYQUIST = SAMPLE_RATE / 2.0
 
 # A spectral line counts as a real component (for aliasing detection) when
 # its magnitude reaches this fraction of the strongest non-DC line.
@@ -47,26 +49,19 @@ SIGNIFICANT_COMPONENT_FRACTION = 0.01
 
 @dataclass
 class Waveform:
-    """A single-axis acceleration record in g at a fixed sample rate."""
+    """A single-axis acceleration record in g, sampled at SAMPLE_RATE."""
 
     samples: np.ndarray
-    sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise DimensionError(f"waveform samples must be 1-D, got {self.samples.ndim}-D")
-        if self.sample_rate <= 0:
-            raise SignalSpecError(f"sample rate must be positive, got {self.sample_rate}")
-
-    @property
-    def nyquist(self) -> float:
-        return self.sample_rate / 2.0
 
 
 @dataclass
 class Spectrum:
-    """One-sided magnitude spectrum: N/2 + 1 bins at k * sample_rate / N."""
+    """One-sided magnitude spectrum: N/2 + 1 bins at k * SAMPLE_RATE / N."""
 
     bin_freqs: np.ndarray
     magnitudes: np.ndarray
@@ -89,13 +84,13 @@ class NormalSignalSpec:
         """All (frequency, amplitude) pairs, main first."""
         return [tuple(self.main), tuple(self.secondary), *(tuple(h) for h in self.harmonics)]
 
-    def validate(self, nyquist: float) -> None:
+    def validate(self) -> None:
         for freq, amp in self.components():
             if amp < 0:
                 raise SignalSpecError(f"amplitude for {freq} Hz must be >= 0, got {amp}")
-            if not 0 <= freq < nyquist:
+            if not 0 <= freq < NYQUIST:
                 raise SignalSpecError(
-                    f"component frequency {freq} Hz outside [0, Nyquist {nyquist} Hz)"
+                    f"component frequency {freq} Hz outside [0, Nyquist {NYQUIST} Hz)"
                 )
         if self.noise_std < 0:
             raise SignalSpecError(f"noise_std must be >= 0, got {self.noise_std}")
@@ -117,7 +112,7 @@ def fft_magnitude(waveform: Waveform) -> Spectrum:
     transform = fft_complex(waveform.samples)
     n = len(waveform.samples)
     half = n // 2 + 1 if n > 1 else 1
-    freqs = np.arange(half) * (waveform.sample_rate / n)
+    freqs = np.arange(half) * (SAMPLE_RATE / n)
     return Spectrum(freqs, np.abs(transform[:half]))
 
 
@@ -131,8 +126,8 @@ def dominant_frequency(spectrum: Spectrum) -> float:
 
 def _component_stack(spec: NormalSignalSpec) -> np.ndarray:
     """The phase-locked deterministic part of every healthy draw."""
-    spec.validate(DEFAULT_SAMPLE_RATE / 2.0)
-    t = np.arange(MODEL_FRAME_LEN) / DEFAULT_SAMPLE_RATE
+    spec.validate()
+    t = np.arange(MODEL_FRAME_LEN) / SAMPLE_RATE
     x = np.zeros(MODEL_FRAME_LEN, dtype=np.float64)
     for freq, amp in spec.components():
         if amp > 0:
@@ -149,7 +144,7 @@ def _draw(spec: NormalSignalSpec, stack: np.ndarray, seed) -> np.ndarray:
 
 
 def synth_normal(spec: NormalSignalSpec, seed) -> Waveform:
-    """One healthy waveform draw: MODEL_FRAME_LEN samples at DEFAULT_SAMPLE_RATE.
+    """One healthy waveform draw of MODEL_FRAME_LEN samples.
 
     The deterministic component stack is phase-locked (every draw starts
     at t = 0, as if sampling were synchronized to the machine cycle);
@@ -199,10 +194,10 @@ def time_scale(waveform: Waveform, factor: float) -> Waveform:
         if top > 0:
             significant = spectrum.bin_freqs[1:][mags >= SIGNIFICANT_COMPONENT_FRACTION * top]
             worst = float(significant.max(initial=0.0)) / factor
-            if worst > waveform.nyquist:
+            if worst > NYQUIST:
                 warnings.warn(
                     f"time scaling by {factor} moves a {worst * factor:.1f} Hz component to "
-                    f"{worst:.1f} Hz, beyond Nyquist {waveform.nyquist:.1f} Hz",
+                    f"{worst:.1f} Hz, beyond Nyquist {NYQUIST:.1f} Hz",
                     AliasingWarning,
                 )
 
@@ -210,7 +205,7 @@ def time_scale(waveform: Waveform, factor: float) -> Waveform:
     m = n if factor >= 1 else int(np.floor((n - 1) * factor)) + 1
     positions = np.arange(m) / factor
     scaled = np.interp(positions, np.arange(n), waveform.samples)
-    return Waveform(np.resize(scaled, n), waveform.sample_rate)
+    return Waveform(np.resize(scaled, n))
 
 
 def inject_sawtooth(waveform: Waveform, freq: float, peak: float) -> Waveform:
@@ -219,16 +214,16 @@ def inject_sawtooth(waveform: Waveform, freq: float, peak: float) -> Waveform:
     Sample phases are offset by half a sample so the discrete wave averages
     to exactly zero over any whole number of periods.
     """
-    if not 0 < freq < waveform.nyquist:
+    if not 0 < freq < NYQUIST:
         raise SignalSpecError(
-            f"sawtooth frequency must lie in (0, Nyquist {waveform.nyquist} Hz), got {freq}"
+            f"sawtooth frequency must lie in (0, Nyquist {NYQUIST} Hz), got {freq}"
         )
     if not 0 <= peak < np.inf:
         raise SignalSpecError(f"sawtooth peak must be finite and >= 0, got {peak}")
     n = len(waveform.samples)
-    phase = np.mod((np.arange(n) + 0.5) * (freq / waveform.sample_rate), 1.0)
+    phase = np.mod((np.arange(n) + 0.5) * (freq / SAMPLE_RATE), 1.0)
     saw = peak * (2.0 * phase - 1.0)
-    return Waveform(waveform.samples + saw, waveform.sample_rate)
+    return Waveform(waveform.samples + saw)
 
 
 def write_waveform_csv(waveform: Waveform, path) -> None:
@@ -250,7 +245,7 @@ def _csv_rows(path, reader):
 
 
 def read_waveform_csv(path) -> Waveform:
-    """Read a finite waveform written by write_waveform_csv, at DEFAULT_SAMPLE_RATE."""
+    """Read a finite waveform written by write_waveform_csv."""
     values = []
     # a byte that is not UTF-8 reads as U+FFFD, which fails the header or
     # number checks below with a ParseError naming the file and line

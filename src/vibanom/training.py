@@ -383,7 +383,8 @@ def _read_header(fh) -> dict:
     meta_len = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))[0]
     try:
         metadata = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long int
+    # bad JSON, bad UTF-8, an over-long int, or nesting too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise CheckpointFormatError(f"unreadable metadata block: {exc}") from exc
     if not isinstance(metadata, dict):
         raise CheckpointFormatError("metadata block is not a JSON object")

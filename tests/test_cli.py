@@ -24,7 +24,7 @@ from vibanom.fleet import (
 )
 from vibanom.ingest import FRAME_LEN, Frame, FrameBlock, read_frames, write_frames
 from vibanom.scoring import AlarmLevel, ScoreNormalization
-from vibanom.signals import DEFAULT_SAMPLE_RATE, Waveform, write_waveform_csv
+from vibanom.signals import SAMPLE_RATE, Waveform, write_waveform_csv
 from vibanom.training import StandardizationStats, load_checkpoint, save_checkpoint
 
 from helpers import make_mini_ims
@@ -772,7 +772,7 @@ class TestSynthAndExportPlot:
 
     def test_spectrum_of_a_waveform_of_any_length(self, tmp_path, capsys):
         # a 1,000-sample CSV once failed: the FFT took only powers of two
-        t = np.arange(1000) / DEFAULT_SAMPLE_RATE
+        t = np.arange(1000) / SAMPLE_RATE
         wave_csv = tmp_path / "wave.csv"
         write_waveform_csv(Waveform(np.sin(2 * np.pi * 102.4 * t)), wave_csv)
         spectrum_csv = tmp_path / "spec.csv"
@@ -871,6 +871,28 @@ class TestIngestNasa:
             out_b / "train.frames"
         ).read_bytes()
 
+    @pytest.mark.parametrize("name", ["train.frames", "test_Set2_Ch1.frames"])
+    def test_output_directory_is_refused_before_the_archive_is_read(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        # the whole archive was once parsed before an IsADirectoryError
+        root = tmp_path / "ims"
+        make_mini_ims(root)
+        out = tmp_path / "splits"
+        (out / name).mkdir(parents=True)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the archive was read")
+
+        monkeypatch.setattr(cli, "build_nasa_splits", no_work)
+        assert main(["ingest-nasa", str(root), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ConfigurationError: output file %s is a directory\n" % (
+            out / name
+        )
+        assert [p.name for p in out.iterdir()] == [name]
+
 
 class TestErrorSurface:
     def one_error_line(self, capsys, argv, kind):
@@ -896,6 +918,22 @@ class TestErrorSurface:
             capsys, argv + ["--config", str(config)], "ConfigurationError"
         )
         assert str(config) in line
+
+    @pytest.mark.parametrize("command", ["monitor", "score"])
+    def test_deeply_nested_config(self, checkpoint, tmp_path, capsys, command):
+        # once a RecursionError traceback
+        config = tmp_path / "fleet.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        if command == "monitor":
+            (tmp_path / "streams").mkdir()
+            argv = ["monitor", "--frames", str(tmp_path / "streams")]
+        else:
+            frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
+            argv = ["score", "--checkpoint", checkpoint, "--frames", frames]
+        line = self.one_error_line(
+            capsys, argv + ["--config", str(config)], "ConfigurationError"
+        )
+        assert line.startswith("error: ConfigurationError: fleet config %s is not valid JSON: " % config)
 
     @pytest.mark.parametrize(
         "content", [b"\xff\xfe\x00binary\n", b"index,value\r\n0,\xff\r\n"],
@@ -937,8 +975,14 @@ class TestErrorSurface:
         [([REPORT % ("none", 1, 0)], 1, "a fired alarm requires at least the low level"),
          ([REPORT % ("none", 0, -3)], 1, "anomalous_in_window must be >= 0, got -3"),
          ([REPORT % ("low", 1, 20), "", REPORT % ("purple", 0, 0)], 3,
-          "unknown alarm level 'purple'")],
-        ids=["alarm-below-low", "negative-window-count", "bad-third-line"],
+          "unknown alarm level 'purple'"),
+         ([REPORT.replace("ts:1", "ts:-5") % ("none", 0, 0)], 1, "timestamp must be >= 0, got -5"),
+         ([REPORT % ("none", 0, 0), REPORT.replace("axis_mse:1.0", "axis_mse:nan,-0.5,inf")
+           % ("none", 0, 0)], 2, "axis_mse must be >= 0, got -0.5"),
+         ([REPORT.replace("total_mse:1.0", "total_mse:-inf") % ("none", 0, 0)], 1,
+          "total_mse must be >= 0, got -inf")],
+        ids=["alarm-below-low", "negative-window-count", "bad-third-line", "negative-timestamp",
+             "negative-axis-mse", "negative-total-mse"],
     )
     def test_report_log_line_format_report_could_not_write(
         self, tmp_path, capsys, lines, lineno, message
@@ -961,8 +1005,10 @@ class TestErrorSurface:
     @pytest.mark.parametrize(
         "metadata, message",
         [(b"[]", "metadata block is not a JSON object"),
-         (b'{"config": ' + b"1" * 5000 + b"}", "unreadable metadata block")],
-        ids=["list", "over-long-int"],
+         (b'{"config": ' + b"1" * 5000 + b"}", "unreadable metadata block"),
+         # once a RecursionError traceback
+         (b"[" * 100_000 + b"]" * 100_000, "unreadable metadata block")],
+        ids=["list", "over-long-int", "deep-nesting"],
     )
     def test_unusable_checkpoint_metadata(self, tmp_path, capsys, metadata, message):
         ckpt = tmp_path / "bad.ckpt"

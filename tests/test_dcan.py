@@ -35,9 +35,9 @@ class TestShapeChain:
 
         h1 = nn.conv2d_forward(x, model.layers["conv1"])
         assert h1.shape == (2, 8, 1, 253)
-        h2 = nn.conv2d_forward(nn.leaky_relu(h1), model.layers["conv2"])
+        h2 = nn.conv2d_forward(nn.leaky_relu(h1, dcan.LEAKY_SLOPE), model.layers["conv2"])
         assert h2.shape == (2, 16, 1, 61)
-        h3 = nn.conv2d_forward(nn.leaky_relu(h2), model.layers["conv3"])
+        h3 = nn.conv2d_forward(nn.leaky_relu(h2, dcan.LEAKY_SLOPE), model.layers["conv3"])
         assert h3.shape == (2, 16, 1, 57)
         assert h3.reshape(2, -1).shape == (2, 912)
 
@@ -47,9 +47,9 @@ class TestShapeChain:
 
         d1 = nn.conv_transpose2d_forward(z, model.layers["deconv1"])
         assert d1.shape == (2, 16, 1, 61)
-        d2 = nn.conv_transpose2d_forward(nn.leaky_relu(d1), model.layers["deconv2"])
+        d2 = nn.conv_transpose2d_forward(nn.leaky_relu(d1, dcan.LEAKY_SLOPE), model.layers["deconv2"])
         assert d2.shape == (2, 8, 1, 253)
-        d3 = nn.conv_transpose2d_forward(nn.leaky_relu(d2), model.layers["deconv3"])
+        d3 = nn.conv_transpose2d_forward(nn.leaky_relu(d2, dcan.LEAKY_SLOPE), model.layers["deconv3"])
         assert d3.shape == (2, 1, 3, 4096)
 
     def test_fc_widths(self):
@@ -128,7 +128,7 @@ class TestForward:
             conv.bias[...] = 0
         h = np.zeros((1, 1, 3, 64), dtype=np.float32)
         for name in ("conv1", "conv2", "conv3"):
-            h = nn.leaky_relu(model.layers[name].forward(h))
+            h = nn.leaky_relu(model.layers[name].forward(h), dcan.LEAKY_SLOPE)
         assert h.shape == (1, 8, 1, 11) and np.all(h == 0)
 
     def test_untrained_model_has_positive_error(self):

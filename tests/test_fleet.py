@@ -172,6 +172,14 @@ class TestReportSerialization:
         assert "alarm:1" in line
         assert parse_report(line) == report
 
+    def test_non_finite_mse_is_kept(self):
+        # a frame whose reconstruction overflows logs nan or inf; only a
+        # negative MSE is refused
+        line = format_report(replace(self.sample(), per_axis_mse=(np.nan, np.inf, 0.5),
+                                     total_mse=np.inf))
+        assert " axis_mse:nan,inf,0.5 total_mse:inf " in line
+        assert format_report(parse_report(line)) == line
+
     def test_fired_alarm_requires_low_level(self):
         with pytest.raises(ConfigurationError):
             StatusReport(

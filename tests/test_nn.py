@@ -14,7 +14,7 @@ import pytest
 from helpers import mse, naive_conv2d, naive_conv_transpose2d, numeric_grad, rel_err
 
 from vibanom.errors import ConfigurationError, DimensionError, TrainingError
-from vibanom import nn
+from vibanom import dcan, nn
 
 GRAD_TOL = 1e-4
 FD_EPS = 1e-5
@@ -398,8 +398,8 @@ class TestLeakyRelu:
 
     def test_preserves_float32(self):
         x = np.array([-1.0, 1.0], dtype=np.float32)
-        assert nn.leaky_relu(x).dtype == np.float32
-        assert nn.leaky_relu_backward(x, x).dtype == np.float32
+        assert nn.leaky_relu(x, dcan.LEAKY_SLOPE).dtype == np.float32
+        assert nn.leaky_relu_backward(x, x, dcan.LEAKY_SLOPE).dtype == np.float32
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
@@ -547,7 +547,7 @@ class TestAdam:
         p = np.ones(3, dtype=np.float32)
         ident = id(p)
         params = {"p": p}
-        state = nn.AdamState.for_params(params)
+        state = nn.AdamState.for_params(params, lr=1e-3)
         nn.adam_step(params, {"p": np.ones(3, dtype=np.float32)}, state)
         assert id(params["p"]) == ident
         assert params["p"].dtype == np.float32
@@ -587,7 +587,7 @@ class TestAdam:
         rng = np.random.default_rng(10)
         params = {k: rng.standard_normal(n).astype(np.float32)
                   for k, n in (("a", 65_536), ("b", 9), ("last", 4))}
-        state = nn.AdamState.for_params(params)
+        state = nn.AdamState.for_params(params, lr=1e-3)
         for _ in range(2):
             nn.adam_step(params, {k: rng.standard_normal(p.shape).astype(np.float32)
                                   for k, p in params.items()}, state)
@@ -609,7 +609,7 @@ class TestAdam:
     def test_non_finite_gradient_raises_with_name(self):
         p = np.zeros(2, dtype=np.float64)
         params = {"enc.w": p}
-        state = nn.AdamState.for_params(params)
+        state = nn.AdamState.for_params(params, lr=1e-3)
         with pytest.raises(TrainingError, match="enc.w"):
             nn.adam_step(params, {"enc.w": np.array([1.0, np.nan])}, state)
 

@@ -19,9 +19,9 @@ from vibanom.errors import AliasingWarning, DimensionError, ParseError, SignalSp
 from vibanom.signals import NormalSignalSpec, Spectrum, Waveform
 
 
-def sine(freq, n=4096, rate=1024.0, amp=1.0):
-    t = np.arange(n) / rate
-    return Waveform(amp * np.sin(2 * np.pi * freq * t), rate)
+def sine(freq, n=4096, amp=1.0):
+    t = np.arange(n) / signals.SAMPLE_RATE
+    return Waveform(amp * np.sin(2 * np.pi * freq * t))
 
 
 class TestFft:
@@ -29,7 +29,7 @@ class TestFft:
     def test_impulse_is_flat(self, n):
         x = np.zeros(n)
         x[0] = 1.0
-        spec = signals.fft_magnitude(Waveform(x, 1024.0))
+        spec = signals.fft_magnitude(Waveform(x))
         assert len(spec.magnitudes) == n // 2 + 1
         assert np.allclose(spec.magnitudes, 1.0, atol=1e-12)
 
@@ -45,7 +45,7 @@ class TestFft:
         assert spec.bin_freqs[544] == pytest.approx(136.0)
 
     def test_bin_frequencies(self):
-        spec = signals.fft_magnitude(Waveform(np.zeros(8), 1024.0))
+        spec = signals.fft_magnitude(Waveform(np.zeros(8)))
         assert np.allclose(spec.bin_freqs, [0, 128, 256, 384, 512])
 
     def test_empty_input_raises(self):
@@ -54,7 +54,7 @@ class TestFft:
 
     @pytest.mark.parametrize("n", [3, 12, 1000, 4095])
     def test_any_length_gives_its_one_sided_bins(self, n):
-        spec = signals.fft_magnitude(Waveform(np.ones(n), 1024.0))
+        spec = signals.fft_magnitude(Waveform(np.ones(n)))
         assert len(spec.magnitudes) == n // 2 + 1
         assert spec.bin_freqs[1] == pytest.approx(1024.0 / n)
         assert spec.magnitudes[0] == pytest.approx(n)
@@ -62,7 +62,7 @@ class TestFft:
     def test_parseval(self):
         for seed in range(5):
             x = np.random.default_rng(seed).standard_normal(1024)
-            m = signals.fft_magnitude(Waveform(x, 1024.0)).magnitudes
+            m = signals.fft_magnitude(Waveform(x)).magnitudes
             # Rebuild the two-sided energy from the one-sided magnitudes.
             two_sided = m[0] ** 2 + m[-1] ** 2 + 2 * np.sum(m[1:-1] ** 2)
             assert rel_err(np.sum(x * x), two_sided / 1024) <= 1e-6
@@ -85,7 +85,7 @@ class TestDominantFrequency:
 
     def test_dc_bin_is_excluded(self):
         x = np.random.default_rng(0).standard_normal(256) * 0.01 + 10.0
-        spec = signals.fft_magnitude(Waveform(x, 1024.0))
+        spec = signals.fft_magnitude(Waveform(x))
         assert signals.dominant_frequency(spec) > 0.0
 
     def test_empty_spectrum_raises(self):
@@ -205,7 +205,7 @@ class TestTimeScale:
         # a 400 Hz line in 1,000 samples lands at 800 Hz, past 512
         t = np.arange(1000) / 1024.0
         with pytest.warns(AliasingWarning):
-            signals.time_scale(Waveform(np.sin(2 * np.pi * 400.0 * t), 1024.0), 0.5)
+            signals.time_scale(Waveform(np.sin(2 * np.pi * 400.0 * t)), 0.5)
 
     def test_no_warning_when_components_stay_below_nyquist(self):
         spec = NormalSignalSpec(harmonics=(), noise_std=0.002)
@@ -231,7 +231,7 @@ class TestTimeScale:
     @pytest.mark.filterwarnings("ignore::vibanom.errors.AliasingWarning")
     @pytest.mark.parametrize("factor", [0.5, 1.0, 1.5, 2.7])
     def test_same_bits_as_every_position_built(self, factor):
-        wave = Waveform(np.random.default_rng(21).standard_normal(1000), 1024.0)
+        wave = Waveform(np.random.default_rng(21).standard_normal(1000))
         m = int(np.floor(999 * factor)) + 1
         want = np.resize(np.interp(np.arange(m) / factor, np.arange(1000), wave.samples), 1000)
         assert signals.time_scale(wave, factor).samples.tobytes() == want.tobytes()
@@ -266,13 +266,13 @@ class TestInjectSawtooth:
 
     def test_zero_mean_over_exact_periods(self):
         # 128 Hz at 1024 Hz gives an 8-sample period.
-        zero = Waveform(np.zeros(4096), 1024.0)
+        zero = Waveform(np.zeros(4096))
         out = signals.inject_sawtooth(zero, 128.0, 0.04)
         assert abs(float(out.samples[:8].mean())) <= 1e-9
         assert abs(float(out.samples.mean())) <= 1e-9
 
     def test_rises_linearly_within_period(self):
-        zero = Waveform(np.zeros(4096), 1024.0)
+        zero = Waveform(np.zeros(4096))
         saw = signals.inject_sawtooth(zero, 128.0, 0.04).samples[:8]
         assert np.all(np.diff(saw) > 0)
         steps = np.diff(saw)
@@ -289,7 +289,7 @@ class TestInjectSawtooth:
     def test_harmonic_content(self):
         # An 8-sample-periodic sawtooth concentrates all energy at
         # multiples of 128 Hz.
-        zero = Waveform(np.zeros(4096), 1024.0)
+        zero = Waveform(np.zeros(4096))
         mags = signals.fft_magnitude(signals.inject_sawtooth(zero, 128.0, 0.04)).magnitudes
         harmonic_bins = [512, 1024, 1536]  # 128, 256, 384 Hz
         for b in harmonic_bins:
@@ -304,7 +304,7 @@ class TestInjectSawtooth:
         assert abs(after - before) > 5.0
 
     def test_frequency_bounds(self):
-        wf = Waveform(np.zeros(64), 1024.0)
+        wf = Waveform(np.zeros(64))
         with pytest.raises(SignalSpecError):
             signals.inject_sawtooth(wf, 0.0, 0.04)
         with pytest.raises(SignalSpecError):
@@ -315,7 +315,7 @@ class TestInjectSawtooth:
     @pytest.mark.parametrize("peak", [np.nan, np.inf, -np.inf])
     def test_non_finite_peak(self, peak):
         # a nan peak once gave a waveform of nan samples
-        wf = Waveform(np.zeros(64), 1024.0)
+        wf = Waveform(np.zeros(64))
         with pytest.raises(SignalSpecError, match="got %s" % peak):
             signals.inject_sawtooth(wf, 136.0, peak)
 
@@ -327,7 +327,6 @@ class TestWaveformCsv:
         signals.write_waveform_csv(wf, path)
         back = signals.read_waveform_csv(path)
         assert np.array_equal(back.samples, wf.samples)
-        assert back.sample_rate == wf.sample_rate
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -365,15 +364,13 @@ def _read_a_sample(value):
 @pytest.mark.parametrize(
     "call, error, message",
     [(lambda _: Waveform(np.zeros((2, 8))), DimensionError, "waveform samples must be 1-D, got 2-D"),
-     (lambda _: Waveform(np.zeros(8), sample_rate=0.0),
-      SignalSpecError, "sample rate must be positive, got 0.0"),
      (lambda _: signals.fft_complex(np.zeros((2, 8))), DimensionError, "fft input must be 1-D, got 2-D"),
      (lambda _: signals.time_scale(Waveform(np.zeros(1)), 2.0),
       DimensionError, "time_scale needs at least 2 samples"),
      (_read_a_row_of_three_fields, ParseError, "three.csv:3: expected 2 fields, got 3"),
      (_read_a_sample("nan"), ParseError, "sample.csv:3: non-finite value 'nan'"),
      (_read_a_sample("-inf"), ParseError, "sample.csv:3: non-finite value '-inf'")],
-    ids=["two-d-waveform", "zero-sample-rate", "fft-two-d", "time-scale-one-sample",
+    ids=["two-d-waveform", "fft-two-d", "time-scale-one-sample",
          "csv-three-fields", "csv-nan", "csv-inf"],
 )
 def test_bad_input_is_refused(tmp_path, call, error, message):
