@@ -9,6 +9,9 @@ Subcommands:
   ingest-nasa  build train/test splits from a NASA IMS dataset tree
   export-plot  convert a report log or waveform to plottable CSV series
 
+`score` reads its calibration from --config or from the JSON line of
+`calibrate --out` (--calibration), never from the frames it scores.
+
 Every subcommand is deterministic given --seed. Failures print one line
 `error: <kind>: <message>` to stderr and exit 1; usage errors exit 2.
 """
@@ -26,8 +29,8 @@ from . import dcan, ingest
 from .errors import ConfigurationError, DimensionError, RoutingError, VibanomError
 from .fleet import (
     PredictorSpec,
+    _read_json_object,
     calibrate_predictor,
-    evaluate_self_calibrated,
     evaluate_stream,
     format_report,
     load_fleet_config,
@@ -36,6 +39,7 @@ from .fleet import (
     write_report_log,
 )
 from .ingest import FrameBlock, build_nasa_splits, read_frames, stack_frames, write_frames
+from .scoring import ScoreNormalization
 from .signals import (
     NormalSignalSpec,
     Waveform,
@@ -117,18 +121,24 @@ def _config_spec(args) -> PredictorSpec:
     return matches[0]
 
 
+def _calibration_spec(args) -> PredictorSpec:
+    """The ad-hoc predictor scored against the JSON line of calibrate --out."""
+    obj = _read_json_object(args.calibration, "calibration")
+    try:
+        norm = ScoreNormalization(**obj)
+    except TypeError as exc:  # an unknown or missing key
+        raise ConfigurationError("malformed calibration %s: %s" % (args.calibration, exc)) from exc
+    return PredictorSpec("adhoc", "adhoc", str(args.checkpoint), norm)
+
+
 def cmd_score(args) -> int:
     if args.out is not None:
-        ingest._destination(args.out, "--out", [args.checkpoint, args.frames, args.config])
+        inputs = [args.checkpoint, args.frames, args.config, args.calibration]
+        ingest._destination(args.out, "--out", inputs)
     frames = _read_some_frames(args.frames)
-    spec = _config_spec(args) if args.config else None
+    spec = _config_spec(args) if args.config is not None else _calibration_spec(args)
     model, stats = load_checkpoint(args.checkpoint)
-    if spec is not None:
-        reports = evaluate_stream(spec, model, stats, frames)
-    else:
-        # no fleet context: self-calibrate on the scored frames
-        spec = PredictorSpec(id="adhoc", location="adhoc", checkpoint=str(args.checkpoint))
-        reports = evaluate_self_calibrated(spec, model, stats, frames)
+    reports = evaluate_stream(spec, model, stats, frames)
     for report in reports:
         print(format_report(report))
     if args.out:
@@ -282,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="batch-score a frame file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--frames", required=True, help="FRME input file")
-    p.add_argument("--config", help="fleet config supplying calibration")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="fleet config supplying calibration")
+    source.add_argument("--calibration", help="normalization JSON from calibrate --out")
     p.add_argument("--out", help="append report lines to this log")
     p.set_defaults(func=cmd_score)
 

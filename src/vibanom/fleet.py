@@ -40,7 +40,7 @@ import mmap
 import os
 import re
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -337,19 +337,21 @@ def save_fleet_config(config: FleetConfig, path):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def load_fleet_config(path) -> FleetConfig:
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at path; what names the file in
+    the ConfigurationError that refuses anything else."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     # bad JSON, bad UTF-8, an over-long int, or nesting too deep to parse
     except (ValueError, RecursionError) as exc:
-        raise ConfigurationError(
-            "fleet config %s is not valid JSON: %s" % (path, exc)
-        ) from exc
+        raise ConfigurationError("%s %s is not valid JSON: %s" % (what, path, exc)) from exc
     if not isinstance(data, dict):
-        raise ConfigurationError(
-            "fleet config %s must be a JSON object" % path
-        )
-    return fleet_config_from_dict(data)
+        raise ConfigurationError("%s %s must be a JSON object" % (what, path))
+    return data
+
+
+def load_fleet_config(path) -> FleetConfig:
+    return fleet_config_from_dict(_read_json_object(path, "fleet config"))
 
 
 def _task_reports(model, stats, stream: FrameBlock | FrameFile, rows: np.ndarray):
@@ -357,8 +359,8 @@ def _task_reports(model, stats, stream: FrameBlock | FrameFile, rows: np.ndarray
 
     A finite frame too large for float32 once standardized overflows to a
     non-finite MSE, which scoring reports as high and calibration refuses
-    (_calibration): numpy's overflow and invalid-value warnings on the way
-    there say nothing more, so they are not raised.
+    (calibrate_predictor): numpy's overflow and invalid-value warnings on
+    the way there say nothing more, so they are not raised.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         batch = standardize(stack_frames(stream[rows]), stats)
@@ -413,30 +415,6 @@ def evaluate_stream(spec: PredictorSpec, model, stats, frames: Frames) -> List[S
         if spec.normalization is None:
             raise ConfigurationError("no calibration; run calibrate first")
         return _status_reports(spec, *_columns(model, stats, frames))
-
-
-def evaluate_self_calibrated(
-    spec: PredictorSpec, model, stats, frames: Frames
-) -> List[StatusReport]:
-    """Run one predictor over frames, calibrated on those same frames.
-
-    Each frame is reconstructed once: the total_mse values that fit the
-    normalization are the ones scored. spec.normalization is ignored.
-    """
-    stamps, per_axis, total = _columns(model, stats, frames)
-    spec = replace(spec, normalization=_calibration(stamps, total))
-    return _status_reports(spec, stamps, per_axis, total)
-
-
-def _calibration(stamps: List[int], total: np.ndarray) -> ScoreNormalization:
-    """scoring.calibrate of the total MSEs of _columns, after refusing the
-    first frame, in time order, whose MSE is not finite."""
-    bad = np.flatnonzero(~np.isfinite(total))
-    if bad.size:
-        raise CalibrationError(
-            "frame at timestamp %d has a non-finite reconstruction MSE" % stamps[bad[0]]
-        )
-    return calibrate(total)
 
 
 def _status_reports(
@@ -520,13 +498,19 @@ def run_fleet(
 def calibrate_predictor(checkpoint_path, frames: Frames) -> ScoreNormalization:
     """Fit score normalization from normal frames via a checkpoint.
 
-    The frames are walked in timestamp order, as score walks them, so any
-    order of frames with distinct timestamps gives the same normalization,
-    the one that evaluate_self_calibrated fits to them. Frames may share a
-    timestamp, as the channels of one IMS recording do in ingest-nasa's
-    train.frames; those keep their given order.
+    The frames are walked in timestamp order, as evaluate_stream walks
+    them, so any order of frames with distinct timestamps gives the same
+    normalization. Frames may share a timestamp, as the channels of one
+    IMS recording do in ingest-nasa's train.frames; those keep their given
+    order. The first frame, in that order, whose MSE is not finite is
+    refused by its timestamp.
     """
     model, stats = load_checkpoint(checkpoint_path)
     stamps, _, total = _columns(model, stats, frames)
-    return _calibration(stamps, total)
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        raise CalibrationError(
+            "frame at timestamp %d has a non-finite reconstruction MSE" % stamps[bad[0]]
+        )
+    return calibrate(total)
 

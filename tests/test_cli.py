@@ -5,6 +5,8 @@ checkpoint, small FRME files of noise frames, and a miniature IMS tree.
 """
 
 import json
+import re
+import shlex
 import struct
 import tracemalloc
 import warnings
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vibanom import cli, dcan, fleet, parallel
+from vibanom import cli, dcan, fleet, parallel, training
 from vibanom.cli import main
 from vibanom.errors import AliasingWarning, DataWarning, ParseError
 from vibanom.fleet import (
@@ -24,11 +26,26 @@ from vibanom.fleet import (
 )
 from vibanom.ingest import FRAME_LEN, Frame, FrameBlock, read_frames, write_frames
 from vibanom.scoring import AlarmLevel, ScoreNormalization
-from vibanom.signals import SAMPLE_RATE, Waveform, write_waveform_csv
-from vibanom.training import StandardizationStats, load_checkpoint, save_checkpoint
+from vibanom.signals import (
+    SAMPLE_RATE,
+    NormalSignalSpec,
+    Waveform,
+    inject_sawtooth,
+    synth_normal_frames,
+    write_waveform_csv,
+)
+from vibanom.training import (
+    StandardizationStats,
+    TrainConfig,
+    fit_standardization,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 
 from helpers import make_mini_ims
 
+ROOT = Path(__file__).resolve().parent.parent
 REPORT = ("ts:1 predictor:p location:l axis_mse:1.0 total_mse:1.0 score:0.0 "
           "level:%s alarm:%d window_anomalous:%d")
 ARCHITECTURE_REFUSED = "architecture metadata is neither the 1-axis nor the 3-axis DCAN's"
@@ -43,6 +60,14 @@ def rewrite_architecture(path, edit):
     edit(meta["config"])
     blob = json.dumps(meta).encode()
     path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[end:])
+
+
+@pytest.fixture(scope="module")
+def calibration(tmp_path_factory):
+    """A normalization file in the form calibrate --out writes."""
+    path = tmp_path_factory.mktemp("cal") / "norm.json"
+    path.write_text('{"mu": 1.0, "sigma": 0.5}\n')
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +115,15 @@ class TestTrain:
         assert len(rows) >= 1
         assert "trained" in capsys.readouterr().out
 
+    def test_checkpoint_records_its_training_run(self, tmp_path, capsys):
+        frames = frames_file(tmp_path / "train.frames", seed=1, count=5)
+        out = tmp_path / "trained.ckpt"
+        assert main(["train", "--frames", frames, "--out", str(out), "--seed", "2"]) == 0
+        _, rows = read_csv_rows(tmp_path / "trained.ckpt.loss.csv")
+        with open(out, "rb") as fh:
+            meta = training._read_header(fh)
+        assert meta["training"] == {"seed": 2, "frames": 5, "epochs": len(rows), "source": frames}
+
 
 class TestCalibrate:
     def test_prints_and_writes_json(self, checkpoint, tmp_path, capsys):
@@ -126,14 +160,17 @@ class TestCalibrate:
 
 
 class TestScore:
-    def test_adhoc_self_calibration_scores_none(self, checkpoint, tmp_path, capsys):
+    def test_scores_against_what_calibrate_writes(self, checkpoint, tmp_path, capsys):
         # scoring the calibration frames themselves: |z| <= (N-1)/sqrt(N)
         # stays under the low threshold of 3 for N = 10
         frames = frames_file(tmp_path / "score.frames", seed=4, count=10)
-        log = tmp_path / "score.log"
+        norm_json, log = tmp_path / "norm.json", tmp_path / "score.log"
+        assert main(["calibrate", "--checkpoint", checkpoint, "--frames", frames,
+                     "--out", str(norm_json)]) == 0
+        capsys.readouterr()
         rc = main(
             ["score", "--checkpoint", checkpoint, "--frames", frames,
-             "--out", str(log)]
+             "--calibration", str(norm_json), "--out", str(log)]
         )
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -142,9 +179,15 @@ class TestScore:
         assert all(r.level == AlarmLevel.NONE for r in reports)
         assert all(r.predictor_id == "adhoc" for r in reports)
         assert log.read_text().strip().splitlines() == lines
+        # the file carries calibrate_predictor's bits, and score uses them
+        norm = fleet.calibrate_predictor(checkpoint, read_frames(frames))
+        assert json.loads(norm_json.read_text()) == {"mu": norm.mu, "sigma": norm.sigma}
+        assert [r.score for r in reports] == [
+            (r.total_mse - norm.mu) / norm.sigma for r in reports
+        ]
 
     def test_adhoc_reconstructs_each_frame_once(
-        self, checkpoint, tmp_path, capsys, monkeypatch
+        self, checkpoint, calibration, tmp_path, capsys, monkeypatch
     ):
         # 70 frames span five scoring tasks
         frames = frames_file(tmp_path / "once.frames", seed=8, count=70)
@@ -156,7 +199,8 @@ class TestScore:
             return real(model, batch)
 
         monkeypatch.setattr(dcan, "reconstruct", counting)
-        rc = main(["score", "--checkpoint", checkpoint, "--frames", frames])
+        rc = main(["score", "--checkpoint", checkpoint, "--frames", frames,
+                   "--calibration", calibration])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 70
@@ -189,7 +233,7 @@ class TestScore:
 
     @pytest.mark.parametrize("with_config", [False, True])
     def test_header_only_frame_file_fails_cleanly(
-        self, checkpoint, tmp_path, capsys, with_config
+        self, checkpoint, calibration, tmp_path, capsys, with_config
     ):
         # what a writer killed after the header leaves behind
         frames = tmp_path / "empty.frames"
@@ -205,6 +249,8 @@ class TestScore:
                 FleetConfig(predictors=(spec,), report_log="r.log"), config_path
             )
             argv += ["--config", str(config_path)]
+        else:
+            argv += ["--calibration", calibration]
         rc = main(argv)
         assert rc == 1
         captured = capsys.readouterr()
@@ -217,14 +263,17 @@ class TestScore:
         [("frame_len", "4096"), ("axes", 3.0), ("fc_widths", (200, "200", 200, 200)),
          ("leaky_slope", True)],
     )
-    def test_mistyped_checkpoint_metadata_fails_cleanly(self, tmp_path, capsys, field, value):
+    def test_mistyped_checkpoint_metadata_fails_cleanly(
+        self, calibration, tmp_path, capsys, field, value
+    ):
         stats = StandardizationStats(np.zeros(3, np.float32), np.ones(3, np.float32))
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(dcan.build(dcan.DcanConfig(), seed=21), stats, bad)
         rewrite_architecture(bad, lambda entry: entry.update({field: value}))
         frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
         out = tmp_path / "scores.log"
-        rc = main(["score", "--checkpoint", str(bad), "--frames", frames, "--out", str(out)])
+        rc = main(["score", "--checkpoint", str(bad), "--frames", frames,
+                   "--calibration", calibration, "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -284,6 +333,138 @@ class TestScore:
         assert rc == 1
         assert "error: RoutingError:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [([], "one of the arguments --config --calibration is required"),
+         (["--config", "fleet.json", "--calibration", "norm.json"],
+          "argument --calibration: not allowed with argument --config")],
+        ids=["neither", "both"],
+    )
+    def test_needs_exactly_one_calibration_source(self, checkpoint, tmp_path, capsys,
+                                                  flags, message):
+        frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["score", "--checkpoint", checkpoint, "--frames", frames, *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, kind, message",
+        [(b"mu=1 sigma=0.5\n", "ConfigurationError", "calibration {path} is not valid JSON: "),
+         (b'{"mu": 1.0, "sigma": 0.5, "\xff": 1}\n', "ConfigurationError",
+          "calibration {path} is not valid JSON: 'utf-8' codec can't decode"),
+         (b"[1.0, 0.5]\n", "ConfigurationError", "calibration {path} must be a JSON object"),
+         (b'{"mu": 1.0}\n', "ConfigurationError", "malformed calibration {path}: *'sigma'"),
+         (b'{"mu": 1.0, "sigma": 0.5, "frames": 10}\n', "ConfigurationError",
+          "malformed calibration {path}: *'frames'"),
+         (b'{"mu": "1", "sigma": 0.5}\n', "ConfigurationError", "mu must be a number, got '1'"),
+         (b'{"mu": 1.0, "sigma": 0}\n', "CalibrationError", "sigma must be positive, got 0.0"),
+         (b'{"mu": 1.0, "sigma": -1}\n', "CalibrationError", "sigma must be positive, got -1.0"),
+         (b'{"mu": NaN, "sigma": 0.5}\n', "CalibrationError",
+          "normalization parameters must be finite"),
+         (b'{"mu": 1.0, "sigma": 1e400}\n', "CalibrationError",
+          "normalization parameters must be finite"),
+         (b'{"mu": 1.0, "sigma": 1' + b"0" * 400 + b"}\n", "ConfigurationError",
+          "sigma is too large for a float")],
+        ids=["not-json", "bad-utf8", "array", "missing-sigma", "extra-key", "string-mu",
+             "zero-sigma", "negative-sigma", "nan", "1e400", "over-large-int"],
+    )
+    def test_unusable_calibration_file(
+        self, checkpoint, tmp_path, capsys, content, kind, message
+    ):
+        cal = tmp_path / "norm.json"
+        cal.write_bytes(content)
+        frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
+        log = tmp_path / "r.log"
+        log.write_text(REPORT % ("none", 0, 0) + "\n")
+        before = log.read_bytes()
+        rc = main(["score", "--checkpoint", checkpoint, "--frames", frames,
+                   "--calibration", str(cal), "--out", str(log)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: %s: " % kind)
+        # "*" stands for the TypeError's own wording, which names the key
+        head, _, key = message.format(path=cal).partition("*")
+        assert head in lines[0] and lines[0].endswith(key)
+        assert log.read_bytes() == before
+
+    def test_out_onto_the_calibration_is_refused(
+        self, checkpoint, tmp_path, capsys, monkeypatch
+    ):
+        cal = tmp_path / "norm.json"
+        cal.write_text('{"mu": 1.0, "sigma": 0.5}\n')
+        frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(cli, "read_frames", no_work)
+        before = {p: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+        rc = main(["score", "--checkpoint", checkpoint, "--frames", frames,
+                   "--calibration", str(cal), "--out", str(cal)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ConfigurationError: --out %s is also the input %s\n" % (cal, cal)
+        )
+        assert {p: p.read_bytes() for p in sorted(tmp_path.iterdir())} == before
+
+
+class TestHealthyCalibration:
+    """calibrate on healthy frames, then score --calibration a stream whose
+    tail (frames 160-239) carries a 136 Hz, 0.04 g sawtooth: the fault is
+    judged against the healthy scale. A model trained for 3 epochs on 512
+    healthy 3-axis frames, as the fleet-monitor bench trains one."""
+
+    FAULT_START = 160
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("healthy")
+        spec = NormalSignalSpec()
+        train_frames = synth_normal_frames(spec, 512, 3, [1, 0, 0])
+        stats = fit_standardization(train_frames)
+        model = dcan.build(dcan.DcanConfig(), seed=0)
+        train(model, train_frames, stats, TrainConfig(seed=0, max_epochs=3, patience=3))
+        save_checkpoint(model, stats, root / "model.ckpt")
+        healthy = synth_normal_frames(spec, 64, 3, [1, 1, 1])[:, 0]
+        write_frames(root / "healthy.frames", FrameBlock(np.arange(64), healthy))
+        stream = synth_normal_frames(spec, 240, 3, [1, 2, 1])[:, 0]
+        saw = inject_sawtooth(Waveform(np.zeros(FRAME_LEN)), 136.0, 0.04).samples
+        tail = stream[self.FAULT_START:].astype(np.float64) + saw
+        stream[self.FAULT_START:] = tail.astype(np.float32)
+        (root / "streams").mkdir()
+        write_frames(root / "streams" / "p.frames", FrameBlock(1000 + np.arange(240), stream))
+        return root
+
+    def test_alarms_fire_in_the_faulty_tail_only(self, setup, capsys):
+        ckpt, norm_json = str(setup / "model.ckpt"), setup / "norm.json"
+        assert main(["calibrate", "--checkpoint", ckpt, "--frames", str(setup / "healthy.frames"),
+                     "--out", str(norm_json)]) == 0
+        capsys.readouterr()
+        assert main(["score", "--checkpoint", ckpt, "--frames", str(setup / "streams" / "p.frames"),
+                     "--calibration", str(norm_json)]) == 0
+        reports = [parse_report(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(reports) == 240
+        fired = [k for k, r in enumerate(reports) if r.alarm_fired]
+        assert fired and fired[0] >= self.FAULT_START
+        # a one-predictor fleet with that normalization: the same verdicts
+        norm = ScoreNormalization(**json.loads(norm_json.read_text()))
+        spec = PredictorSpec(id="p", location="p", checkpoint=ckpt, normalization=norm)
+        save_fleet_config(FleetConfig(predictors=(spec,)), setup / "fleet.json")
+        log = setup / "monitor.log"
+        assert main(["monitor", "--config", str(setup / "fleet.json"),
+                     "--frames", str(setup / "streams"), "--out", str(log)]) == 0
+
+        def verdicts(rs):
+            return [(r.total_mse, r.score, r.level, r.alarm_fired) for r in rs]
+
+        assert verdicts(reports) == verdicts(fleet.read_report_log(log))
+
 
 class TestSaturatedFrame:
     """Frame 2 (timestamp 102) of five is all 3e38 g: finite, as FrameBlock
@@ -306,22 +487,22 @@ class TestSaturatedFrame:
             warnings.simplefilter("error")
             return main(argv)
 
-    def test_scored_high_without_warnings(self, setup, capsys):
+    @pytest.mark.parametrize("flag", ["--config", "--calibration"])
+    def test_scored_high_without_warnings(self, setup, calibration, capsys, flag):
         spec = PredictorSpec(id="p", location="p", checkpoint=str(setup / "tight.ckpt"),
                              normalization=ScoreNormalization(mu=1.0, sigma=0.5))
         save_fleet_config(FleetConfig(predictors=(spec,)), setup / "fleet.json")
+        source = str(setup / "fleet.json") if flag == "--config" else calibration
         rc = self.run(["score", "--checkpoint", str(setup / "tight.ckpt"),
-                       "--frames", str(setup / "sat.frames"), "--config", str(setup / "fleet.json")])
+                       "--frames", str(setup / "sat.frames"), flag, source])
         captured = capsys.readouterr()
         assert rc == 0 and captured.err == ""
         reports = [parse_report(line) for line in captured.out.splitlines()]
         assert [r.timestamp for r in reports] == [100, 101, 102, 103, 104]
         assert reports[2].level == AlarmLevel.HIGH
 
-    @pytest.mark.parametrize("command", ["calibrate", "score"])
-    def test_calibration_names_the_frame(self, setup, capsys, command):
-        # score without --config calibrates on the frames it scores
-        rc = self.run([command, "--checkpoint", str(setup / "tight.ckpt"),
+    def test_calibration_names_the_frame(self, setup, capsys):
+        rc = self.run(["calibrate", "--checkpoint", str(setup / "tight.ckpt"),
                        "--frames", str(setup / "sat.frames")])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
@@ -342,7 +523,8 @@ class TestSaturatedFrame:
 def shuffled_streams(root, checkpoint, lengths, seed):
     """Write one stream file per length under root/streams, with shuffled
     timestamps so each scoring task gathers out of file order, plus
-    fleet.json (a predictor per stream) and one.json (the first only).
+    fleet.json (a predictor per stream), one.json (the first only) and
+    norm.json, the predictors' normalization as calibrate --out writes it.
     Returns each file's frames as a FrameBlock, keyed by its path."""
     streams = root / "streams"
     streams.mkdir()
@@ -364,6 +546,7 @@ def shuffled_streams(root, checkpoint, lengths, seed):
         ))
     save_fleet_config(FleetConfig(predictors=tuple(specs)), root / "fleet.json")
     save_fleet_config(FleetConfig(predictors=tuple(specs[:1])), root / "one.json")
+    (root / "norm.json").write_text('{"mu": 1.0, "sigma": 0.5}\n')
     return blocks
 
 
@@ -394,8 +577,9 @@ class TestWorkerCount:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_score_stdout(self, setup, checkpoint, workers, with_config, monkeypatch, capsys):
         # one predictor in one.json uses the checkpoint, so --config applies;
-        # without it a 1-frame stream fails to self-calibrate, the same way
-        extra = ["--config", str(setup / "one.json")] if with_config else []
+        # without it, norm.json holds the same normalization
+        extra = (["--config", str(setup / "one.json")] if with_config
+                 else ["--calibration", str(setup / "norm.json")])
         for length in self.LENGTHS:
             frames = str(setup / "streams" / ("n%d.frames" % length))
             outputs = []
@@ -404,7 +588,8 @@ class TestWorkerCount:
                 rc = main(["score", "--checkpoint", checkpoint, "--frames", frames, *extra])
                 outputs.append((rc, capsys.readouterr()))
             assert outputs[1] == outputs[0]
-            assert outputs[0][0] == (1 if length == 1 and not with_config else 0)
+            assert outputs[0][0] == 0
+            assert len(outputs[0][1].out.splitlines()) == length
 
 
 class TestFileStreams:
@@ -434,7 +619,8 @@ class TestFileStreams:
     @pytest.mark.parametrize("with_config", [False, True])
     def test_score_stdout(self, setup, checkpoint, with_config, monkeypatch, capsys):
         root, blocks = setup
-        extra = ["--config", str(root / "one.json")] if with_config else []
+        extra = (["--config", str(root / "one.json")] if with_config
+                 else ["--calibration", str(root / "norm.json")])
         for path in blocks:
             outputs = []
             for in_memory in (False, True):
@@ -444,7 +630,7 @@ class TestFileStreams:
                 outputs.append((rc, capsys.readouterr()))
                 monkeypatch.undo()
             assert outputs[1] == outputs[0]
-            assert outputs[0][0] == (1 if path.endswith("n1.frames") and not with_config else 0)
+            assert outputs[0][0] == 0
 
 
 class TestMonitor:
@@ -807,12 +993,12 @@ class TestSynthAndExportPlot:
         assert rc == 1
         assert "error: ConfigurationError:" in capsys.readouterr().err
 
-    def test_export_plot_on_report_log(self, checkpoint, tmp_path, capsys):
+    def test_export_plot_on_report_log(self, checkpoint, calibration, tmp_path, capsys):
         frames = frames_file(tmp_path / "f.frames", seed=11, count=5)
         log = tmp_path / "r.log"
         main(
             ["score", "--checkpoint", checkpoint, "--frames", frames,
-             "--out", str(log)]
+             "--calibration", calibration, "--out", str(log)]
         )
         capsys.readouterr()
         out_csv = tmp_path / "timeline.csv"
@@ -1010,15 +1196,15 @@ class TestErrorSurface:
          (b"[" * 100_000 + b"]" * 100_000, "unreadable metadata block")],
         ids=["list", "over-long-int", "deep-nesting"],
     )
-    def test_unusable_checkpoint_metadata(self, tmp_path, capsys, metadata, message):
+    def test_unusable_checkpoint_metadata(self, calibration, tmp_path, capsys, metadata, message):
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(
             b"DCAN" + struct.pack("<II", 1, len(metadata)) + metadata + struct.pack("<I", 0)
         )
         frames = frames_file(tmp_path / "s.frames", seed=6, count=3)
         line = self.one_error_line(
-            capsys, ["score", "--checkpoint", str(ckpt), "--frames", frames],
-            "CheckpointFormatError",
+            capsys, ["score", "--checkpoint", str(ckpt), "--frames", frames,
+                     "--calibration", calibration], "CheckpointFormatError",
         )
         assert message in line
 
@@ -1177,7 +1363,9 @@ class TestErrorSurface:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["score", "calibrate", "ingest-nasa"])
-    def test_empty_out_path_is_refused(self, checkpoint, tmp_path, capsys, monkeypatch, command):
+    def test_empty_out_path_is_refused(
+        self, checkpoint, calibration, tmp_path, capsys, monkeypatch, command
+    ):
         # score and calibrate once wrote nothing and exited 0; ingest-nasa
         # wrote its splits into the current directory
         if command == "ingest-nasa":
@@ -1186,6 +1374,8 @@ class TestErrorSurface:
         else:
             frames = frames_file(tmp_path / "f.frames", seed=6, count=3)
             argv = [command, "--checkpoint", checkpoint, "--frames", frames]
+            if command == "score":
+                argv += ["--calibration", calibration]
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.rglob("*"))
         line = self.one_error_line(capsys, argv + ["--out", ""], "ConfigurationError")
@@ -1222,7 +1412,7 @@ class TestErrorSurface:
          if (command, kind) != ("synth", "input")],  # synth reads no file
     )
     def test_unwritable_out_is_refused_before_any_work(
-        self, checkpoint, tmp_path, capsys, monkeypatch, command, kind
+        self, checkpoint, calibration, tmp_path, capsys, monkeypatch, command, kind
     ):
         # score, calibrate and monitor once scored every frame (and score and
         # calibrate printed their output), and train trained to the end,
@@ -1262,6 +1452,8 @@ class TestErrorSurface:
             argv = [command, "--frames", frames]
             if command != "train":
                 argv += ["--checkpoint", "m.ckpt"]
+            if command == "score":
+                argv += ["--calibration", calibration]
             if command == "calibrate":
                 source = out = "m.ckpt"
             monkeypatch.setattr(cli, "read_frames", no_work)
@@ -1380,10 +1572,10 @@ class TestErrorSurface:
         line = self.one_error_line(capsys, argv, "ConfigurationError")
         assert "%s must be" % field in line
 
-    def test_missing_input_file(self, checkpoint, tmp_path, capsys):
+    def test_missing_input_file(self, checkpoint, calibration, tmp_path, capsys):
         rc = main(
             ["score", "--checkpoint", checkpoint, "--frames",
-             str(tmp_path / "absent.frames")]
+             str(tmp_path / "absent.frames"), "--calibration", calibration]
         )
         assert rc == 1
         assert "error: FileNotFoundError:" in capsys.readouterr().err
@@ -1397,3 +1589,18 @@ class TestErrorSurface:
         with pytest.raises(SystemExit) as excinfo:
             main(["florp"])
         assert excinfo.value.code == 2
+
+
+def test_readme_command_lines_parse():
+    # every `vibanom ...` line of README's sh blocks is one the CLI takes;
+    # its walkthrough once ran score with neither --config nor --calibration
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("vibanom ")]
+    assert sum(line.startswith("vibanom score ") for line in lines) == 1
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail("README command line does not parse: %s" % line)

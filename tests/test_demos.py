@@ -2,7 +2,8 @@
 
 Each demo runs as its own process, as a user would start it. Demo 02 trains
 a model for about 18 s and is left out. TMPDIR points at the test's own
-directory because demos 05 and 06 leave their mkdtemp directories behind.
+directory, where no `vibanom-*` temporary directory may be left after a
+demo ends: demos 05 and 06 remove theirs.
 """
 
 import os
@@ -33,3 +34,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in tmp_path.glob("vibanom-*")) == []

@@ -37,7 +37,6 @@ from vibanom.fleet import (
     PredictorSpec,
     StatusReport,
     calibrate_predictor,
-    evaluate_self_calibrated,
     evaluate_stream,
     fleet_config_from_dict,
     format_report,
@@ -808,19 +807,14 @@ class TestStreamForms:
             id="motor-left", location="motor-left", checkpoint=checkpoint,
             normalization=ScoreNormalization(mu=1.0, sigma=0.5),
         )
-        for score in (evaluate_stream, evaluate_self_calibrated):
-            want = self.outcome(score, spec, model, stats, frames)
-            for form in (block, shuffled, from_file):
-                assert self.outcome(score, spec, model, stats, form) == want
+        want = evaluate_stream(spec, model, stats, frames)
+        for form in (block, shuffled, from_file):
+            assert evaluate_stream(spec, model, stats, form) == want
         # calibration walks in timestamp order too: every form and order
-        # gives the normalization that self-calibrated scoring fits
+        # gives the same normalization (or, for one frame, the same refusal)
         want = self.outcome(calibrate_predictor, checkpoint, frames)
         for form in (block, shuffled, read_frames(tmp_path / "in_order.frames"), from_file):
             assert self.outcome(calibrate_predictor, checkpoint, form) == want
-        fitted = self.outcome(evaluate_self_calibrated, spec, model, stats, frames)
-        if isinstance(want, ScoreNormalization):
-            want = evaluate_stream(replace(spec, normalization=want), model, stats, frames)
-        assert fitted == want
         fleet = one_predictor_fleet(checkpoint, spec.normalization, tmp_path / "r.log")
         want = run_fleet(fleet, {"motor-left": frames}, log_path=tmp_path / "x.log")
         assert want == evaluate_stream(spec, model, stats, frames)

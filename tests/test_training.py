@@ -5,6 +5,7 @@ held-out frame ever reaches a gradient step; checkpoint round trips are
 asserted bit-for-bit.
 """
 
+import itertools
 import json
 import struct
 import threading
@@ -268,6 +269,57 @@ class TestTrain:
         model = tiny_model(0)
         with pytest.raises(TrainingError):
             training.train(model, frames, stats, TrainConfig())
+
+    def test_validation_split_rounds_to_nearest(self):
+        # 17 frames at 0.1: 1.7 rounds to 2 held out, so each epoch trains on 15
+        frames = easy_frames(17)
+        stats = training.fit_standardization(frames)
+        seen = []
+        cfg = TrainConfig(batch_size=4, max_epochs=1, patience=1, seed=3)
+        training.train(tiny_model(4), frames, stats, cfg,
+                       on_batch=lambda epoch, index, batch: seen.append(batch.shape[0]))
+        assert seen == [4, 4, 4, 3]
+
+    def test_train_mse_weights_a_short_last_batch_by_its_frames(self, monkeypatch):
+        # 20 frames at 0.25: 15 to train on, in batches of 4, 4, 4 and 3
+        frames = easy_frames(20)
+        stats = training.fit_standardization(frames)
+        steps = []
+        real = training._loss_and_gradients
+
+        def recording(model, batch):
+            loss, grads = real(model, batch)
+            steps.append((loss, batch.shape[0]))
+            return loss, grads
+
+        monkeypatch.setattr(training, "_loss_and_gradients", recording)
+        cfg = TrainConfig(batch_size=4, max_epochs=1, patience=1, seed=5,
+                          validation_fraction=0.25)
+        _, history = training.train(tiny_model(5), frames, stats, cfg)
+        assert [k for _, k in steps] == [4, 4, 4, 3]
+        total = 0.0
+        for loss, k in steps:
+            total += loss * k
+        assert history[0].train_mse == total / 15
+
+    def test_early_stopping_follows_validation_not_training(self, monkeypatch):
+        # a training loss that falls every step and a validation MSE that
+        # rises every epoch: patience 2 stops after the third epoch
+        frames = easy_frames(16)
+        stats = training.fit_standardization(frames)
+        model = tiny_model(6)
+        steps, epochs = itertools.count(1), itertools.count(1)
+
+        def falling(model, batch):
+            zeros = {name: np.zeros_like(p) for name, p in model.named_parameters().items()}
+            return 1.0 / next(steps), zeros
+
+        monkeypatch.setattr(training, "_loss_and_gradients", falling)
+        monkeypatch.setattr(training, "batched_mse", lambda model, x: float(next(epochs)))
+        cfg = TrainConfig(batch_size=4, max_epochs=10, patience=2, seed=7)
+        _, history = training.train(model, frames, stats, cfg)
+        assert [h.val_mse for h in history] == [1.0, 2.0, 3.0]
+        assert history[0].train_mse > history[1].train_mse > history[2].train_mse
 
 
 needs_openblas = pytest.mark.skipif(
